@@ -6,7 +6,8 @@ order and accumulates gradients into every tensor created with
 ``requires_grad=True``.  Only the operations the forecaster needs are
 implemented: elementwise arithmetic, matmul, the usual activations, 2-D
 convolution (valid/same padding), block max-pooling, inverted dropout,
-reshape, concatenation and integer gathers along the sensor axis.
+reshape, concatenation, last-axis slices and integer gathers along the
+sensor axis.
 
 Everything is float64 so that central-difference gradient checks are
 meaningful at tight tolerances.
@@ -15,6 +16,7 @@ meaningful at tight tolerances.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -60,8 +62,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private copy: `g` may be the upstream buffer or shared with a sibling
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph."""
@@ -184,11 +188,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = np.empty_like(a.data)
-    pos = a.data >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ez = np.exp(a.data[~pos])
-    out_data[~pos] = ez / (1.0 + ez)
+    # 1/(1+exp(-x)) == (1+tanh(x/2))/2, which cannot overflow; one buffer,
+    # since a second large temporary costs more than the tanh itself
+    out_data = np.multiply(a.data, 0.5)
+    np.tanh(out_data, out=out_data)
+    out_data *= 0.5
+    out_data += 0.5
 
     def backward(g):
         a._accumulate(g * out_data * (1.0 - out_data))
@@ -259,6 +264,19 @@ def concat(tensors, axis: int) -> Tensor:
     return _make(out_data, tuple(tensors), backward)
 
 
+def slice_last(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Select channels `lo:hi` of the last axis."""
+    out_data = a.data[..., lo:hi]
+
+    def backward(g):
+        # sibling slices of one tensor fill one gradient buffer in place
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[..., lo:hi] += g
+
+    return _make(out_data, (a,), backward)
+
+
 def take_index(a: Tensor, index: int, axis: int) -> Tensor:
     """Select one slice along an axis, dropping that axis."""
     out_data = a.data.take(index, axis=axis)
@@ -303,11 +321,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution / pooling ----------------------------------------------------
 
 
+def _im2col(xd: np.ndarray, kh: int, kw: int, s1: int, s2: int) -> np.ndarray:
+    """Unroll every (kh, kw) patch of `xd` into a row ordered (p, q, channel)."""
+    win = sliding_window_view(xd, (kh, kw), axis=(1, 2))[:, ::s1, ::s2]
+    B, ho, wo, cin = win.shape[:4]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(B * ho * wo, kh * kw * cin)
+
+
 def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tensor:
     """Cross-correlate `x` (batch, H, W, Cin) with `w` (kh, kw, Cin, Cout).
 
     `padding` is "valid" (no padding) or "same" (stride must be 1; output
     keeps the spatial shape).  Bias and activation are applied by callers.
+    The convolution is unrolled (im2col): every receptive field becomes one
+    row of a (B*Ho*Wo, kh*kw*Cin) matrix, multiplied once by the kernel.
     """
     kh, kw, cin, cout = w.data.shape
     if x.data.ndim != 4:
@@ -330,27 +357,21 @@ def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tens
         raise ShapeError(f"kernel ({kh},{kw}) larger than input ({H},{W})")
     ho = (H - kh) // s1 + 1
     wo = (W - kw) // s2 + 1
-    out_data = np.zeros((B, ho, wo, cout))
-    for p in range(kh):
-        for q in range(kw):
-            patch = xd[:, p:p + s1 * ho:s1, q:q + s2 * wo:s2, :]
-            out_data += (patch.reshape(-1, cin) @ w.data[p, q]).reshape(B, ho, wo, cout)
+    wmat = w.data.reshape(kh * kw * cin, cout)
+    out_data = (_im2col(xd, kh, kw, s1, s2) @ wmat).reshape(B, ho, wo, cout)
 
     def backward(g):
+        # the columns are rebuilt here: kept alive by the graph they would
+        # hold a kh*kw-fold copy of every input until backward runs
         gf = g.reshape(-1, cout)
         if w.requires_grad:
-            dw = np.zeros_like(w.data)
-            for p in range(kh):
-                for q in range(kw):
-                    patch = xd[:, p:p + s1 * ho:s1, q:q + s2 * wo:s2, :]
-                    dw[p, q] = patch.reshape(-1, cin).T @ gf
-            w._accumulate(dw)
+            w._accumulate((_im2col(xd, kh, kw, s1, s2).T @ gf).reshape(w.data.shape))
         if x.requires_grad:
+            dcols = (gf @ wmat.T).reshape(B, ho, wo, kh, kw, cin)
             dxd = np.zeros_like(xd)
             for p in range(kh):
                 for q in range(kw):
-                    dxd[:, p:p + s1 * ho:s1, q:q + s2 * wo:s2, :] += (
-                        gf @ w.data[p, q].T).reshape(B, ho, wo, cin)
+                    dxd[:, p:p + s1 * ho:s1, q:q + s2 * wo:s2, :] += dcols[:, :, :, p, q, :]
             if pads is not None:
                 dxd = dxd[:, pads[1][0]:dxd.shape[1] - pads[1][1] or None,
                           pads[2][0]:dxd.shape[2] - pads[2][1] or None, :]

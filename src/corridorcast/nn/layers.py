@@ -139,7 +139,15 @@ class ConvLSTMCell(Layer):
     where * is convolution and . the elementwise product.  The spatial grid
     (rows, cols) is fixed at construction because the peephole weights are
     full spatial maps.
+
+    The eight gate convolutions are computed as one: the channel-stacked
+    [x, h] is convolved with a kernel whose output axis stacks the i, f, c, o
+    gates, and the result is split.  That kernel is assembled at call time
+    from the per-gate ``wx*``/``wh*`` parameters, so parameter names and
+    checkpoints keep the per-gate layout.
     """
+
+    GATES = ("i", "f", "c", "o")
 
     def __init__(self, rng: np.random.Generator, spatial: tuple[int, int],
                  in_channels: int, filters: int, kernel: int = 3):
@@ -148,7 +156,7 @@ class ConvLSTMCell(Layer):
         self.in_channels = in_channels
         self.filters = filters
         kh = kw = kernel
-        for gate in ("i", "f", "c", "o"):
+        for gate in self.GATES:
             self._param(f"wx{gate}", xavier_uniform(
                 rng, (kh, kw, in_channels, filters), kh * kw * in_channels, kh * kw * filters))
             self._param(f"wh{gate}", xavier_uniform(
@@ -167,22 +175,18 @@ class ConvLSTMCell(Layer):
         if h_prev.data.shape != c_prev.data.shape or h_prev.data.shape[1:3] != self.spatial:
             raise ag.ShapeError("state shapes inconsistent with the cell grid")
         p = self._params
+        kernel = ag.concat([ag.concat([p[f"wx{g}"] for g in self.GATES], axis=3),
+                            ag.concat([p[f"wh{g}"] for g in self.GATES], axis=3)], axis=2)
+        z = ag.conv2d(ag.concat([x, h_prev], axis=3), kernel, padding="same")
+        n = self.filters
+        zi, zf, zc, zo = (ag.slice_last(z, k * n, (k + 1) * n) for k in range(4))
 
-        def gate_conv(name, inp, state):
-            return (ag.conv2d(inp, p[f"wx{name}"], padding="same")
-                    + ag.conv2d(state, p[f"wh{name}"], padding="same"))
-
-        i = ag.sigmoid(gate_conv("i", x, h_prev) + ag.mul(p["wci"], c_prev) + p["bi"])
-        f = ag.sigmoid(gate_conv("f", x, h_prev) + ag.mul(p["wcf"], c_prev) + p["bf"])
-        c = ag.mul(f, c_prev) + ag.mul(i, ag.tanh(gate_conv("c", x, h_prev) + p["bc"]))
-        o = ag.sigmoid(gate_conv("o", x, h_prev) + ag.mul(p["wco"], c) + p["bo"])
+        i = ag.sigmoid(zi + ag.mul(p["wci"], c_prev) + p["bi"])
+        f = ag.sigmoid(zf + ag.mul(p["wcf"], c_prev) + p["bf"])
+        c = ag.mul(f, c_prev) + ag.mul(i, ag.tanh(zc + p["bc"]))
+        o = ag.sigmoid(zo + ag.mul(p["wco"], c) + p["bo"])
         h = ag.mul(o, ag.tanh(c))
         return h, c
-
-
-def convlstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, cell: ConvLSTMCell):
-    """Functional form of one ConvLSTM transition."""
-    return cell.step(x, h_prev, c_prev)
 
 
 class Dropout:

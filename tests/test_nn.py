@@ -242,6 +242,36 @@ def test_convlstm_scalar_oracle(rng):
     assert abs(c1.data.item() - c_ref) < 1e-12
 
 
+def test_convlstm_fused_gates_match_per_gate_convolutions(rng):
+    # the stacked kernel must keep the i, f, c, o gate order on its output
+    # axis and the x-then-h order on its input axis
+    cell = make_cell(rng, spatial=(4, 3), cin=3, filters=4, kernel=3)
+    for p in cell.parameters().values():
+        p.data[...] = rng.normal(size=p.data.shape) * 0.5
+    x = rng.normal(size=(2, 4, 3, 3))
+    h_prev = rng.normal(size=(2, 4, 3, 4))
+    c_prev = rng.normal(size=(2, 4, 3, 4))
+    h1, c1 = cell.step(Tensor(x), Tensor(h_prev), Tensor(c_prev))
+
+    p = {k: t.data for k, t in cell.parameters().items()}
+    pad = ((0, 0), (1, 1), (1, 1), (0, 0))
+    xp, hp = np.pad(x, pad), np.pad(h_prev, pad)
+
+    def pre(g):
+        return conv2d_loop(xp, p[f"wx{g}"]) + conv2d_loop(hp, p[f"wh{g}"])
+
+    def sig(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    i = sig(pre("i") + p["wci"] * c_prev + p["bi"])
+    f = sig(pre("f") + p["wcf"] * c_prev + p["bf"])
+    c_ref = f * c_prev + i * np.tanh(pre("c") + p["bc"])
+    o = sig(pre("o") + p["wco"] * c_ref + p["bo"])
+    h_ref = o * np.tanh(c_ref)
+    assert np.allclose(c1.data, c_ref, rtol=0, atol=1e-12)
+    assert np.allclose(h1.data, h_ref, rtol=0, atol=1e-12)
+
+
 def test_convlstm_shape_mismatch(rng):
     cell = make_cell(rng)
     h0, c0 = cell.zero_state(1)
@@ -287,7 +317,7 @@ def test_gradcheck_dense(rng):
 
 
 @pytest.mark.parametrize("padding,strides", [("valid", (1, 1)), ("valid", (2, 1)),
-                                             ("same", (1, 1))])
+                                             ("same", (1, 1)), ("valid", (2, 2))])
 def test_gradcheck_conv2d(rng, padding, strides):
     x = Tensor(rng.normal(size=(2, 5, 4, 2)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2, 2, 3)), requires_grad=True)
@@ -386,6 +416,24 @@ def test_gradcheck_gather_and_concat(rng):
 
 
 # -- optimizer ------------------------------------------------------------------
+
+
+def test_gradient_accumulates_over_repeated_operands(rng):
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    g = rng.normal(size=(3, 4))
+    nn.total((a + a) * Tensor(g)).backward()
+    assert np.array_equal(a.grad, 2.0 * g)
+
+    a.zero_grad()
+    nn.total(a * a * Tensor(g)).backward()
+    assert np.allclose(a.grad, 2.0 * a.data * g, rtol=1e-15, atol=0)
+
+    # the first write into each operand's gradient must be its own buffer
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    a.zero_grad()
+    nn.total(a + b).backward()
+    assert np.array_equal(a.grad, np.ones((3, 4)))
+    assert not np.shares_memory(a.grad, b.grad)
 
 
 def test_quadratic_loss_gradient_exact(rng):
