@@ -6,28 +6,36 @@ between points (and between a point and a cluster) and complete-linkage
 between clusters; since the table only links milepost-consecutive sensors,
 every cluster stays a contiguous corridor segment.
 
+Candidate pairs are searched over the neighbour graph, not over all pairs:
+two elements (free points or clusters) can only merge when an edge of the
+table joins them.  A heap holds one entry per adjacent pair, ordered by
+(distance, sort keys), and entries for merged elements are discarded when
+they surface.  After a merge only the new cluster's edges to the rest of the
+graph are read, so clustering costs O(E log E) heap work on a table with E
+edges, plus one O(clusters) mean-span check per merge.
+
 Alongside the crisp merge tree, assigned points accumulate graded
 memberships to nearby clusters: with d_min the point's smallest
 single-linkage distance to any live cluster (its own included),
 
     mu(u, c) = d_min / (d(u, c) + d_min)
 
-and the stored distance is re-clamped through
-min((1 - log_m(mu)) * d, d), which can never increase it.  Merging stops
-when the mean milepost span of the clusters would exceed the configured
-limit, or when no mergeable pair remains.
+A merge refreshes only the memberships that touch the new cluster.  Merging
+stops when the mean milepost span of the clusters would exceed the
+configured limit, or when no mergeable pair remains.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dtw import DistanceTable
-from .errors import ConfigError
+from .errors import ConfigError, UnknownSensorError
 from .panel import SensorKind, SensorMeta
 
 
@@ -72,18 +80,27 @@ def fuzzy_update(d_current: float, all_cluster_distances, m: float) -> tuple[flo
     return mu, updated
 
 
-@dataclass
+def _span(members, positions) -> float:
+    pos = [positions[i] for i in members]
+    return max(pos) - min(pos)
+
+
+@dataclass(eq=False)
 class _Cluster:
     cid: int
-    members: list[int]
-
-    def span(self, positions) -> float:
-        pos = [positions[i] for i in self.members]
-        return max(pos) - min(pos)
+    members: list[int]  # sorted
+    span: float
+    crossing: list[tuple[int, int]]  # edges (member, outside point) leaving the cluster
 
 
 class ClusterState:
-    """Working state of the agglomeration: distances, assignments, clusters."""
+    """Working state of the agglomeration: neighbour graph, heap, clusters.
+
+    The live elements are the free points and the live clusters.  Each has a
+    sort key, (point, 0, point) or (min member, 1, cid); the heap holds
+    (distance, (lower key, higher key)) for every pair of elements that an
+    edge joins, and a pair is stale once either element has been merged.
+    """
 
     def __init__(self, base: DistanceTable, positions: dict[int, float], m: float):
         if m <= 1.0:
@@ -92,152 +109,133 @@ class ClusterState:
         self.positions = positions
         self.m = m
         self.points = sorted(positions)
-        self.assigned: set[int] = set()
-        self.clusters: list[_Cluster] = []
-        self.fuzzy_mu: dict[tuple[int, int], float] = {}
-        self.fuzzy_dist: dict[tuple[int, int], float] = {}
+        self.adjacent: dict[int, list[int]] = {p: [] for p in self.points}
+        self._heap: list[tuple[float, tuple[tuple, tuple]]] = []
+        for i, j in base.pairs():
+            if i != j and i in positions and j in positions:
+                self.adjacent[i].append(j)
+                self.adjacent[j].append(i)
+                self._heap.append(self._entry(base.get(i, j), i, j))
+        heapq.heapify(self._heap)
+        self.home: dict[int, _Cluster] = {}  # assigned point -> its live cluster
+        self.clusters: dict[int, _Cluster] = {}  # live clusters by cid, oldest first
+        self.fuzzy_mu: dict[int, dict[int, float]] = {}  # cid -> {outside point: mu}
         self.merge_log: list[tuple[int, str, str, float]] = []
         self._next_cid = 0
-
-    # -- linkage -------------------------------------------------------------
-
-    def _point_cluster(self, u: int, c: _Cluster) -> float | None:
-        """Single-linkage from point `u` to a cluster, skipping `u` itself."""
-        best = None
-        for v in c.members:
-            if v == u:
-                continue
-            d = self.base.get(u, v)
-            if d is not None and (best is None or d < best):
-                best = d
-        return best
-
-    def _cluster_cluster(self, a: _Cluster, b: _Cluster) -> float | None:
-        """Complete-linkage between two clusters over defined point pairs."""
-        worst = None
-        for u in a.members:
-            for v in b.members:
-                d = self.base.get(u, v)
-                if d is not None and (worst is None or d > worst):
-                    worst = d
-        return worst
-
-    def _home(self, u: int) -> _Cluster | None:
-        for c in self.clusters:
-            if u in c.members:
-                return c
-        return None
-
-    def _cluster_distances_from(self, u: int) -> dict[int, float]:
-        out = {}
-        for c in self.clusters:
-            d = self._point_cluster(u, c)
-            if d is not None:
-                out[c.cid] = d
-        return out
 
     # -- merge candidates ------------------------------------------------------
 
     @staticmethod
     def _label(element) -> str:
         if isinstance(element, _Cluster):
-            return "+".join(str(i) for i in sorted(element.members))
+            return "+".join(str(i) for i in element.members)
         return str(element)
 
-    def _sort_key(self, element):
+    @staticmethod
+    def _sort_key(element):
         if isinstance(element, _Cluster):
-            return (min(element.members), 1, element.cid)
+            return (element.members[0], 1, element.cid)
         return (element, 0, element)
-
-    def candidates(self) -> list[tuple[float, tuple, object, object]]:
-        """Mergeable pairs: unassigned points and live clusters."""
-        free = [p for p in self.points if p not in self.assigned]
-        items: list[tuple[float, tuple, object, object]] = []
-        for ai in range(len(free)):
-            for bi in range(ai + 1, len(free)):
-                d = self.base.get(free[ai], free[bi])
-                if d is not None:
-                    items.append(self._entry(d, free[ai], free[bi]))
-        for p in free:
-            for c in self.clusters:
-                d = self._point_cluster(p, c)
-                if d is not None:
-                    items.append(self._entry(d, p, c))
-        for i in range(len(self.clusters)):
-            for j in range(i + 1, len(self.clusters)):
-                d = self._cluster_cluster(self.clusters[i], self.clusters[j])
-                if d is not None:
-                    items.append(self._entry(d, self.clusters[i], self.clusters[j]))
-        return items
 
     def _entry(self, d, a, b):
         ka, kb = self._sort_key(a), self._sort_key(b)
-        if kb < ka:
-            a, b, ka, kb = b, a, kb, ka
-        return (d, (ka, kb), a, b)
+        return (d, (ka, kb) if ka < kb else (kb, ka))
 
-    def min_distance(self):
-        items = self.candidates()
-        if not items:
-            return None
-        return min(items, key=lambda e: (e[0], e[1]))
+    def _live(self, key):
+        """The element behind a sort key, or None once it has been merged."""
+        if key[1] == 1:
+            return self.clusters.get(key[2])
+        return None if key[0] in self.home else key[0]
+
+    def closest_pair(self):
+        """Pop the closest live pair as (distance, a, b), lowest keys first on ties.
+
+        Returns None when no two live elements share an edge.
+        """
+        while self._heap:
+            d, (ka, kb) = heapq.heappop(self._heap)
+            a, b = self._live(ka), self._live(kb)
+            if a is not None and b is not None:
+                return d, a, b
+        return None
 
     # -- merging ----------------------------------------------------------------
 
     def _members_of(self, element) -> list[int]:
         return element.members if isinstance(element, _Cluster) else [element]
 
+    def _crossing_of(self, element) -> list[tuple[int, int]]:
+        if isinstance(element, _Cluster):
+            return element.crossing
+        return [(element, v) for v in self.adjacent[element]]
+
     def merge(self, a, b, distance: float) -> _Cluster:
         members = sorted(self._members_of(a) + self._members_of(b))
-        new = _Cluster(self._next_cid, members)
+        inside = set(members)
+        crossing = [(u, v) for u, v in self._crossing_of(a) + self._crossing_of(b)
+                    if v not in inside]
+        new = _Cluster(self._next_cid, members, _span(members, self.positions), crossing)
         self._next_cid += 1
         for el in (a, b):
             if isinstance(el, _Cluster):
-                self.clusters.remove(el)
-                self._drop_cluster_records(el.cid)
-            else:
-                self.assigned.add(el)
-        self.clusters.append(new)
+                del self.clusters[el.cid]
+                self.fuzzy_mu.pop(el.cid, None)
+        self.clusters[new.cid] = new
+        for u in members:
+            self.home[u] = new
         self.merge_log.append((len(self.merge_log) + 1, self._label(a), self._label(b),
                                float(distance)))
+        self._queue_pairs(new)
         self._fuzzy_round(new)
         return new
 
-    def _drop_cluster_records(self, cid: int) -> None:
-        for key in [k for k in self.fuzzy_mu if k[1] == cid]:
-            del self.fuzzy_mu[key]
-        for key in [k for k in self.fuzzy_dist if k[1] == cid]:
-            del self.fuzzy_dist[key]
+    def _queue_pairs(self, new: _Cluster) -> None:
+        """Push the new cluster's distance to every element an edge joins it to."""
+        linked: dict[object, list[float]] = {}  # free point or cluster -> edge distances
+        for u, v in new.crossing:
+            linked.setdefault(self.home.get(v, v), []).append(self.base.get(u, v))
+        for other, ds in linked.items():
+            # complete linkage between clusters, single linkage to a point
+            d = max(ds) if isinstance(other, _Cluster) else min(ds)
+            heapq.heappush(self._heap, self._entry(d, new, other))
 
     def _fuzzy_round(self, new: _Cluster) -> None:
-        """Refresh memberships touching the freshly formed cluster."""
-        new_set = set(new.members)
-        for u in sorted(self.assigned):
-            if u in new_set:
-                for c in self.clusters:
-                    if c is new:
-                        continue
-                    self._update_pair(u, c)
-            else:
-                self._update_pair(u, new)
+        """Refresh memberships touching the freshly formed cluster.
 
-    def _update_pair(self, u: int, c: _Cluster) -> None:
-        d = self._point_cluster(u, c)
-        if d is None:
-            return
-        all_dists = self._cluster_distances_from(u)
-        mu, updated = fuzzy_update(d, list(all_dists.values()), self.m)
-        self.fuzzy_mu[(u, c.cid)] = mu
-        self.fuzzy_dist[(u, c.cid)] = updated
+        Only points at either end of an edge leaving `new` can gain or change
+        such a membership: members of `new` in each other cluster they touch,
+        and assigned outside points in `new`.
+        """
+        inner = sorted({u for u, v in new.crossing if v in self.home})
+        outer = sorted({v for u, v in new.crossing if v in self.home})
+        for u in inner:
+            dists = self._cluster_distances_from(u)
+            for cid in dists:
+                if cid != new.cid:
+                    self._set_membership(u, cid, dists)
+        for u in outer:
+            self._set_membership(u, new.cid, self._cluster_distances_from(u))
+
+    def _cluster_distances_from(self, u: int) -> dict[int, float]:
+        """Single linkage from point `u` to each live cluster an edge joins it to."""
+        out: dict[int, float] = {}
+        for v in self.adjacent[u]:
+            c = self.home.get(v)
+            if c is not None:
+                d = self.base.get(u, v)
+                if c.cid not in out or d < out[c.cid]:
+                    out[c.cid] = d
+        return out
+
+    def _set_membership(self, u: int, cid: int, dists: dict[int, float]) -> None:
+        mu, _ = fuzzy_update(dists[cid], list(dists.values()), self.m)
+        self.fuzzy_mu.setdefault(cid, {})[u] = mu
 
     # -- stopping ----------------------------------------------------------------
 
     def mean_span_after(self, a, b) -> float:
-        members = sorted(self._members_of(a) + self._members_of(b))
-        spans = [c.span(self.positions) for c in self.clusters
-                 if c is not a and c is not b]
-        pos = [self.positions[i] for i in members]
-        spans.append(max(pos) - min(pos))
+        spans = [c.span for c in self.clusters.values() if c is not a and c is not b]
+        spans.append(_span(sorted(self._members_of(a) + self._members_of(b)), self.positions))
         return float(np.mean(spans))
 
 
@@ -253,27 +251,26 @@ def fhc(distances: DistanceTable, meta, max_avg_span_miles: float = 10.0,
                  if s.kind == SensorKind.MAINLINE}
     state = ClusterState(distances, positions, m)
     while True:
-        best = state.min_distance()
+        best = state.closest_pair()
         if best is None:
             break
-        d, _, a, b = best
+        d, a, b = best
         if state.mean_span_after(a, b) > max_avg_span_miles:
             break
         state.merge(a, b, d)
 
-    ordered = sorted(state.clusters, key=lambda c: min(c.members))
-    singles = [p for p in state.points if p not in state.assigned]
+    ordered = sorted(state.clusters.values(), key=lambda c: c.members[0])
+    singles = [p for p in state.points if p not in state.home]
     memberships: dict[tuple[int, int], float] = {}
     crisp: list[list[int]] = []
     for idx, c in enumerate(ordered):
         members = set(c.members)
         for u in c.members:
             memberships[(u, idx)] = 1.0
-        for (u, cid), mu in state.fuzzy_mu.items():
-            if cid == c.cid and u not in set(c.members):
-                memberships[(u, idx)] = mu
-                if mu >= threshold:
-                    members.add(u)
+        for u, mu in state.fuzzy_mu.get(c.cid, {}).items():
+            memberships[(u, idx)] = mu
+            if mu >= threshold:
+                members.add(u)
         crisp.append(sorted(members))
     for p in singles:
         memberships[(p, len(crisp))] = 1.0
@@ -333,6 +330,8 @@ def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:
             raise ConfigError("cluster file header must be cluster_id,sensor_id,membership")
         for row in reader:
             if row:
+                if row[1] not in by_id:
+                    raise UnknownSensorError(f"cluster file references unknown sensor {row[1]!r}")
                 rows.append((int(row[0]), by_id[row[1]], float(row[2])))
     n_clusters = max((c for c, _, _ in rows), default=-1) + 1
     clusters: list[list[int]] = [[] for _ in range(n_clusters)]

@@ -15,13 +15,14 @@ import os
 
 import numpy as np
 
+from ..errors import DataError
 from .autograd import Tensor
 
 _HEADER = "corridorcast-ckpt-v1"
 
 
-class CheckpointError(ValueError):
-    pass
+class CheckpointError(DataError, ValueError):
+    """Unreadable or mismatched checkpoint: a data error (exit 3) and a ValueError."""
 
 
 def save_params(path: str, params: dict[str, Tensor]) -> None:
@@ -45,15 +46,18 @@ def load_params(path: str) -> dict[str, np.ndarray]:
         if header != _HEADER:
             raise CheckpointError(f"unrecognized checkpoint header {header!r}")
         out: dict[str, np.ndarray] = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
             head, _, tail = line.partition(" : ")
             fields = head.split()
-            name, ndim = fields[0], int(fields[1])
-            shape = tuple(int(d) for d in fields[2:2 + ndim])
-            vals = np.array([float.fromhex(v) for v in tail.split()], dtype=np.float64)
+            try:
+                name, ndim = fields[0], int(fields[1])
+                shape = tuple(int(d) for d in fields[2:2 + ndim])
+                vals = np.array([float.fromhex(v) for v in tail.split()], dtype=np.float64)
+            except (IndexError, ValueError):
+                raise CheckpointError(f"malformed checkpoint line {lineno}") from None
             if vals.size != int(np.prod(shape)) if shape else vals.size != 1:
                 raise CheckpointError(f"value count mismatch for {name!r}")
             out[name] = vals.reshape(shape)

@@ -9,6 +9,7 @@ neighborhoods are index-contiguous.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from enum import Enum
@@ -135,6 +136,8 @@ def load_sensor_meta(meta_path: str) -> list[SensorMeta]:
         for row in reader:
             if not row:
                 continue
+            if len(row) < len(META_HEADER):
+                raise _short_row(row, META_HEADER, "metadata", reader.line_num)
             sid, milepost, kind = row[0].strip(), row[1], row[2].strip()
             if sid in seen:
                 raise FormatError(f"duplicate sensor id {sid!r} in metadata")
@@ -146,18 +149,30 @@ def load_sensor_meta(meta_path: str) -> list[SensorMeta]:
     return metas
 
 
+def _short_row(row: list[str], header: list[str], what: str, line: int) -> FormatError:
+    return FormatError(f"{what} line {line} has {len(row)} fields, expected "
+                       f"{len(header)} ({','.join(header)}): {row!r}")
+
+
 def load_csv(path: str, meta_path: str) -> Panel:
     """Read a long-format data CSV plus sensor metadata into a Panel.
 
-    The data file has one row per (sensor, timestamp); the step is inferred
-    from the smallest timestamp gap and every timestamp must sit on that
-    grid.  Rows absent from the grid become mask=False cells.  Sensors are
-    ordered by milepost.
+    The data file has one row per (sensor, timestamp), in any sensor order,
+    but each sensor's own rows must have strictly increasing timestamps.  The
+    step is inferred from the smallest timestamp gap and every timestamp must
+    sit on that grid.  Rows absent from the grid become mask=False cells.
+    Sensors are ordered by milepost.
+
+    The file is read once: each distinct sensor id and timestamp string is
+    parsed once, and every row appends its sensor index, epoch seconds and
+    three values to flat buffers that fill the panel in one assignment.
     """
     metas = sorted(load_sensor_meta(meta_path), key=lambda m: (m.position, m.id))
     known = {m.id: i for i, m in enumerate(metas)}
 
-    records: dict[str, list[tuple[np.datetime64, float, float, float]]] = {m.id: [] for m in metas}
+    sensor_of: dict[str, int] = {}  # raw field -> sensor index
+    epoch_of: dict[str, int] = {}  # raw field -> epoch seconds
+    sensors, epochs, observed = array("q"), array("q"), array("d")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -166,50 +181,54 @@ def load_csv(path: str, meta_path: str) -> Panel:
         for row in reader:
             if not row:
                 continue
-            sid = row[0].strip()
-            if sid not in known:
-                raise UnknownSensorError(f"data references unknown sensor {sid!r}")
-            ts = _parse_timestamp(row[1].strip())
+            if len(row) < len(DATA_HEADER):
+                raise _short_row(row, DATA_HEADER, "data", reader.line_num)
+            si = sensor_of.get(row[0])
+            if si is None:
+                sid = row[0].strip()
+                if sid not in known:
+                    raise UnknownSensorError(f"data references unknown sensor {sid!r}")
+                si = sensor_of[row[0]] = known[sid]
+            ts = epoch_of.get(row[1])
+            if ts is None:
+                ts = epoch_of[row[1]] = int(_parse_timestamp(row[1].strip()).astype(np.int64))
             try:
-                vals = (float(row[2]), float(row[3]), float(row[4]))
+                flow, occupancy, speed = float(row[2]), float(row[3]), float(row[4])
             except ValueError as exc:
                 raise FormatError(f"bad numeric field in row {row!r}: {exc}") from None
-            records[sid].append((ts, *vals))
+            sensors.append(si)
+            epochs.append(ts)
+            observed.append(flow)
+            observed.append(occupancy)
+            observed.append(speed)
 
-    all_ts: list[np.datetime64] = []
-    for sid, rows in records.items():
-        ts = [r[0] for r in rows]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise FormatError(f"timestamps for sensor {sid!r} are not strictly increasing")
-        all_ts.extend(ts)
-    if not all_ts:
+    sensor_idx = np.frombuffer(sensors, dtype=np.int64)
+    epoch_s = np.frombuffer(epochs, dtype=np.int64)
+    order = np.argsort(sensor_idx, kind="stable")  # file order within each sensor
+    s_sorted, e_sorted = sensor_idx[order], epoch_s[order]
+    regress = (s_sorted[1:] == s_sorted[:-1]) & (e_sorted[1:] <= e_sorted[:-1])
+    if regress.any():
+        sid = metas[s_sorted[1:][regress][0]].id
+        raise FormatError(f"timestamps for sensor {sid!r} are not strictly increasing")
+    if epoch_s.size == 0:
         raise EmptyPanelError("data file contains no rows")
 
-    times = np.array(sorted(set(np.datetime64(t, "s") for t in all_ts)))
+    times = np.unique(epoch_s)
+    lo, step = int(times[0]), 1
     if len(times) > 1:
-        gaps = np.diff(times.astype(np.int64))
-        step = int(gaps.min())
-        if step <= 0:
-            raise FormatError("degenerate timestamp grid")
-        lo = int(times[0].astype(np.int64))
-        if np.any((times.astype(np.int64) - lo) % step != 0):
+        step = int(np.diff(times).min())
+        if np.any((times - lo) % step != 0):
             raise FormatError("timestamps do not sit on a fixed-step grid")
-        grid = lo + step * np.arange((int(times[-1].astype(np.int64)) - lo) // step + 1)
-        time_index = grid.astype("datetime64[s]")
-    else:
-        time_index = times
-    slot = {int(t.astype(np.int64)): i for i, t in enumerate(time_index)}
+    time_index = (lo + step * np.arange((int(times[-1]) - lo) // step + 1)).astype("datetime64[s]")
 
     n, t, k = len(metas), len(time_index), len(FEATURES)
     values = np.zeros((n, t, k))
     mask = np.zeros((n, t, k), dtype=bool)
-    for sid, rows in records.items():
-        si = known[sid]
-        for ts, flow, occ, speed in rows:
-            ti = slot[int(np.datetime64(ts, "s").astype(np.int64))]
-            values[si, ti] = (flow, occ, speed)
-            mask[si, ti] = True
-    if not np.all(np.isfinite(values[mask])):
+    slots = (epoch_s - lo) // step
+    readings = np.frombuffer(observed, dtype=np.float64).reshape(-1, k)
+    values[sensor_idx, slots] = readings
+    mask[sensor_idx, slots] = True
+    if not np.all(np.isfinite(readings)):
         raise FormatError("observed values must be finite")
     return Panel(values, time_index, FEATURES, mask, tuple(metas))
 

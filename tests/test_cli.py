@@ -249,3 +249,46 @@ def test_resolved_config_contains_seed(synth_dir):
     text = (out / "config_resolved.txt").read_text()
     assert "seed=7" in text
     assert "synth_sensors=4" in text
+
+
+def test_exit_code_short_data_row(synth_dir, tmp_path, capsys):
+    out, cfg = synth_dir
+    data = tmp_path / "short.csv"
+    data.write_text((out / "data.csv").read_text() + "S001,2016-01-04T00:00:00,1.0\n")
+    assert run("cluster", "--data", str(data), "--meta", str(out / "meta.csv"),
+               "--out", str(tmp_path / "c"), "--seed", "7", "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "has 3 fields" in err[0]
+
+
+def test_exit_code_unknown_sensor_in_clusters(synth_dir, tmp_path, monkeypatch):
+    out, cfg = synth_dir
+    cdir = tmp_path / "clusters"
+    assert run("cluster", "--data", str(out / "data.csv"), "--meta",
+               str(out / "meta.csv"), "--out", str(cdir), "--seed", "7",
+               "--config", cfg) == 0
+    clusters = cdir / "clusters.csv"
+    clusters.write_text(clusters.read_text().replace("S002", "S999"))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the cluster file was checked")
+
+    monkeypatch.setattr(cli.md, "pretrain_dae", no_training)
+    monkeypatch.setattr(cli.md, "train", no_training)
+    tdir = tmp_path / "train"
+    assert run("train", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--clusters", str(clusters), "--out", str(tdir),
+               "--seed", "7", "--config", cfg) == 3
+    assert not (tdir / "checkpoint.txt").exists()
+
+
+@pytest.mark.parametrize("keep", [0.3, 0.6, 0.999])
+def test_exit_code_truncated_checkpoint(trained, tmp_path, keep):
+    out, cfg, cdir, tdir = trained
+    whole = (tdir / "checkpoint.txt").read_bytes()
+    cut = tmp_path / "cut.txt"
+    cut.write_bytes(whole[:int(len(whole) * keep)])
+    assert run("eval", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--clusters", str(cdir / "clusters.csv"), "--model", str(cut),
+               "--report", str(tmp_path / "report.csv"), "--seed", "7",
+               "--config", cfg) == 3

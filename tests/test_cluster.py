@@ -221,3 +221,160 @@ def test_csv_roundtrip(tmp_path):
     lines = open(mpath).read().strip().splitlines()
     assert lines[0] == "step,a,b,distance"
     assert len(lines) == 5
+
+
+# -- neighbour-graph search against a brute-force reference ---------------------------
+
+
+def reference_fhc(distances, meta, max_avg_span_miles=10.0, threshold=0.1, m=2.0):
+    """Reference FHC: every merge rescans all pairs of free points and clusters.
+
+    Slow (cubic in the sensor count) and kept only as the oracle for `cl.fhc`.
+    """
+    points = sorted(i for i, s in enumerate(meta) if s.kind == SensorKind.MAINLINE)
+    positions = {i: meta[i].position for i in points}
+    clusters: list[tuple[int, list[int]]] = []  # (cid, sorted members), oldest first
+    assigned: set[int] = set()
+    fuzzy_mu: dict[tuple[int, int], float] = {}
+    merge_log = []
+
+    def point_cluster(u, members):
+        ds = [distances.get(u, v) for v in members if v != u]
+        ds = [d for d in ds if d is not None]
+        return min(ds) if ds else None
+
+    def cluster_cluster(a, b):
+        ds = [distances.get(u, v) for u in a for v in b]
+        ds = [d for d in ds if d is not None]
+        return max(ds) if ds else None
+
+    def key(el):
+        return (el[1][0], 1, el[0]) if isinstance(el, tuple) else (el, 0, el)
+
+    def members_of(el):
+        return el[1] if isinstance(el, tuple) else [el]
+
+    def label(el):
+        return "+".join(str(i) for i in members_of(el))
+
+    def span(members):
+        pos = [positions[i] for i in members]
+        return max(pos) - min(pos)
+
+    def update_pair(u, c):
+        d = point_cluster(u, c[1])
+        if d is not None:
+            all_dists = [x for x in (point_cluster(u, o[1]) for o in clusters) if x is not None]
+            fuzzy_mu[(u, c[0])] = cl.fuzzy_update(d, all_dists, m)[0]
+
+    while True:
+        free = [p for p in points if p not in assigned]
+        items = []
+        for i, a in enumerate(free):
+            for b in free[i + 1:]:
+                items.append((distances.get(a, b), a, b))
+        items += [(point_cluster(p, c[1]), p, c) for p in free for c in clusters]
+        items += [(cluster_cluster(a[1], b[1]), a, b)
+                  for i, a in enumerate(clusters) for b in clusters[i + 1:]]
+        items = [(d, tuple(sorted((key(a), key(b)))), a, b) for d, a, b in items if d is not None]
+        if not items:
+            break
+        d, _, a, b = min(items, key=lambda e: (e[0], e[1]))
+        if key(b) < key(a):
+            a, b = b, a
+        merged = sorted(members_of(a) + members_of(b))
+        spans = [span(c[1]) for c in clusters if c is not a and c is not b] + [span(merged)]
+        if float(np.mean(spans)) > max_avg_span_miles:
+            break
+        new = (len(merge_log), merged)
+        for el in (a, b):
+            if isinstance(el, tuple):
+                clusters.remove(el)
+                for k in [k for k in fuzzy_mu if k[1] == el[0]]:
+                    del fuzzy_mu[k]
+            else:
+                assigned.add(el)
+        clusters.append(new)
+        merge_log.append((len(merge_log) + 1, label(a), label(b), float(d)))
+        for u in sorted(assigned):
+            for c in ([c for c in clusters if c is not new] if u in merged else [new]):
+                update_pair(u, c)
+
+    memberships, crisp = {}, []
+    for idx, (cid, members) in enumerate(sorted(clusters, key=lambda c: c[1][0])):
+        crisp_members = set(members)
+        memberships.update({(u, idx): 1.0 for u in members})
+        for (u, c), mu in fuzzy_mu.items():
+            if c == cid:
+                memberships[(u, idx)] = mu
+                if mu >= threshold:
+                    crisp_members.add(u)
+        crisp.append(sorted(crisp_members))
+    for p in points:
+        if p not in assigned:
+            memberships[(p, len(crisp))] = 1.0
+            crisp.append([p])
+    return cl.MembershipMatrix(memberships, crisp, threshold, merge_log)
+
+
+def random_sparse_case(seed):
+    """A corridor with ramps, skip edges such as (1, 3), and often tied distances."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 26))
+    positions = np.cumsum(rng.uniform(0.2, 1.5, size=n)).tolist()
+    kinds = [SensorKind.ON_RAMP if rng.random() < 0.15 else SensorKind.MAINLINE
+             for _ in range(n)]
+    levels = [0.5, 1.0, 1.5, 2.0] if seed % 2 else None  # odd seeds draw tied distances
+    entries = {}
+    for i in range(n):
+        for j in range(i + 1, min(n, i + 4)):
+            if rng.random() < (0.85 if j == i + 1 else 0.2):
+                entries[(i, j)] = float(rng.choice(levels) if levels else rng.uniform(0.1, 5.0))
+    span = float(rng.uniform(0.5, positions[-1] - positions[0] + 1.0))
+    return table(entries), metas(positions, kinds), span
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fhc_matches_brute_force_reference(seed):
+    t, meta, span = random_sparse_case(seed)
+    m = (1.5, 2.0, 3.0)[seed % 3]
+    threshold = (0.05, 0.1, 0.3)[seed % 3]
+    got = cl.fhc(t, meta, span, threshold, m)
+    want = reference_fhc(t, meta, span, threshold, m)
+    assert got.merge_log == want.merge_log
+    assert got.clusters == want.clusters
+    assert got.memberships == want.memberships
+
+
+def test_reference_covers_skip_edges_ties_and_span_stops():
+    cases = [random_sparse_case(seed) for seed in range(60)]
+    assert any(i + 1 < j for t, _, _ in cases for i, j in t.entries)
+    assert any(len(set(t.entries.values())) < len(t.entries) for t, _, _ in cases)
+    stopped = 0
+    for t, meta, span in cases:
+        unbounded = reference_fhc(t, meta, float("inf"))
+        stopped += len(reference_fhc(t, meta, span).merge_log) < len(unbounded.merge_log)
+    assert stopped > 10
+
+
+class CountingTable(DistanceTable):
+    lookups = 0
+
+    def get(self, i, j):
+        self.lookups += 1
+        return super().get(i, j)
+
+
+def chain_lookups(n):
+    rng = np.random.default_rng(n)
+    t = CountingTable()
+    for i in range(n - 1):
+        t.set(i, i + 1, float(rng.uniform(0.1, 5.0)))
+    mm = cl.fhc(t, metas([0.5 * i for i in range(n)]))
+    assert len(mm.merge_log) > n // 2
+    return t.lookups
+
+
+def test_fhc_distance_lookups_grow_near_linearly():
+    # a rescan of every pair on every merge grows ~64x from 100 to 400 sensors
+    assert chain_lookups(400) <= 6 * chain_lookups(100)

@@ -72,6 +72,57 @@ def test_non_monotone_timestamps_rejected(tmp_path):
         pn.load_csv(*write_fixture(tmp_path, rows))
 
 
+def test_rows_interleaved_across_sensors(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    interleaved = [COMPLETE_ROWS[i] for i in (3, 0, 1, 4, 5, 2)]
+    p = pn.load_csv(*write_fixture(tmp_path / "a", interleaved))
+    q = pn.load_csv(*write_fixture(tmp_path / "b", COMPLETE_ROWS))
+    assert np.array_equal(p.values, q.values)
+    assert np.array_equal(p.missing_mask, q.missing_mask)
+    assert np.array_equal(p.time_index, q.time_index)
+
+
+def test_duplicated_row_rejected(tmp_path):
+    rows = COMPLETE_ROWS[:5] + [COMPLETE_ROWS[4]] + COMPLETE_ROWS[5:]
+    with pytest.raises(FormatError, match="'B'"):
+        pn.load_csv(*write_fixture(tmp_path, rows))
+
+
+def test_short_data_row_rejected(tmp_path):
+    rows = COMPLETE_ROWS[:2] + ["A,2016-01-04T00:10:00,12,2"] + COMPLETE_ROWS[3:]
+    with pytest.raises(FormatError, match="data line 4 has 4 fields"):
+        pn.load_csv(*write_fixture(tmp_path, rows))
+
+
+def test_short_metadata_row_rejected(tmp_path):
+    with pytest.raises(FormatError, match="metadata line 3 has 2 fields"):
+        pn.load_csv(*write_fixture(tmp_path, COMPLETE_ROWS,
+                                   meta_rows=["A,1.0,mainline", "B,2.0"]))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("A,2016-01-04T00:05:00,nan,1.5,61", "finite"),
+    ("A,2016-01-04T00:05:00,11,fast,61", "bad numeric field"),
+    ("A,2016-01-04 noon,11,1.5,61", "bad timestamp"),
+])
+def test_bad_field_rejected(tmp_path, row, message):
+    rows = COMPLETE_ROWS[:1] + [row] + COMPLETE_ROWS[2:]
+    with pytest.raises(FormatError, match=message):
+        pn.load_csv(*write_fixture(tmp_path, rows))
+
+
+def test_data_without_rows_rejected(tmp_path):
+    with pytest.raises(EmptyPanelError):
+        pn.load_csv(*write_fixture(tmp_path, []))
+
+
+def test_single_timestamp_panel(tmp_path):
+    p = pn.load_csv(*write_fixture(tmp_path, [COMPLETE_ROWS[0], COMPLETE_ROWS[3]]))
+    assert p.values.shape == (2, 1, 3)
+    assert p.time_index[0] == np.datetime64("2016-01-04T00:00:00", "s")
+
+
 def test_off_grid_timestamp_rejected(tmp_path):
     rows = ["A,2016-01-04T00:00:00,1,1,1", "A,2016-01-04T00:05:00,1,1,1",
             "A,2016-01-04T00:12:00,1,1,1"]
