@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dtw import DistanceTable
-from .errors import ConfigError, UnknownSensorError
-from .panel import SensorKind, SensorMeta
+from .errors import ConfigError, FormatError, UnknownSensorError
+from .panel import SensorKind, SensorMeta, _short_row
 
 
 @dataclass
@@ -63,7 +63,9 @@ def fuzzy_update(d_current: float, all_cluster_distances, m: float) -> tuple[flo
     """Membership and re-clamped distance for an assigned point and one cluster.
 
     Returns (mu, updated_distance).  The degenerate all-zero case pins the
-    membership to 1 and the distance to 0.
+    membership to 1 and the distance to 0; a point at distance 0 from its
+    nearest cluster but not from this one gets mu = 0 and keeps its distance,
+    the clamp's limit as mu -> 0.
     """
     if m <= 1.0:
         raise ConfigError(f"fuzziness parameter must exceed 1, got {m}")
@@ -76,6 +78,8 @@ def fuzzy_update(d_current: float, all_cluster_distances, m: float) -> tuple[flo
     if d_current + d_min == 0.0:
         return 1.0, 0.0
     mu = d_min / (d_current + d_min)
+    if mu == 0.0:
+        return 0.0, d_current
     updated = min((1.0 - math.log(mu, m)) * d_current, d_current)
     return mu, updated
 
@@ -302,10 +306,13 @@ def attach_ramps(mm: MembershipMatrix, meta) -> MembershipMatrix:
     return MembershipMatrix(memberships, clusters, mm.threshold, list(mm.merge_log))
 
 
+CLUSTER_HEADER = ["cluster_id", "sensor_id", "membership"]
+
+
 def clusters_to_csv(mm: MembershipMatrix, sensors: list[SensorMeta], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "sensor_id", "membership"])
+        writer.writerow(CLUSTER_HEADER)
         for c, members in enumerate(mm.clusters):
             for u in members:
                 writer.writerow([c, sensors[u].id, repr(mm.membership(u, c))])
@@ -320,19 +327,35 @@ def merge_log_to_csv(mm: MembershipMatrix, path: str) -> None:
 
 
 def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:
-    """Rebuild a membership matrix from the exported cluster CSV."""
+    """Rebuild a membership matrix from the exported cluster CSV.
+
+    A short row, a cluster id that is not a nonnegative integer or a
+    membership that is not a number raises `FormatError` naming the line.
+    """
     by_id = {s.id: i for i, s in enumerate(sensors)}
     rows: list[tuple[int, int, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["cluster_id", "sensor_id", "membership"]:
-            raise ConfigError("cluster file header must be cluster_id,sensor_id,membership")
+        if header != CLUSTER_HEADER:
+            raise ConfigError(f"cluster file header must be {','.join(CLUSTER_HEADER)}")
         for row in reader:
-            if row:
-                if row[1] not in by_id:
-                    raise UnknownSensorError(f"cluster file references unknown sensor {row[1]!r}")
-                rows.append((int(row[0]), by_id[row[1]], float(row[2])))
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) < len(CLUSTER_HEADER):
+                raise _short_row(row, CLUSTER_HEADER, "cluster file", line)
+            try:
+                c, mu = int(row[0]), float(row[2])
+            except ValueError:
+                raise FormatError(f"cluster file line {line} needs an integer cluster id "
+                                  f"and a numeric membership: {row!r}") from None
+            if c < 0:
+                raise FormatError(f"cluster file line {line} has a negative cluster id: "
+                                  f"{row!r}")
+            if row[1] not in by_id:
+                raise UnknownSensorError(f"cluster file references unknown sensor {row[1]!r}")
+            rows.append((c, by_id[row[1]], mu))
     n_clusters = max((c for c, _, _ in rows), default=-1) + 1
     clusters: list[list[int]] = [[] for _ in range(n_clusters)]
     memberships: dict[tuple[int, int], float] = {}

@@ -114,19 +114,6 @@ class ForecasterConfig:
 # -- windowing -----------------------------------------------------------------
 
 
-@dataclass
-class WindowSample:
-    """One training/evaluation sample anchored at input step `t`."""
-
-    residual_in: np.ndarray   # (s, w, k)
-    trend_in: np.ndarray      # (s, w, k), anchored to zero at the last input step
-    seasonal_in: np.ndarray   # (s, w+h, k), anchored likewise
-    target: np.ndarray        # (s, h) stationarized scaled flow
-    anchor_seasonal: np.ndarray  # (s,)
-    anchor_trend: np.ndarray     # (s,)
-    t: int
-
-
 class WindowSet:
     """All stride-1 windows of a decomposed, scaled panel, stacked as arrays."""
 
@@ -150,11 +137,6 @@ class WindowSet:
                          self.target_st[idx], self.target_scaled[idx],
                          self.anchor_seasonal[idx], self.anchor_trend[idx],
                          self.t_index[idx])
-
-    def sample(self, i: int) -> WindowSample:
-        return WindowSample(self.residual_in[i], self.trend_in[i], self.seasonal_in[i],
-                            self.target_st[i], self.anchor_seasonal[i],
-                            self.anchor_trend[i], int(self.t_index[i]))
 
     def batch_dict(self, idx=None) -> dict[str, np.ndarray]:
         if idx is None:
@@ -239,45 +221,49 @@ def baseline_current(panel: Panel, t_indices: np.ndarray, horizon: int,
 
 
 class WeekdayHourlyBaseline:
-    """Timetable forecaster: training-mean flow per (sensor, weekday, slot)."""
+    """Timetable forecaster: training-mean flow per (sensor, weekday, slot).
+
+    `table[sensor, weekday, slot]` holds the mean of the observed training
+    values under that key, or the sensor's global training mean where the key
+    was never observed.  Each key's values are summed in time order.
+    """
 
     def __init__(self, train_panel: Panel, feature: int = 0):
         self.feature = feature
         self.step_minutes = train_panel.step_minutes
-        seconds = train_panel.time_index.astype("datetime64[s]").astype(np.int64)
-        weekday = ((seconds // 86400) + 3) % 7
-        slot = (seconds % 86400) // int(self.step_minutes * 60)
+        self.step_seconds = int(self.step_minutes * 60)
+        slots = -(-86400 // self.step_seconds)
+        weekday, slot = self._key(
+            train_panel.time_index.astype("datetime64[s]").astype(np.int64))
         n = train_panel.n_sensors
-        sums: dict[tuple[int, int, int], float] = {}
-        counts: dict[tuple[int, int, int], int] = {}
         vals = train_panel.values[:, :, feature]
         obs = train_panel.missing_mask[:, :, feature]
-        for si in range(n):
-            for ti in range(train_panel.n_steps):
-                if not obs[si, ti]:
-                    continue
-                key = (si, int(weekday[ti]), int(slot[ti]))
-                sums[key] = sums.get(key, 0.0) + vals[si, ti]
-                counts[key] = counts.get(key, 0) + 1
-        self.table = {k: sums[k] / counts[k] for k in sums}
+        # sensor-major flat keys; bincount adds each bin's values in input order
+        keys = (np.arange(n)[:, None] * 7 + weekday) * slots + slot
+        size = n * 7 * slots
+        sums = np.bincount(keys[obs], weights=vals[obs], minlength=size)
+        counts = np.bincount(keys[obs], minlength=size)
         totals = np.where(obs, vals, 0.0).sum(axis=1)
         seen = obs.sum(axis=1)
         self.global_mean = np.where(seen > 0, totals / np.maximum(seen, 1), 0.0)
+        fallback = np.repeat(self.global_mean, 7 * slots)
+        self.table = np.where(counts > 0, sums / np.maximum(counts, 1), fallback
+                              ).reshape(n, 7, slots)
+
+    def _key(self, seconds):
+        """(weekday, slot of day) of epoch seconds; 1970-01-01 was a Thursday."""
+        return ((seconds // 86400) + 3) % 7, (seconds % 86400) // self.step_seconds
 
     def predict_step(self, sensor: int, timestamp: np.datetime64) -> float:
-        seconds = int(np.datetime64(timestamp, "s").astype(np.int64))
-        key = (sensor, int(((seconds // 86400) + 3) % 7),
-               int((seconds % 86400) // int(self.step_minutes * 60)))
-        return self.table.get(key, float(self.global_mean[sensor]))
+        weekday, slot = self._key(int(np.datetime64(timestamp, "s").astype(np.int64)))
+        return float(self.table[sensor, weekday, slot])
 
     def predict(self, panel: Panel, t_indices: np.ndarray, horizon: int) -> np.ndarray:
-        out = np.empty((len(t_indices), panel.n_sensors, horizon))
-        for i, t in enumerate(np.asarray(t_indices)):
-            for j in range(horizon):
-                ts = panel.time_index[t + 1 + j]
-                for si in range(panel.n_sensors):
-                    out[i, si, j] = self.predict_step(si, ts)
-        return out
+        steps = np.asarray(t_indices)[:, None] + np.arange(1, horizon + 1)
+        weekday, slot = self._key(
+            panel.time_index[steps].astype("datetime64[s]").astype(np.int64))
+        sensors = np.arange(panel.n_sensors)[None, :, None]
+        return self.table[sensors, weekday[:, None, :], slot[:, None, :]]  # (N, s, h)
 
 
 def baseline_weekday_hourly(train_panel: Panel, feature: int = 0) -> WeekdayHourlyBaseline:
@@ -392,7 +378,6 @@ class Forecaster:
         self.n_features = n_features
         self.config = config
         self.seed = seed
-        self.rng_seed = seed
         cfg = config
         w, h = cfg.window, cfg.horizon
         f1, f2 = cfg.conv_filters
@@ -498,12 +483,10 @@ class Forecaster:
     def cluster_features(self, batch: dict[str, np.ndarray]) -> list[np.ndarray]:
         """Per-cluster convolution outputs before any cross-cluster mixing."""
         self._check_batch(batch)
-        feats = self.mkconv(Tensor(batch["residual"]))
-        out = []
-        for j, f in enumerate(feats):
-            pooled = nn.maxpool2d(f, (1, self.config.conv_pool))
-            out.append(self.cluster_conv2[j](pooled).data.copy())
-        return out
+        with nn.no_grad():
+            feats = self.mkconv(Tensor(batch["residual"]))
+            return [self.cluster_conv2[j](nn.maxpool2d(f, (1, self.config.conv_pool))).data
+                    for j, f in enumerate(feats)]
 
     def forward(self, batch: dict[str, np.ndarray], training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -548,11 +531,13 @@ class Forecaster:
         return nn.reshape(resolved, (b, s, h))
 
     def predict(self, batch: dict[str, np.ndarray], batch_size: int = 256) -> np.ndarray:
+        """Inference-mode forward in slices of `batch_size`, recording no graph."""
         n = batch["residual"].shape[0]
         outs = []
-        for lo in range(0, n, batch_size):
-            piece = {k: v[lo:lo + batch_size] for k, v in batch.items()}
-            outs.append(self.forward(piece, training=False).data)
+        with nn.no_grad():
+            for lo in range(0, n, batch_size):
+                piece = {k: v[lo:lo + batch_size] for k, v in batch.items()}
+                outs.append(self.forward(piece, training=False).data)
         return np.concatenate(outs, axis=0)
 
 

@@ -2,18 +2,26 @@
 
 A ``Tensor`` wraps a float64 ndarray and records how it was produced.
 Calling ``backward()`` on a scalar walks the graph in reverse topological
-order and accumulates gradients into every tensor created with
-``requires_grad=True``.  Only the operations the forecaster needs are
-implemented: elementwise arithmetic, matmul, the usual activations, 2-D
-convolution (valid/same padding), block max-pooling, inverted dropout,
-reshape, concatenation, last-axis slices and integer gathers along the
-sensor axis.
+order and accumulates gradients into every leaf, that is every tensor
+created with ``requires_grad=True``.  Only leaves keep ``.grad``: the walk
+frees the graph as it goes, each node dropping its closure, its parents and
+its gradient once its closure has run, so an activation dies as soon as no
+later closure needs it.  A graph therefore serves one ``backward()``; a
+second one raises ``GraphStateError``.  Inside ``with no_grad():``
+operations record no graph at all, which is how inference runs.
+
+Only the operations the forecaster needs are implemented: elementwise
+arithmetic, matmul, the usual activations, 2-D convolution (valid/same
+padding), block max-pooling, inverted dropout, reshape, concatenation,
+last-axis slices and integer gathers along the sensor axis.
 
 Everything is float64 so that central-difference gradient checks are
 meaningful at tight tolerances.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,6 +33,25 @@ class ShapeError(ValueError):
 
 class GraphStateError(RuntimeError):
     """Gradient requested in an invalid state (e.g. before a forward pass)."""
+
+
+_grad_enabled = True
+_FREED = object()  # the closure of a node whose graph an earlier backward() freed
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block: results have no parents and no closure.
+
+    The arithmetic is unchanged, so outputs are bit-identical to a graph-building
+    pass; the previous state is restored on exit, also on an exception.
+    """
+    global _grad_enabled
+    was, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = was
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -68,7 +95,14 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph, freeing it.
+
+        Gradients accumulate into the leaves' ``.grad``.  Each node is popped in
+        reverse topological order; after its closure runs it drops the closure,
+        its parents and, unless it is a leaf, its ``.grad``.  So only leaves
+        keep a gradient, and the graph can be walked once: a second
+        ``backward()`` through any of its nodes raises ``GraphStateError``.
+        """
         if self.data.size != 1:
             raise GraphStateError("backward() requires a scalar tensor")
         if not self.requires_grad:
@@ -83,15 +117,22 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _FREED:
+                raise GraphStateError("backward() through a graph that an earlier "
+                                      "backward() already freed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _FREED, (), None
 
     # -- operator sugar ----------------------------------------------------
 
@@ -125,9 +166,9 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data, parents, backward) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires, parents=parents if requires else (),
-                  backward=backward if requires else None)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, parents=parents, backward=backward)
+    return Tensor(data)
 
 
 # -- elementwise ------------------------------------------------------------

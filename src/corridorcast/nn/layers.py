@@ -66,16 +66,6 @@ class Conv2d(Layer):
         return ag.ACTIVATIONS[self.activation](out)
 
 
-def conv2d_forward(x: Tensor, w: Tensor, b: Tensor, strides=(1, 1),
-                   activation: str = "relu", padding: str = "valid") -> Tensor:
-    """Functional convolution + bias + activation."""
-    return ag.ACTIVATIONS[activation](ag.conv2d(x, w, strides=strides, padding=padding) + b)
-
-
-maxpool_forward = ag.maxpool2d
-dropout_forward = ag.dropout
-
-
 class MultiKernelConv(Layer):
     """One convolution kernel per sensor cluster, sliding over time only.
 

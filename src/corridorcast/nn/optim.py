@@ -42,9 +42,3 @@ class Adam:
             v_hat = self.v[name] / (1.0 - self.beta2 ** t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-def adam_step(params: dict[str, Tensor], state: Adam) -> None:
-    """Apply one update using gradients already accumulated on `params`."""
-    if state.params.keys() != params.keys():
-        raise ValueError("optimizer state does not match the parameter set")
-    state.step()

@@ -3,7 +3,7 @@ import pytest
 
 from corridorcast import cluster as cl
 from corridorcast.dtw import DistanceTable
-from corridorcast.errors import ConfigError
+from corridorcast.errors import ConfigError, FormatError
 from corridorcast.panel import SensorKind, SensorMeta
 
 
@@ -37,6 +37,11 @@ def test_fuzzy_update_far_cluster():
 def test_fuzzy_update_degenerate_zero():
     mu, updated = cl.fuzzy_update(0.0, [0.0], m=2.0)
     assert mu == 1.0 and updated == 0.0
+
+
+def test_fuzzy_update_zero_nearest_distance():
+    # nearest cluster at distance 0, this one farther: mu -> 0, and the clamp keeps d
+    assert cl.fuzzy_update(5.0, [0.0, 5.0], m=2.0) == (0.0, 5.0)
 
 
 def test_fuzzy_update_rejects_bad_m():
@@ -82,6 +87,19 @@ def test_zero_distance_pair_merges_first():
     mm = cl.fhc(table({(0, 1): 0.0}), metas([0.0, 0.5]), max_avg_span_miles=10.0)
     assert mm.clusters == [[0, 1]]
     assert mm.membership(0, 0) == 1.0 and mm.membership(1, 0) == 1.0
+
+
+def test_zero_distance_pair_beside_a_farther_cluster():
+    t = table({(0, 1): 0.0, (1, 2): 5.0, (2, 3): 1.0})
+    meta = metas([0.0, 1.0, 2.0, 3.0])
+    mm = cl.fhc(t, meta, max_avg_span_miles=2.0)
+    assert mm.merge_log == [(1, "0", "1", 0.0), (2, "2", "3", 1.0)]
+    assert mm.membership(1, 1) == 0.0  # sensor 1 sits on its own cluster
+    assert mm.membership(2, 0) == pytest.approx(1.0 / 6.0)
+    assert mm.clusters == [[0, 1, 2], [2, 3]]
+    want = reference_fhc(t, meta, 2.0)
+    assert (mm.merge_log, mm.clusters, mm.memberships) == (
+        want.merge_log, want.clusters, want.memberships)
 
 
 def test_empty_table_gives_singletons():
@@ -221,6 +239,20 @@ def test_csv_roundtrip(tmp_path):
     lines = open(mpath).read().strip().splitlines()
     assert lines[0] == "step,a,b,distance"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("row, fault", [
+    ("0,S0", "has 2 fields"),
+    ("x,S0,1.0", "integer cluster id"),
+    ("1.0,S0,1.0", "integer cluster id"),
+    ("0,S0,high", "numeric membership"),
+    ("-1,S0,1.0", "negative cluster id"),
+])
+def test_clusters_from_csv_rejects_bad_rows(tmp_path, row, fault):
+    path = tmp_path / "clusters.csv"
+    path.write_text(f"cluster_id,sensor_id,membership\n0,S1,1.0\n{row}\n")
+    with pytest.raises(FormatError, match=f"line 3 .*{fault}"):
+        cl.clusters_from_csv(str(path), metas([0.0, 1.0]))
 
 
 # -- neighbour-graph search against a brute-force reference ---------------------------

@@ -108,9 +108,8 @@ def test_window_stationarized_channels(rng):
     assert np.max(np.abs(ws.trend_in[:, :, w - 1, :])) == 0.0
     assert np.max(np.abs(ws.seasonal_in[:, :, w - 1, :])) == 0.0
     i = 7
-    s = ws.sample(i)
-    t = s.t
-    assert np.allclose(s.residual_in, decomp.residual[:, t - w + 1:t + 1, :])
+    t = int(ws.t_index[i])
+    assert np.allclose(ws.residual_in[i], decomp.residual[:, t - w + 1:t + 1, :])
 
 
 def test_recover_predictions_roundtrip(rng):
@@ -182,7 +181,7 @@ def test_weekday_baseline_averages_two_weeks():
 def test_weekday_baseline_constant_panel():
     p = weekly_panel(lambda s, t: np.full(t.shape, 9.0), weeks=1)
     baseline = md.baseline_weekday_hourly(p)
-    assert set(np.round(list(baseline.table.values()), 12)) == {9.0}
+    assert set(np.round(baseline.table.ravel(), 12)) == {9.0}
 
 
 def test_weekday_baseline_unseen_key_falls_back():
@@ -191,6 +190,67 @@ def test_weekday_baseline_unseen_key_falls_back():
     baseline = md.baseline_weekday_hourly(p)
     tuesday = p.time_index[0] + np.timedelta64(25, "h")
     assert baseline.predict_step(0, tuesday) == pytest.approx(4.0)  # global mean
+
+
+def reference_weekday_baseline(train_panel, feature=0):
+    """The per-cell loop the vectorised baseline replaced, kept as its oracle."""
+    step_minutes = train_panel.step_minutes
+    seconds = train_panel.time_index.astype("datetime64[s]").astype(np.int64)
+    weekday = ((seconds // 86400) + 3) % 7
+    slot = (seconds % 86400) // int(step_minutes * 60)
+    sums, counts = {}, {}
+    vals = train_panel.values[:, :, feature]
+    obs = train_panel.missing_mask[:, :, feature]
+    for si in range(train_panel.n_sensors):
+        for ti in range(train_panel.n_steps):
+            if not obs[si, ti]:
+                continue
+            key = (si, int(weekday[ti]), int(slot[ti]))
+            sums[key] = sums.get(key, 0.0) + vals[si, ti]
+            counts[key] = counts.get(key, 0) + 1
+    table = {k: sums[k] / counts[k] for k in sums}
+    totals = np.where(obs, vals, 0.0).sum(axis=1)
+    seen = obs.sum(axis=1)
+    global_mean = np.where(seen > 0, totals / np.maximum(seen, 1), 0.0)
+
+    def predict_step(sensor, timestamp):
+        secs = int(np.datetime64(timestamp, "s").astype(np.int64))
+        key = (sensor, int(((secs // 86400) + 3) % 7),
+               int((secs % 86400) // int(step_minutes * 60)))
+        return table.get(key, float(global_mean[sensor]))
+
+    def predict(panel, t_indices, horizon):
+        out = np.empty((len(t_indices), panel.n_sensors, horizon))
+        for i, t in enumerate(np.asarray(t_indices)):
+            for j in range(horizon):
+                ts = panel.time_index[t + 1 + j]
+                for si in range(panel.n_sensors):
+                    out[i, si, j] = predict_step(si, ts)
+        return out
+
+    return table, predict_step, predict
+
+
+def test_weekday_baseline_matches_loop_reference(rng):
+    steps = 29 * 96  # four weeks and a day at 15 minutes: up to five values per key
+    vals = rng.gamma(2.0, 50.0, size=(3, steps, 3))
+    mask = rng.random(vals.shape) > 0.3
+    mask[2, :, 0] = False  # a sensor with no observation at all
+    p = make_panel(vals, mask=mask, step_s=900)
+    table, predict_step, predict = reference_weekday_baseline(p)
+    baseline = md.baseline_weekday_hourly(p)
+    assert baseline.table.shape == (3, 7, 96)
+    for (si, wd, sl), value in table.items():
+        assert baseline.table[si, wd, sl] == value
+    unseen = np.ones(baseline.table.shape, dtype=bool)
+    unseen[tuple(np.array(list(table)).T)] = False
+    fallback = np.broadcast_to(baseline.global_mean[:, None, None], unseen.shape)
+    assert np.array_equal(baseline.table[unseen], fallback[unseen])
+    anchors = np.arange(0, steps - 5, 11)
+    assert np.array_equal(baseline.predict(p, anchors, 4), predict(p, anchors, 4))
+    for si in range(3):
+        for t in (0, 95, 500):
+            assert baseline.predict_step(si, p.time_index[t]) == predict_step(si, p.time_index[t])
 
 
 # -- DAE -----------------------------------------------------------------------------
@@ -265,6 +325,27 @@ def test_forecaster_with_dae_same_shape(rng):
              "trend": rng.normal(size=(3, 4, 6, 3)),
              "seasonal": rng.normal(size=(3, 4, 8, 3))}
     assert model.forward(batch).data.shape == (3, 4, 2)
+
+
+def test_predict_is_bit_identical_to_forward_and_builds_no_graph(rng):
+    cfg = tiny_config(use_dae=True)
+    model = md.build_forecaster(CLUSTERS4, 4, 3, cfg, seed=1)
+    batch = {"residual": rng.normal(size=(7, 4, 6, 3)),
+             "trend": rng.normal(size=(7, 4, 6, 3)),
+             "seasonal": rng.normal(size=(7, 4, 8, 3))}
+    graphed = model.forward(batch)
+    assert graphed.requires_grad
+    outputs = []
+    forward = model.forward
+    model.forward = lambda *a, **k: outputs.append(forward(*a, **k)) or outputs[-1]
+    assert np.array_equal(model.predict(batch), graphed.data)
+    assert len(outputs) == 1 and not outputs[0].requires_grad and not outputs[0]._parents
+    del model.forward
+    assert np.array_equal(model.predict(batch, batch_size=3),
+                          np.concatenate([model.forward({k: v[lo:lo + 3]
+                                                         for k, v in batch.items()}).data
+                                          for lo in (0, 3, 6)]))
+    assert model.forward(batch).requires_grad  # graph recording is back on
 
 
 def test_forecaster_rejects_bad_clusters():

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -64,14 +65,14 @@ def scalar_peephole_lstm(x, h, c, p):
 def test_conv2d_identity_kernel(rng):
     x = rng.normal(size=(2, 3, 4, 1))
     w = Tensor(np.ones((1, 1, 1, 1)))
-    out = nn.conv2d_forward(Tensor(x), w, Tensor(np.zeros(1)), activation="identity")
+    out = nn.conv2d(Tensor(x), w) + Tensor(np.zeros(1))
     assert np.array_equal(out.data, x)
 
 
 def test_conv2d_zero_kernel(rng):
     x = rng.normal(size=(2, 4, 4, 3))
     w = Tensor(np.zeros((2, 2, 3, 5)))
-    out = nn.conv2d_forward(Tensor(x), w, Tensor(np.zeros(5)), activation="identity")
+    out = nn.conv2d(Tensor(x), w) + Tensor(np.zeros(5))
     assert np.all(out.data == 0.0)
 
 
@@ -477,6 +478,59 @@ def test_backward_requires_scalar(rng):
     w = Tensor(rng.normal(size=(3,)), requires_grad=True)
     with pytest.raises(nn.GraphStateError):
         nn.square(w).backward()
+
+
+# -- graph lifetime ------------------------------------------------------------------
+
+
+def test_no_grad_records_no_graph_and_restores_the_flag(rng):
+    cell = nn.ConvLSTMCell(rng, (3, 2), 2, 3)
+    x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    h0, c0 = cell.zero_state(2)
+    with_graph, _ = cell.step(x, h0, c0)
+    with nn.no_grad():
+        h, c = cell.step(x, h0, c0)
+    for out in (h, c):
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+    assert np.array_equal(h.data, with_graph.data)
+
+    with pytest.raises(KeyError):
+        with nn.no_grad():
+            raise KeyError("inside")
+    again, _ = cell.step(x, h0, c0)
+    assert again.requires_grad and again._parents
+
+
+def test_backward_frees_intermediates_and_keeps_leaf_grads(rng):
+    layer = nn.Dense(rng, 4, 3, activation="tanh")
+    x = Tensor(rng.normal(size=(5, 4)))
+    hidden = layer(x)
+    alive = weakref.ref(hidden)
+    loss = nn.mean(nn.square(hidden))
+    del hidden
+    assert alive() is not None  # the graph holds it until backward runs
+    loss.backward()
+    assert alive() is None
+    assert loss.grad is None and loss._parents == ()
+    grads = {k: p.grad for k, p in layer.parameters().items()}
+    assert all(g is not None and g.shape == layer.parameters()[k].data.shape
+               for k, g in grads.items())
+
+
+def test_second_backward_on_freed_graph_raises(rng):
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)))
+    shared = nn.tanh(nn.matmul(x, w))
+    loss = nn.total(nn.square(shared))
+    loss.backward()
+    first = w.grad.copy()
+    with pytest.raises(nn.GraphStateError):
+        loss.backward()
+    # a new graph that reaches a freed node raises too, before touching any grad
+    with pytest.raises(nn.GraphStateError):
+        nn.total(shared).backward()
+    assert np.array_equal(w.grad, first)
 
 
 # -- checkpoints --------------------------------------------------------------------
