@@ -52,7 +52,7 @@ print(f"forecaster has {model.parameter_count()} parameters in "
 history = md.train(model, train_w, cfg, SEED)
 print("training loss by epoch:", " ".join(f"{x:.4f}" for x in history.train_loss))
 
-pred = md.recover_predictions(model.predict(test_w.batch_dict()), test_w, scaling)
+pred = md.recover_predictions(model.predict(test_w), test_w, scaling)
 truth = md.horizon_truth(panel, test_w.t_index, cfg.horizon)
 current = md.baseline_current(panel, test_w.t_index, cfg.horizon)
 train_panel = pn.Panel(panel.values[:, :boundary], panel.time_index[:boundary],

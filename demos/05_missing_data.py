@@ -40,7 +40,7 @@ for use_dae in (True, False):
                                 pretrained_dae=pretrained)
     md.train(model, train_w, cfg, SEED)
 
-    pred = md.recover_predictions(model.predict(test_w.batch_dict()), test_w, scaling)
+    pred = md.recover_predictions(model.predict(test_w), test_w, scaling)
     truth = md.horizon_truth(panel, test_w.t_index, cfg.horizon)
     clean_mae = ev.mae(truth, pred)
 
@@ -51,7 +51,7 @@ for use_dae in (True, False):
     decomp_c = dc.decompose_panel(scaled_c, period)
     windows_c = md.make_windows(scaled_c, decomp_c, cfg.window, cfg.horizon)
     _, test_c = md.split_by_time(windows_c, boundary, cfg.horizon)
-    pred_c = md.recover_predictions(model.predict(test_c.batch_dict()), test_c, scaling)
+    pred_c = md.recover_predictions(model.predict(test_c), test_c, scaling)
     truth_c = md.horizon_truth(panel, test_c.t_index, cfg.horizon)
     missing_mae = ev.mae(truth_c, pred_c)
 

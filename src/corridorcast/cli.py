@@ -198,7 +198,7 @@ def _windows(p: pn.Panel, cfg: ResolvedConfig):
     f = cfg.forecaster
     windows = md.make_windows(scaled, decomp, f.window, f.horizon)
     train_w, test_w = md.split_by_time(windows, boundary, f.horizon)
-    return scaling, decomp, windows, train_w, test_w
+    return scaling, decomp, train_w, test_w
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -254,7 +254,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     p = _load_panel(args, cfg)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    scaling, decomp, windows, train_w, test_w = _windows(p, cfg)
+    _, _, train_w, _ = _windows(p, cfg)
     f = cfg.forecaster
     os.makedirs(args.out, exist_ok=True)
     notes: list[str] = []
@@ -284,15 +284,14 @@ def _rebuild_model(args, cfg: ResolvedConfig, p: pn.Panel, mm) -> md.Forecaster:
 
 def _evaluate(model, p, cfg, scaling, decomp, test_w):
     f = cfg.forecaster
-    pred_st = model.predict(test_w.batch_dict())
+    pred_st = model.predict(test_w)
     pred = md.recover_predictions(pred_st, test_w, scaling)
     truth = md.horizon_truth(p, test_w.t_index, f.horizon)
     mae_h = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(f.horizon)]
     rmse_h = [ev.rmse(truth[:, :, j], pred[:, :, j]) for j in range(f.horizon)]
     peak_steps, _ = ev.split_peak(p, cfg.run.peak_occupancy)
-    peak_set = set(peak_steps.tolist())
     target_steps = test_w.t_index[:, None] + np.arange(1, f.horizon + 1)[None, :]
-    in_peak = np.isin(target_steps, list(peak_set))
+    in_peak = np.isin(target_steps, peak_steps)
     s_blk = decomp.seasonal[:, target_steps, 0].transpose(1, 0, 2)
     t_blk = decomp.trend[:, target_steps, 0].transpose(1, 0, 2)
     regime = {}
@@ -313,7 +312,7 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     p = _load_panel(args, cfg)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    scaling, decomp, windows, train_w, test_w = _windows(p, cfg)
+    scaling, decomp, _, test_w = _windows(p, cfg)
     model = _rebuild_model(args, cfg, p, mm)
     _, _, mae_h, rmse_h, regime = _evaluate(model, p, cfg, scaling, decomp, test_w)
     report = ev.EvalReport(
@@ -333,7 +332,7 @@ def cmd_missing_eval(args) -> int:
     cfg = load_config(args.config)
     p = _load_panel(args, cfg)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    scaling, decomp, windows, train_w, test_w = _windows(p, cfg)
+    scaling, decomp, _, test_w = _windows(p, cfg)
     model = _rebuild_model(args, cfg, p, mm)
     _, _, mae_clean, _, _ = _evaluate(model, p, cfg, scaling, decomp, test_w)
 
@@ -345,7 +344,7 @@ def cmd_missing_eval(args) -> int:
     f = cfg.forecaster
     windows_c = md.make_windows(scaled_c, decomp_c, f.window, f.horizon)
     _, test_c = md.split_by_time(windows_c, boundary, f.horizon)
-    pred_st = model.predict(test_c.batch_dict())
+    pred_st = model.predict(test_c)
     pred = md.recover_predictions(pred_st, test_c, scaling)
     truth = md.horizon_truth(p, test_c.t_index, f.horizon)
     mae_missing = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(f.horizon)]

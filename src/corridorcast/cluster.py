@@ -329,8 +329,9 @@ def merge_log_to_csv(mm: MembershipMatrix, path: str) -> None:
 def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:
     """Rebuild a membership matrix from the exported cluster CSV.
 
-    A short row, a cluster id that is not a nonnegative integer or a
-    membership that is not a number raises `FormatError` naming the line.
+    A header other than `CLUSTER_HEADER`, a short row, a cluster id that is
+    not a nonnegative integer or a membership that is not a number raises
+    `FormatError` (the rows name their line).
     """
     by_id = {s.id: i for i, s in enumerate(sensors)}
     rows: list[tuple[int, int, float]] = []
@@ -338,7 +339,8 @@ def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CLUSTER_HEADER:
-            raise ConfigError(f"cluster file header must be {','.join(CLUSTER_HEADER)}")
+            raise FormatError(f"cluster file header must be {','.join(CLUSTER_HEADER)}, "
+                              f"got {','.join(header or [])!r}")
         for row in reader:
             if not row:
                 continue

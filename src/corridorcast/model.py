@@ -115,71 +115,79 @@ class ForecasterConfig:
 
 
 class WindowSet:
-    """All stride-1 windows of a decomposed, scaled panel, stacked as arrays."""
+    """Stride-1 (w input + h horizon) windows of a decomposed, scaled panel.
 
-    def __init__(self, residual_in, trend_in, seasonal_in, target_st, target_scaled,
-                 anchor_seasonal, anchor_trend, t_index):
-        self.residual_in = residual_in
-        self.trend_in = trend_in
-        self.seasonal_in = seasonal_in
-        self.target_st = target_st
-        self.target_scaled = target_scaled
+    The set is an index over the decomposition's (sensor, step, feature)
+    blocks: it holds references to them, the anchor step of each window
+    (`t_index`, the last input step) and the per-window arrays that are
+    small next to the windows themselves: `anchor_seasonal` and
+    `anchor_trend` (N, sensors) and `target_scaled` and `target_st`
+    (N, sensors, h).  `subset` indexes only those; `batch_dict` gathers the
+    stationarized input windows of the requested anchors and nothing else.
+    """
+
+    def __init__(self, decomp: Decomposition, w: int, h: int, t_index: np.ndarray,
+                 anchor_seasonal, anchor_trend, target_scaled, target_st):
+        self.decomp = decomp
+        self.w = w
+        self.h = h
+        self.t_index = t_index
         self.anchor_seasonal = anchor_seasonal
         self.anchor_trend = anchor_trend
-        self.t_index = t_index
+        self.target_scaled = target_scaled
+        self.target_st = target_st
 
     def __len__(self) -> int:
-        return self.residual_in.shape[0]
+        return len(self.t_index)
 
     def subset(self, idx) -> "WindowSet":
         idx = np.asarray(idx)
-        return WindowSet(self.residual_in[idx], self.trend_in[idx], self.seasonal_in[idx],
-                         self.target_st[idx], self.target_scaled[idx],
+        return WindowSet(self.decomp, self.w, self.h, self.t_index[idx],
                          self.anchor_seasonal[idx], self.anchor_trend[idx],
-                         self.t_index[idx])
+                         self.target_scaled[idx], self.target_st[idx])
 
-    def batch_dict(self, idx=None) -> dict[str, np.ndarray]:
-        if idx is None:
-            return {"residual": self.residual_in, "trend": self.trend_in,
-                    "seasonal": self.seasonal_in}
-        idx = np.asarray(idx)
-        return {"residual": self.residual_in[idx], "trend": self.trend_in[idx],
-                "seasonal": self.seasonal_in[idx]}
+    def batch_dict(self, idx=slice(None)) -> dict[str, np.ndarray]:
+        """Model inputs of the windows at `idx` (an index or slice into the set).
+
+        Residual and trend windows are (B, sensors, w, features), the seasonal
+        window (B, sensors, w+h, features); seasonal and trend are shifted by
+        their value at the anchor step.
+        """
+        w, h = self.w, self.h
+        steps = self.t_index[idx][:, None] + np.arange(1 - w, h + 1)  # (B, w+h)
+
+        def gather(block: np.ndarray) -> np.ndarray:
+            return block[:, steps, :].transpose(1, 0, 2, 3)  # (B, n, w+h, k)
+
+        d = self.decomp
+        seasonal, trend, residual, _ = stationarize_window(
+            gather(d.seasonal), gather(d.trend), gather(d.residual),
+            anchor_index=w - 1, time_axis=2)
+        return {"residual": np.ascontiguousarray(residual[:, :, :w]),
+                "trend": np.ascontiguousarray(trend[:, :, :w]),
+                "seasonal": np.ascontiguousarray(seasonal)}
 
 
 def make_windows(panel: Panel, decomp: Decomposition, w: int, h: int,
                  out_feature: int = 0) -> WindowSet:
-    """Slide a (w input + h horizon) window over the panel with stride 1.
+    """Index every stride-1 (w input + h horizon) window of the panel.
 
-    The panel and decomposition are expected in scaled space; targets are the
-    horizon flow values minus the anchor seasonal + trend at the last input
-    step.
+    The panel and decomposition are expected in scaled space.  Window `i` is
+    anchored at step `w - 1 + i`; its targets are the horizon values of
+    `out_feature` minus the seasonal + trend at the anchor.  No window is
+    copied here: `WindowSet.batch_dict` gathers them per batch.
     """
     n, t, k = panel.values.shape
     if t < w + h:
         raise InsufficientDataError(f"{t} steps cannot fit a window of {w}+{h}")
-    count = t - w - h + 1
-    swv = np.lib.stride_tricks.sliding_window_view
-
-    def spans(block: np.ndarray, length: int) -> np.ndarray:
-        # (n, t, k) -> (count, n, length, k) windows starting at 0..count-1
-        win = swv(block, length, axis=1)            # (n, t-length+1, k, length)
-        win = win[:, :count].transpose(1, 0, 3, 2)  # (count, n, length, k)
-        return np.ascontiguousarray(win, dtype=np.float64)
-
-    s_win = spans(decomp.seasonal, w + h)
-    t_win = spans(decomp.trend, w + h)
-    r_win = spans(decomp.residual, w + h)
-    seasonal_in, trend_in, residual_in, (anchor_s, anchor_t) = stationarize_window(
-        s_win, t_win, r_win, anchor_index=w - 1, time_axis=2)
-
-    target_scaled = spans(panel.values, w + h)[:, :, w:, out_feature]
-    anchor_s = anchor_s[:, :, out_feature]
-    anchor_t = anchor_t[:, :, out_feature]
+    t_index = np.arange(w - 1, t - h)
+    anchor_s = np.ascontiguousarray(decomp.seasonal[:, t_index, out_feature].T)
+    anchor_t = np.ascontiguousarray(decomp.trend[:, t_index, out_feature].T)
+    horizon = t_index[:, None] + np.arange(1, h + 1)
+    target_scaled = np.ascontiguousarray(
+        panel.values[:, horizon, out_feature].transpose(1, 0, 2))
     target_st = target_scaled - (anchor_s + anchor_t)[:, :, None]
-    t_index = np.arange(w - 1, w - 1 + count)
-    return WindowSet(residual_in[:, :, :w, :], trend_in[:, :, :w, :], seasonal_in,
-                     target_st, target_scaled, anchor_s, anchor_t, t_index)
+    return WindowSet(decomp, w, h, t_index, anchor_s, anchor_t, target_scaled, target_st)
 
 
 def split_by_time(windows: WindowSet, boundary_step: int, horizon: int
@@ -530,13 +538,12 @@ class Forecaster:
         resolved = self.fct(nn.concat(dae_outs, axis=1))
         return nn.reshape(resolved, (b, s, h))
 
-    def predict(self, batch: dict[str, np.ndarray], batch_size: int = 256) -> np.ndarray:
-        """Inference-mode forward in slices of `batch_size`, recording no graph."""
-        n = batch["residual"].shape[0]
+    def predict(self, windows: WindowSet, batch_size: int = 256) -> np.ndarray:
+        """Inference-mode forward over slices of `batch_size` windows, recording no graph."""
         outs = []
         with nn.no_grad():
-            for lo in range(0, n, batch_size):
-                piece = {k: v[lo:lo + batch_size] for k, v in batch.items()}
+            for lo in range(0, len(windows), batch_size):
+                piece = windows.batch_dict(slice(lo, lo + batch_size))
                 outs.append(self.forward(piece, training=False).data)
         return np.concatenate(outs, axis=0)
 
@@ -574,7 +581,7 @@ class TrainHistory:
 
 
 def evaluate_mse(model: Forecaster, windows: WindowSet, batch_size: int = 256) -> float:
-    pred = model.predict(windows.batch_dict(), batch_size=batch_size)
+    pred = model.predict(windows, batch_size=batch_size)
     return float(np.mean((pred - windows.target_st) ** 2))
 
 

@@ -40,6 +40,19 @@ def save_params(path: str, params: dict[str, Tensor]) -> None:
     os.replace(tmp, path)
 
 
+_CHUNK = 1 << 16
+
+
+def _tokens(text: str, start: int):
+    """Whitespace-separated fields of `text[start:]`, split one chunk at a time."""
+    while start < len(text):
+        end = text.find(" ", start + _CHUNK)
+        if end < 0:
+            end = len(text)
+        yield from text[start:end].split()
+        start = end + 1
+
+
 def load_params(path: str) -> dict[str, np.ndarray]:
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -47,15 +60,18 @@ def load_params(path: str) -> dict[str, np.ndarray]:
             raise CheckpointError(f"unrecognized checkpoint header {header!r}")
         out: dict[str, np.ndarray] = {}
         for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
-            head, _, tail = line.partition(" : ")
-            fields = head.split()
+            # values are parsed straight from the line: one parameter line can
+            # hold hundreds of thousands of them
+            sep = line.find(" : ")
+            if sep < 0:
+                sep = len(line)
+            fields = line[:sep].split()
             try:
                 name, ndim = fields[0], int(fields[1])
                 shape = tuple(int(d) for d in fields[2:2 + ndim])
-                vals = np.array([float.fromhex(v) for v in tail.split()], dtype=np.float64)
+                vals = np.fromiter(map(float.fromhex, _tokens(line, sep + 3)), np.float64)
             except (IndexError, ValueError):
                 raise CheckpointError(f"malformed checkpoint line {lineno}") from None
             if vals.size != int(np.prod(shape)) if shape else vals.size != 1:

@@ -45,7 +45,7 @@ def corridor_experiment(seed, sensors=24, days=56, synth_cfg=None, model_cfg=Non
     model = md.build_forecaster(mm, sensors, 3, cfg, seed, pretrained_dae=pretrained)
     history = md.train(model, train_w, cfg, seed)
 
-    pred = md.recover_predictions(model.predict(test_w.batch_dict()), test_w, scaling)
+    pred = md.recover_predictions(model.predict(test_w), test_w, scaling)
     truth = md.horizon_truth(p, test_w.t_index, cfg.horizon)
     h = cfg.horizon
     model_mae = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(h)]
@@ -70,7 +70,7 @@ def corridor_experiment(seed, sensors=24, days=56, synth_cfg=None, model_cfg=Non
         decomp_c = dc.decompose_panel(scaled_c, period)
         ws_c = md.make_windows(scaled_c, decomp_c, cfg.window, cfg.horizon)
         _, test_c = md.split_by_time(ws_c, boundary, cfg.horizon)
-        pred_m = md.recover_predictions(model.predict(test_c.batch_dict()), test_c, scaling)
+        pred_m = md.recover_predictions(model.predict(test_c), test_c, scaling)
         truth_m = md.horizon_truth(p, test_c.t_index, h)
         out["missing_mae"] = [ev.mae(truth_m[:, :, j], pred_m[:, :, j]) for j in range(h)]
         out["injected_mask"] = injected

@@ -293,6 +293,18 @@ def test_exit_code_malformed_cluster_row(synth_dir, tmp_path, capsys):
     assert len(err) == 1 and "cluster file line 3 has 2 fields" in err[0]
 
 
+def test_exit_code_bad_cluster_header(synth_dir, tmp_path, capsys):
+    out, cfg = synth_dir
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster,sensor,mu\n0,S001,1.0\n")
+    assert run("train", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--clusters", str(clusters), "--out", str(tmp_path / "t"),
+               "--seed", "7", "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "cluster file header must be cluster_id,sensor_id,membership" in err[0]
+
+
 @pytest.mark.parametrize("keep", [0.3, 0.6, 0.999])
 def test_exit_code_truncated_checkpoint(trained, tmp_path, keep):
     out, cfg, cdir, tdir = trained

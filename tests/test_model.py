@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,12 +106,13 @@ def test_window_stationarized_channels(rng):
     p, boundary, scaling, scaled, decomp = scaled_decomposed(rng)
     w, h = 6, 4
     ws = md.make_windows(scaled, decomp, w, h)
+    batch = ws.batch_dict()
     # the anchor step itself is zero in the shifted channels
-    assert np.max(np.abs(ws.trend_in[:, :, w - 1, :])) == 0.0
-    assert np.max(np.abs(ws.seasonal_in[:, :, w - 1, :])) == 0.0
+    assert np.max(np.abs(batch["trend"][:, :, w - 1, :])) == 0.0
+    assert np.max(np.abs(batch["seasonal"][:, :, w - 1, :])) == 0.0
     i = 7
     t = int(ws.t_index[i])
-    assert np.allclose(ws.residual_in[i], decomp.residual[:, t - w + 1:t + 1, :])
+    assert np.allclose(batch["residual"][i], decomp.residual[:, t - w + 1:t + 1, :])
 
 
 def test_recover_predictions_roundtrip(rng):
@@ -127,6 +130,77 @@ def test_split_by_time_no_leakage(rng):
     assert np.all(train.t_index + 4 < boundary)
     assert np.all(test.t_index >= boundary)
     assert len(train) + len(test) <= len(ws)
+
+
+def reference_make_windows(panel, decomp, w, h, out_feature=0):
+    """The eager windowing the lazy WindowSet replaced, kept as its oracle."""
+    n, t, k = panel.values.shape
+    count = t - w - h + 1
+    swv = np.lib.stride_tricks.sliding_window_view
+
+    def spans(block, length):
+        win = swv(block, length, axis=1)
+        win = win[:, :count].transpose(1, 0, 3, 2)
+        return np.ascontiguousarray(win, dtype=np.float64)
+
+    s_win = spans(decomp.seasonal, w + h)
+    t_win = spans(decomp.trend, w + h)
+    r_win = spans(decomp.residual, w + h)
+    seasonal_in, trend_in, residual_in, (anchor_s, anchor_t) = dc.stationarize_window(
+        s_win, t_win, r_win, anchor_index=w - 1, time_axis=2)
+    target_scaled = spans(panel.values, w + h)[:, :, w:, out_feature]
+    anchor_s = anchor_s[:, :, out_feature]
+    anchor_t = anchor_t[:, :, out_feature]
+    target_st = target_scaled - (anchor_s + anchor_t)[:, :, None]
+    return {"residual": residual_in[:, :, :w, :], "trend": trend_in[:, :, :w, :],
+            "seasonal": seasonal_in, "target_st": target_st,
+            "target_scaled": target_scaled, "anchor_seasonal": anchor_s,
+            "anchor_trend": anchor_t, "t_index": np.arange(w - 1, w - 1 + count)}
+
+
+def assert_matches_reference(ws, ref, rows, rng):
+    """`ws` must equal the reference windows `rows`, inputs gathered in any order."""
+    for name in ("t_index", "anchor_seasonal", "anchor_trend", "target_scaled",
+                 "target_st"):
+        assert np.array_equal(getattr(ws, name), ref[name][rows]), name
+    for idx in (rng.integers(0, len(ws), size=17), np.arange(len(ws))):
+        batch = ws.batch_dict(idx)
+        for name in ("residual", "trend", "seasonal"):
+            assert np.array_equal(batch[name], ref[name][rows[idx]]), name
+
+
+def test_windows_match_eager_reference(rng):
+    p, boundary, scaling, scaled, decomp = scaled_decomposed(rng, sensors=5, days=5)
+    w, h = 6, 4
+    for feature in (0, 1):
+        ref = reference_make_windows(scaled, decomp, w, h, out_feature=feature)
+        ws = md.make_windows(scaled, decomp, w, h, out_feature=feature)
+        assert len(ws) == len(ref["t_index"])
+        assert_matches_reference(ws, ref, np.arange(len(ws)), rng)
+    train, test = md.split_by_time(ws, boundary, horizon=h)
+    train_rows = np.flatnonzero(ref["t_index"] + h < boundary)
+    test_rows = np.flatnonzero(ref["t_index"] >= boundary)
+    assert_matches_reference(train, ref, train_rows, rng)
+    assert_matches_reference(test, ref, test_rows, rng)
+    pick = rng.permutation(len(train))[:40]
+    again = np.array([3, 0, 39, 3])
+    assert_matches_reference(train.subset(pick).subset(again), ref,
+                             train_rows[pick][again], rng)
+
+
+def test_windowing_never_holds_every_window(rng):
+    p, boundary, scaling, scaled, decomp = scaled_decomposed(rng, sensors=12, days=10)
+    w, h = 6, 4
+    n, t, k = scaled.values.shape
+    one_window_array = (t - w - h + 1) * n * (w + h) * k * 8
+    tracemalloc.start()
+    try:
+        ws = md.make_windows(scaled, decomp, w, h)
+        md.split_by_time(ws, boundary, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_window_array
 
 
 # -- baselines ---------------------------------------------------------------------
@@ -328,24 +402,23 @@ def test_forecaster_with_dae_same_shape(rng):
 
 
 def test_predict_is_bit_identical_to_forward_and_builds_no_graph(rng):
+    p, boundary, scaling, scaled, decomp = scaled_decomposed(rng)
     cfg = tiny_config(use_dae=True)
     model = md.build_forecaster(CLUSTERS4, 4, 3, cfg, seed=1)
-    batch = {"residual": rng.normal(size=(7, 4, 6, 3)),
-             "trend": rng.normal(size=(7, 4, 6, 3)),
-             "seasonal": rng.normal(size=(7, 4, 8, 3))}
-    graphed = model.forward(batch)
+    ws = md.make_windows(scaled, decomp, cfg.window, cfg.horizon).subset(
+        rng.permutation(300)[:7])
+    graphed = model.forward(ws.batch_dict())
     assert graphed.requires_grad
     outputs = []
     forward = model.forward
     model.forward = lambda *a, **k: outputs.append(forward(*a, **k)) or outputs[-1]
-    assert np.array_equal(model.predict(batch), graphed.data)
+    assert np.array_equal(model.predict(ws), graphed.data)
     assert len(outputs) == 1 and not outputs[0].requires_grad and not outputs[0]._parents
     del model.forward
-    assert np.array_equal(model.predict(batch, batch_size=3),
-                          np.concatenate([model.forward({k: v[lo:lo + 3]
-                                                         for k, v in batch.items()}).data
-                                          for lo in (0, 3, 6)]))
-    assert model.forward(batch).requires_grad  # graph recording is back on
+    sliced = [model.forward(ws.batch_dict(range(lo, min(lo + 3, 7)))).data
+              for lo in (0, 3, 6)]
+    assert np.array_equal(model.predict(ws, batch_size=3), np.concatenate(sliced))
+    assert model.forward(ws.batch_dict()).requires_grad  # graph recording is back on
 
 
 def test_forecaster_rejects_bad_clusters():
@@ -468,7 +541,7 @@ def test_eval_consistency_between_code_paths(rng):
     cfg = tiny_config(use_dae=False)
     ws = md.make_windows(scaled, decomp, cfg.window, cfg.horizon)
     model = md.build_forecaster(CLUSTERS4, 4, 3, cfg, seed=6)
-    pred_st = model.predict(ws.batch_dict())
+    pred_st = model.predict(ws)
     via_helper = md.recover_predictions(pred_st, ws, scaling)
     scaled_pred = dc.recover_forecast(pred_st, (ws.anchor_seasonal, ws.anchor_trend))
     via_primitives = np.stack([
