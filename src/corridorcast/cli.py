@@ -282,13 +282,18 @@ def _rebuild_model(args, cfg: ResolvedConfig, p: pn.Panel, mm) -> md.Forecaster:
     return model
 
 
+def _score(model, p, scaling, windows, horizon: int):
+    """Forecast `windows` in original units: (pred, truth, MAE and RMSE per horizon)."""
+    pred = md.recover_predictions(model.predict(windows), windows, scaling)
+    truth = md.horizon_truth(p, windows.t_index, horizon)
+    mae_h = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(horizon)]
+    rmse_h = [ev.rmse(truth[:, :, j], pred[:, :, j]) for j in range(horizon)]
+    return pred, truth, mae_h, rmse_h
+
+
 def _evaluate(model, p, cfg, scaling, decomp, test_w):
     f = cfg.forecaster
-    pred_st = model.predict(test_w)
-    pred = md.recover_predictions(pred_st, test_w, scaling)
-    truth = md.horizon_truth(p, test_w.t_index, f.horizon)
-    mae_h = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(f.horizon)]
-    rmse_h = [ev.rmse(truth[:, :, j], pred[:, :, j]) for j in range(f.horizon)]
+    pred, truth, mae_h, rmse_h = _score(model, p, scaling, test_w, f.horizon)
     peak_steps, _ = ev.split_peak(p, cfg.run.peak_occupancy)
     target_steps = test_w.t_index[:, None] + np.arange(1, f.horizon + 1)[None, :]
     in_peak = np.isin(target_steps, peak_steps)
@@ -304,7 +309,7 @@ def _evaluate(model, p, cfg, scaling, decomp, test_w):
         else:
             regime[name + "_mae"] = None
             regime[name + "_residual_mae"] = None
-    return pred, truth, mae_h, rmse_h, regime
+    return mae_h, rmse_h, regime
 
 
 def cmd_eval(args) -> int:
@@ -314,7 +319,7 @@ def cmd_eval(args) -> int:
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
     scaling, decomp, _, test_w = _windows(p, cfg)
     model = _rebuild_model(args, cfg, p, mm)
-    _, _, mae_h, rmse_h, regime = _evaluate(model, p, cfg, scaling, decomp, test_w)
+    mae_h, rmse_h, regime = _evaluate(model, p, cfg, scaling, decomp, test_w)
     report = ev.EvalReport(
         model_id=os.path.basename(args.model), seed=args.seed,
         config_hash=cfg.forecaster.hash(), mae_by_horizon=mae_h, rmse_by_horizon=rmse_h,
@@ -332,23 +337,19 @@ def cmd_missing_eval(args) -> int:
     cfg = load_config(args.config)
     p = _load_panel(args, cfg)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    scaling, decomp, _, test_w = _windows(p, cfg)
+    scaling, _, _, test_w = _windows(p, cfg)
     model = _rebuild_model(args, cfg, p, mm)
-    _, _, mae_clean, _, _ = _evaluate(model, p, cfg, scaling, decomp, test_w)
+    f = cfg.forecaster
+    _, _, mae_clean, _ = _score(model, p, scaling, test_w, f.horizon)
 
     corrupted, injected = ev.inject_missing(p, args.seed)
     boundary = int(cfg.run.train_fraction * p.n_steps)
     period = dc.daily_period(p.step_minutes)
     scaled_c = pn.apply_scale(corrupted, scaling)
     decomp_c = dc.decompose_panel(scaled_c, period)
-    f = cfg.forecaster
     windows_c = md.make_windows(scaled_c, decomp_c, f.window, f.horizon)
     _, test_c = md.split_by_time(windows_c, boundary, f.horizon)
-    pred_st = model.predict(test_c)
-    pred = md.recover_predictions(pred_st, test_c, scaling)
-    truth = md.horizon_truth(p, test_c.t_index, f.horizon)
-    mae_missing = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(f.horizon)]
-    rmse_missing = [ev.rmse(truth[:, :, j], pred[:, :, j]) for j in range(f.horizon)]
+    _, _, mae_missing, rmse_missing = _score(model, p, scaling, test_c, f.horizon)
     deltas = {}
     for j in range(f.horizon):
         deltas[f"h{j + 1}_clean"] = mae_clean[j]

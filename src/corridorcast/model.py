@@ -517,12 +517,8 @@ class Forecaster:
         trend_grid = nn.reshape(self.trend_proj(trend_flat), (b, w, s, v, 1))
         block = nn.concat([grid, trend_grid], axis=4)
 
-        h1, c1 = self.lstm1.zero_state(b)
-        h2, c2 = self.lstm2.zero_state(b)
-        for step in range(w):
-            x_t = nn.take_index(block, step, axis=1)
-            h1, c1 = self.lstm1.step(x_t, h1, c1)
-            h2, c2 = self.lstm2.step(h1, h2, c2)
+        hs1, _, _ = self.lstm1(block, sequence=True)
+        _, h2, _ = self.lstm2(hs1)
 
         post = self.post(nn.reshape(h2, (b, -1)))
         seasonal_flow = nn.reshape(Tensor(batch["seasonal"][:, :, :, 0]), (b, -1))
@@ -538,7 +534,7 @@ class Forecaster:
         resolved = self.fct(nn.concat(dae_outs, axis=1))
         return nn.reshape(resolved, (b, s, h))
 
-    def predict(self, windows: WindowSet, batch_size: int = 256) -> np.ndarray:
+    def predict(self, windows: WindowSet, batch_size: int = 64) -> np.ndarray:
         """Inference-mode forward over slices of `batch_size` windows, recording no graph."""
         outs = []
         with nn.no_grad():
@@ -580,8 +576,8 @@ class TrainHistory:
                          f"wall_ms={ms:.1f}\n")
 
 
-def evaluate_mse(model: Forecaster, windows: WindowSet, batch_size: int = 256) -> float:
-    pred = model.predict(windows, batch_size=batch_size)
+def evaluate_mse(model: Forecaster, windows: WindowSet) -> float:
+    pred = model.predict(windows)
     return float(np.mean((pred - windows.target_st) ** 2))
 
 

@@ -12,8 +12,10 @@ operations record no graph at all, which is how inference runs.
 
 Only the operations the forecaster needs are implemented: elementwise
 arithmetic, matmul, the usual activations, 2-D convolution (valid/same
-padding), block max-pooling, inverted dropout, reshape, concatenation,
-last-axis slices and integer gathers along the sensor axis.
+padding), block max-pooling, inverted dropout, reshape, concatenation and
+integer gathers along the sensor axis.  The ConvLSTM recurrence is one
+node of its own (``layers.convlstm_sequence``) built on the same im2col and
+col2im helpers as ``conv2d``.
 
 Everything is float64 so that central-difference gradient checks are
 meaningful at tight tolerances.
@@ -228,13 +230,21 @@ def relu(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _sigmoid(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write sigmoid(a) into `out`, which may be `a`.
+
+    1/(1+exp(-x)) == (1+tanh(x/2))/2, which cannot overflow; one buffer,
+    since a second large temporary costs more than the tanh itself.
+    """
+    np.multiply(a, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # 1/(1+exp(-x)) == (1+tanh(x/2))/2, which cannot overflow; one buffer,
-    # since a second large temporary costs more than the tanh itself
-    out_data = np.multiply(a.data, 0.5)
-    np.tanh(out_data, out=out_data)
-    out_data *= 0.5
-    out_data += 0.5
+    out_data = _sigmoid(a.data, np.empty_like(a.data))
 
     def backward(g):
         a._accumulate(g * out_data * (1.0 - out_data))
@@ -305,33 +315,6 @@ def concat(tensors, axis: int) -> Tensor:
     return _make(out_data, tuple(tensors), backward)
 
 
-def slice_last(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Select channels `lo:hi` of the last axis."""
-    out_data = a.data[..., lo:hi]
-
-    def backward(g):
-        # sibling slices of one tensor fill one gradient buffer in place
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[..., lo:hi] += g
-
-    return _make(out_data, (a,), backward)
-
-
-def take_index(a: Tensor, index: int, axis: int) -> Tensor:
-    """Select one slice along an axis, dropping that axis."""
-    out_data = a.data.take(index, axis=axis)
-
-    def backward(g):
-        da = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = index
-        da[tuple(sl)] = g
-        a._accumulate(da)
-
-    return _make(out_data, (a,), backward)
-
-
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows along axis 1 (the sensor axis); duplicates accumulate."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -369,6 +352,23 @@ def _im2col(xd: np.ndarray, kh: int, kw: int, s1: int, s2: int) -> np.ndarray:
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(B * ho * wo, kh * kw * cin)
 
 
+def _col2im(dcols: np.ndarray, shape, kh: int, kw: int, s1: int, s2: int) -> np.ndarray:
+    """Adjoint of `_im2col`: scatter-add (B*ho*wo, kh*kw*cin) rows into an array of `shape`."""
+    B, H, W, cin = shape
+    ho, wo = (H - kh) // s1 + 1, (W - kw) // s2 + 1
+    dcols = dcols.reshape(B, ho, wo, kh, kw, cin)
+    dxd = np.zeros(shape)
+    for p in range(kh):
+        for q in range(kw):
+            dxd[:, p:p + s1 * ho:s1, q:q + s2 * wo:s2, :] += dcols[:, :, :, p, q, :]
+    return dxd
+
+
+def _same_pads(kh: int, kw: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(top, bottom) and (left, right) padding that keeps the spatial shape at stride 1."""
+    return ((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2)
+
+
 def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tensor:
     """Cross-correlate `x` (batch, H, W, Cin) with `w` (kh, kw, Cin, Cout).
 
@@ -386,7 +386,7 @@ def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tens
     if padding == "same":
         if (s1, s2) != (1, 1):
             raise ShapeError("same padding requires stride 1")
-        pads = ((0, 0), ((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2), (0, 0))
+        pads = ((0, 0), *_same_pads(kh, kw), (0, 0))
         xd = np.pad(x.data, pads)
     elif padding == "valid":
         pads = None
@@ -408,11 +408,7 @@ def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tens
         if w.requires_grad:
             w._accumulate((_im2col(xd, kh, kw, s1, s2).T @ gf).reshape(w.data.shape))
         if x.requires_grad:
-            dcols = (gf @ wmat.T).reshape(B, ho, wo, kh, kw, cin)
-            dxd = np.zeros_like(xd)
-            for p in range(kh):
-                for q in range(kw):
-                    dxd[:, p:p + s1 * ho:s1, q:q + s2 * wo:s2, :] += dcols[:, :, :, p, q, :]
+            dxd = _col2im(gf @ wmat.T, xd.shape, kh, kw, s1, s2)
             if pads is not None:
                 dxd = dxd[:, pads[1][0]:dxd.shape[1] - pads[1][1] or None,
                           pads[2][0]:dxd.shape[2] - pads[2][1] or None, :]

@@ -128,13 +128,8 @@ class ConvLSTMCell(Layer):
 
     where * is convolution and . the elementwise product.  The spatial grid
     (rows, cols) is fixed at construction because the peephole weights are
-    full spatial maps.
-
-    The eight gate convolutions are computed as one: the channel-stacked
-    [x, h] is convolved with a kernel whose output axis stacks the i, f, c, o
-    gates, and the result is split.  That kernel is assembled at call time
-    from the per-gate ``wx*``/``wh*`` parameters, so parameter names and
-    checkpoints keep the per-gate layout.
+    full spatial maps.  Calling the cell runs it over a whole sequence as one
+    autograd node (`convlstm_sequence`); `step` is the one-step case.
     """
 
     GATES = ("i", "f", "c", "o")
@@ -159,24 +154,163 @@ class ConvLSTMCell(Layer):
         shape = (batch,) + self.spatial + (self.filters,)
         return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
 
-    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        if x.data.shape[1:3] != self.spatial:
-            raise ag.ShapeError(f"input grid {x.data.shape[1:3]} != cell grid {self.spatial}")
-        if h_prev.data.shape != c_prev.data.shape or h_prev.data.shape[1:3] != self.spatial:
-            raise ag.ShapeError("state shapes inconsistent with the cell grid")
-        p = self._params
-        kernel = ag.concat([ag.concat([p[f"wx{g}"] for g in self.GATES], axis=3),
-                            ag.concat([p[f"wh{g}"] for g in self.GATES], axis=3)], axis=2)
-        z = ag.conv2d(ag.concat([x, h_prev], axis=3), kernel, padding="same")
-        n = self.filters
-        zi, zf, zc, zo = (ag.slice_last(z, k * n, (k + 1) * n) for k in range(4))
+    def __call__(self, x: Tensor, h0: Tensor | None = None, c0: Tensor | None = None,
+                 sequence: bool = False) -> tuple[Tensor | None, Tensor, Tensor]:
+        """Run over the time axis of `x` (batch, T, rows, cols, in_channels).
 
-        i = ag.sigmoid(zi + ag.mul(p["wci"], c_prev) + p["bi"])
-        f = ag.sigmoid(zf + ag.mul(p["wcf"], c_prev) + p["bf"])
-        c = ag.mul(f, c_prev) + ag.mul(i, ag.tanh(zc + p["bc"]))
-        o = ag.sigmoid(zo + ag.mul(p["wco"], c) + p["bo"])
-        h = ag.mul(o, ag.tanh(c))
+        The state starts at `h0`, `c0` (zeros when omitted).  Returns the
+        hidden sequence (batch, T, rows, cols, filters) when `sequence` is set,
+        else None, and the final h and c (batch, rows, cols, filters).
+        """
+        if x.data.ndim != 5 or x.data.shape[2:4] != self.spatial:
+            raise ag.ShapeError(f"input {x.data.shape} does not run over cell grid "
+                                f"{self.spatial}")
+        if x.data.shape[4] != self.in_channels:
+            raise ag.ShapeError(f"channel mismatch: input {x.data.shape[4]}, "
+                                f"cell {self.in_channels}")
+        state = (x.data.shape[0],) + self.spatial + (self.filters,)
+        if any(s is not None and s.data.shape != state for s in (h0, c0)):
+            raise ag.ShapeError("state shapes inconsistent with the cell grid")
+        return convlstm_sequence(x, self._params, h0, c0, sequence)
+
+    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+        """One step from the given state: the new (h, c)."""
+        _, h, c = self(ag.reshape(x, (x.data.shape[0], 1) + x.data.shape[1:]), h_prev, c_prev)
         return h, c
+
+
+def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = None,
+                      c0: Tensor | None = None, sequence: bool = False
+                      ) -> tuple[Tensor | None, Tensor, Tensor]:
+    """The ConvLSTMCell recurrence over the time axis of `x`, as one autograd node.
+
+    `x` is (B, T, rows, cols, Cin) and `params` the cell's parameters.  The
+    per-gate kernels are stacked once into one (kh, kw, Cin+n, 4n) kernel
+    with the gates i, f, c, o on its output axis; each step convolves the
+    zero-padded, channel-stacked [x_t, h_{t-1}] with it (one im2col and one
+    matmul).  Returns the hidden sequence (B, T, rows, cols, n) if `sequence`
+    is set (else None) and the final h and c.  Each output is a thin child of
+    the one node that runs the recurrence; backward is hand-derived BPTT.
+
+    For backward each step keeps only its padded [x, h] input, the activated
+    gates, c and tanh(c); backward rebuilds the columns.  Under `no_grad`
+    nothing per step is kept.
+    """
+    B, T, H, W, cin = x.data.shape
+    kh, kw, _, n = params["wxi"].data.shape
+    gates = ConvLSTMCell.GATES
+    p = {name: t.data for name, t in params.items()}
+    kernel = np.concatenate([np.concatenate([p[f"wx{g}"] for g in gates], axis=3),
+                             np.concatenate([p[f"wh{g}"] for g in gates], axis=3)], axis=2)
+    wmat = kernel.reshape(-1, 4 * n)
+    (top, bottom), (left, right) = ag._same_pads(kh, kw)
+    rows, cols = slice(top, top + H), slice(left, left + W)
+    parents = (x, *(s for s in (h0, c0) if s is not None), *params.values())
+    record = ag._grad_enabled and any(t.requires_grad for t in parents)
+
+    # per-step buffers for backward when recording, otherwise one reused slot
+    # (two for c, which a step reads and writes)
+    slots = T if record else 1
+    xh = np.zeros((slots, B, H + top + bottom, W + left + right, cin + n))
+    act = np.empty((slots, 4, B, H, W, n))  # i, f, tanh candidate g, o
+    tcs = np.empty((slots, B, H, W, n))
+    cs = np.empty((T + 1 if record else 2, B, H, W, n))
+    cs[0] = 0.0 if c0 is None else c0.data
+    hs = np.empty((B, T, H, W, n)) if sequence else None
+    h = None
+    if h0 is not None:
+        xh[0, :, rows, cols, cin:] = h0.data
+    for t in range(T):
+        buf = xh[t % slots]
+        buf[:, rows, cols, :cin] = x.data[:, t]
+        if h is not None:
+            buf[:, rows, cols, cin:] = h
+        z = (ag._im2col(buf, kh, kw, 1, 1) @ wmat).reshape(B, H, W, 4 * n)
+        i, f, g, o = act[t % slots]
+        c_prev, c = cs[t % len(cs)], cs[(t + 1) % len(cs)]
+        np.add(z[..., :n], p["wci"] * c_prev, out=i)
+        i += p["bi"]
+        ag._sigmoid(i, i)
+        np.add(z[..., n:2 * n], p["wcf"] * c_prev, out=f)
+        f += p["bf"]
+        ag._sigmoid(f, f)
+        np.add(z[..., 2 * n:3 * n], p["bc"], out=g)
+        np.tanh(g, out=g)
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        np.add(z[..., 3 * n:], p["wco"] * c, out=o)
+        o += p["bo"]
+        ag._sigmoid(o, o)
+        del z
+        tc = np.tanh(c, out=tcs[t % slots])
+        h = np.multiply(o, tc, out=None if hs is None else hs[:, t])
+    c = cs[T % len(cs)]
+    if not record:
+        return (None if hs is None else Tensor(hs)), Tensor(h), Tensor(c)
+
+    out_grads: dict[str, np.ndarray] = {}  # filled by the output nodes' backward
+
+    def backward(_):
+        ghs = out_grads.get("hs")
+        dW = np.zeros_like(wmat)
+        db = np.zeros(4 * n)
+        dpeep = {gate: np.zeros((H, W, n)) for gate in ("i", "f", "o")}
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        dh = np.zeros((B, H, W, n)) + out_grads.get("h", 0.0)
+        dc = np.zeros((B, H, W, n)) + out_grads.get("c", 0.0)
+        dz = np.empty((B, H, W, 4 * n))  # gate-major: the kernel's output order
+        dzf = dz.reshape(-1, 4 * n)
+        dai, daf, dag, dao = (dz[..., k * n:(k + 1) * n] for k in range(4))
+        for t in reversed(range(T)):
+            i, f, g, o = act[t]
+            c_prev, c, tc = cs[t], cs[t + 1], tcs[t]
+            if ghs is not None:
+                dh += ghs[:, t]
+            np.multiply(dh, tc, out=dao)
+            dao *= o * (1.0 - o)
+            dc += dh * o * (1.0 - tc * tc) + dao * p["wco"]
+            np.multiply(dc, g, out=dai)
+            dai *= i * (1.0 - i)
+            np.multiply(dc, c_prev, out=daf)
+            daf *= f * (1.0 - f)
+            np.multiply(dc, i, out=dag)
+            dag *= 1.0 - g * g
+            dpeep["i"] += (dai * c_prev).sum(axis=0)
+            dpeep["f"] += (daf * c_prev).sum(axis=0)
+            dpeep["o"] += (dao * c).sum(axis=0)
+            db += dzf.sum(axis=0)
+            dc = dc * f + dai * p["wci"] + daf * p["wcf"]
+            dW += ag._im2col(xh[t], kh, kw, 1, 1).T @ dzf
+            dxh = ag._col2im(dzf @ wmat.T, xh.shape[1:], kh, kw, 1, 1)[:, rows, cols]
+            if dx is not None:
+                dx[:, t] = dxh[..., :cin]
+            dh = dxh[..., cin:]
+        if dx is not None:
+            x._accumulate(dx)
+        for state, grad in ((h0, dh), (c0, dc)):
+            if state is not None and state.requires_grad:
+                state._accumulate(grad)
+        dW = dW.reshape(kernel.shape)
+        grads = {f"wc{gate}": d for gate, d in dpeep.items()}
+        for k, gate in enumerate(gates):
+            out_axis = slice(k * n, (k + 1) * n)
+            grads[f"wx{gate}"] = dW[:, :, :cin, out_axis]
+            grads[f"wh{gate}"] = dW[:, :, cin:, out_axis]
+            grads[f"b{gate}"] = db[out_axis]
+        for name, t in params.items():
+            if t.requires_grad:
+                t._accumulate(grads[name])
+
+    node = ag._make(np.empty(0), parents, backward)
+
+    def output(data: np.ndarray, key: str) -> Tensor:
+        def collect(g):
+            out_grads[key] = g
+            if node.grad is None:  # so that the recurrence's backward runs
+                node.grad = np.empty(0)
+        return ag._make(data, (node,), collect)
+
+    return (None if hs is None else output(hs, "hs")), output(h, "h"), output(c, "c")
 
 
 class Dropout:

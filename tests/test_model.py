@@ -421,6 +421,44 @@ def test_predict_is_bit_identical_to_forward_and_builds_no_graph(rng):
     assert model.forward(ws.batch_dict()).requires_grad  # graph recording is back on
 
 
+@pytest.fixture(scope="module")
+def desk_corridor():
+    """An untrained desk model on a 24-sensor, 28-day corridor and its windows."""
+    _, boundary, _, scaled, decomp = scaled_decomposed(None, sensors=24, days=28)
+    cfg = md.ForecasterConfig.desk()
+    ws = md.make_windows(scaled, decomp, cfg.window, cfg.horizon)
+    train_w, test_w = md.split_by_time(ws, boundary, cfg.horizon)
+    clusters = [list(range(lo, lo + 4)) for lo in range(0, 24, 4)]
+    return md.build_forecaster(clusters, 24, 3, cfg, seed=1), train_w, test_w
+
+
+def test_training_forward_graph_stays_small(desk_corridor):
+    # the graph one 64-window training step keeps until backward: mostly the
+    # ConvLSTM activations (99 MiB with one autograd chain per ConvLSTM step)
+    model, train_w, _ = desk_corridor
+    batch = train_w.batch_dict(np.arange(64))
+    tracemalloc.start()
+    try:
+        out = model.forward(batch, training=True, rng=np.random.default_rng(0))
+        graph, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert graph < 60 * 2**20
+
+
+def test_predict_transient_stays_small(desk_corridor):
+    # inference slices of 64 windows: 47 MiB at 256-window slices
+    model, _, test_w = desk_corridor
+    tracemalloc.start()
+    try:
+        model.predict(test_w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 def test_forecaster_rejects_bad_clusters():
     cfg = tiny_config()
     with pytest.raises(ConfigError):

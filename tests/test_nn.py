@@ -6,7 +6,7 @@ import pytest
 
 from corridorcast import nn
 from corridorcast.nn import Tensor
-from corridorcast.nn.autograd import ShapeError
+from corridorcast.nn.autograd import ShapeError, _make
 
 from conftest import assert_grads_close, central_difference_grads
 
@@ -57,6 +57,44 @@ def scalar_peephole_lstm(x, h, c, p):
     c2 = f * c + i * math.tanh(p["wxc"] * x + p["whc"] * h + p["bc"])
     o = sig(p["wxo"] * x + p["who"] * h + p["wco"] * c2 + p["bo"])
     return o * math.tanh(c2), c2
+
+
+def _slice_last(a, lo, hi):
+    """Channels lo:hi of the last axis; sibling slices share one gradient buffer."""
+    def backward(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[..., lo:hi] += g
+
+    return _make(a.data[..., lo:hi], (a,), backward)
+
+
+def _take_step(a, t):
+    """Time step t of a (batch, T, ...) tensor, dropping the time axis."""
+    def backward(g):
+        da = np.zeros_like(a.data)
+        da[:, t] = g
+        a._accumulate(da)
+
+    return _make(a.data.take(t, axis=1), (a,), backward)
+
+
+def reference_convlstm_step(cell, x, h_prev, c_prev):
+    """The per-step ConvLSTM chain (about 22 autograd nodes) that the fused
+    recurrence replaced, kept as its exact-parity oracle: one convolution of
+    the channel-stacked [x, h] with a kernel stacked on every call, four gate
+    slices and the elementwise ops in the same order."""
+    p = cell.parameters()
+    kernel = nn.concat([nn.concat([p[f"wx{g}"] for g in cell.GATES], axis=3),
+                        nn.concat([p[f"wh{g}"] for g in cell.GATES], axis=3)], axis=2)
+    z = nn.conv2d(nn.concat([x, h_prev], axis=3), kernel, padding="same")
+    n = cell.filters
+    zi, zf, zc, zo = (_slice_last(z, k * n, (k + 1) * n) for k in range(4))
+    i = nn.sigmoid(zi + p["wci"] * c_prev + p["bi"])
+    f = nn.sigmoid(zf + p["wcf"] * c_prev + p["bf"])
+    c = f * c_prev + i * nn.tanh(zc + p["bc"])
+    o = nn.sigmoid(zo + p["wco"] * c + p["bo"])
+    return o * nn.tanh(c), c
 
 
 # -- conv2d ------------------------------------------------------------------
@@ -273,6 +311,56 @@ def test_convlstm_fused_gates_match_per_gate_convolutions(rng):
     assert np.allclose(h1.data, h_ref, rtol=0, atol=1e-12)
 
 
+def test_convlstm_sequence_matches_per_step_oracle(rng):
+    # two stacked cells on the desk grid (24 sensors x 4 channels) over a
+    # 6-step window, as in the forecaster; every parameter random, so the
+    # peepholes and biases are nonzero
+    b, steps, grid = 3, 6, (24, 4)
+    cells = [make_cell(rng, spatial=grid, cin=2, filters=4),
+             make_cell(rng, spatial=grid, cin=4, filters=8)]
+    for cell in cells:
+        for p in cell.parameters().values():
+            p.data = 0.5 * rng.normal(size=p.data.shape)
+    x = Tensor(rng.normal(size=(b, steps) + grid + (2,)), requires_grad=True)
+    h0 = Tensor(0.5 * rng.normal(size=(b,) + grid + (4,)), requires_grad=True)
+    c0 = Tensor(0.5 * rng.normal(size=(b,) + grid + (4,)), requires_grad=True)
+    weights = [rng.normal(size=(b, steps) + grid + (4,)), rng.normal(size=(b,) + grid + (8,)),
+               rng.normal(size=(b,) + grid + (8,))]
+
+    def fused():
+        hs1, _, _ = cells[0](x, h0, c0, sequence=True)
+        _, h2, c2 = cells[1](hs1)
+        return hs1, h2, c2
+
+    def oracle():
+        h1, c1 = h0, c0
+        h2, c2 = cells[1].zero_state(b)
+        seq = []
+        for t in range(steps):
+            h1, c1 = reference_convlstm_step(cells[0], _take_step(x, t), h1, c1)
+            h2, c2 = reference_convlstm_step(cells[1], h1, h2, c2)
+            seq.append(nn.reshape(h1, (b, 1) + grid + (4,)))
+        return nn.concat(seq, axis=1), h2, c2
+
+    leaves = {"x": x, "h0": h0, "c0": c0}
+    for k, cell in enumerate(cells):
+        leaves.update({f"{k}.{name}": p for name, p in cell.parameters().items()})
+    results = []
+    for run in (fused, oracle):
+        for t in leaves.values():
+            t.zero_grad()
+        outs = run()
+        terms = [nn.total(o * Tensor(wt)) for o, wt in zip(outs, weights)]
+        (terms[0] + terms[1] + terms[2]).backward()
+        results.append(([o.data for o in outs], {k: t.grad for k, t in leaves.items()}))
+    (fused_out, fused_grads), (oracle_out, oracle_grads) = results
+    for got, want in zip(fused_out, oracle_out):
+        assert np.array_equal(got, want)
+    assert len(fused_grads) == 3 + 2 * 15
+    for name, want in oracle_grads.items():
+        np.testing.assert_allclose(fused_grads[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_convlstm_shape_mismatch(rng):
     cell = make_cell(rng)
     h0, c0 = cell.zero_state(1)
@@ -385,6 +473,28 @@ def test_gradcheck_convlstm_step(rng):
     analytic = {"x": x.grad, "h0": h0.grad, "c0": c0.grad}
     analytic.update({k: p.grad for k, p in cell.parameters().items()})
     assert_grads_close(analytic, numeric)
+
+
+def test_gradcheck_convlstm_sequence(rng):
+    cell = make_cell(rng, spatial=(3, 2), cin=2, filters=2, kernel=3)
+    for p in cell.parameters().values():
+        p.data = 0.5 * rng.normal(size=p.data.shape)
+    x = Tensor(rng.normal(size=(2, 3, 3, 2, 2)), requires_grad=True)
+    h0 = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    c0 = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+
+    def run():
+        hs, h, c = cell(x, h0, c0, sequence=True)
+        return nn.mean(nn.square(hs)) + nn.mean(nn.square(h) + nn.square(c))
+
+    leaves = {"x": x, "h0": h0, "c0": c0, **cell.parameters()}
+    assert len(leaves) == 3 + 15
+    numeric = central_difference_grads(lambda: float(run().data),
+                                       {k: t.data for k, t in leaves.items()})
+    for t in leaves.values():
+        t.zero_grad()
+    run().backward()
+    assert_grads_close({k: t.grad for k, t in leaves.items()}, numeric)
 
 
 def test_gradcheck_dropout_frozen_mask(rng):
