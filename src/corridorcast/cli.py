@@ -5,7 +5,8 @@ command is a deterministic function of its inputs and the seed; artifacts
 are written atomically (temp file + rename).  Exit codes: 0 ok, 2 config
 error, 3 data error, 4 training divergence.
 
-The run log (run.log, one line per epoch with wall-clock times) is
+The run log (run.log: one line per epoch with wall-clock times, then notes
+and the DAE pretraining curves, one line per cluster and epoch) is
 diagnostic output, not an artifact: repeated runs reproduce every other
 output byte for byte.
 """
@@ -165,18 +166,24 @@ def _load_panel(args, cfg: ResolvedConfig) -> pn.Panel:
     return pn.impute_forward(p)
 
 
-def _prepare(p: pn.Panel, cfg: ResolvedConfig):
-    """Scale on the training span and decompose with the daily period."""
-    boundary = int(cfg.run.train_fraction * p.n_steps)
-    period = dc.daily_period(p.step_minutes)
-    scaling = pn.fit_scale(p, (0, boundary))
+def _boundary(p: pn.Panel, cfg: ResolvedConfig) -> int:
+    """First step of the test span."""
+    return int(cfg.run.train_fraction * p.n_steps)
+
+
+def _fit_scaling(p: pn.Panel, cfg: ResolvedConfig) -> pn.ScalingParams:
+    return pn.fit_scale(p, (0, _boundary(p, cfg)))
+
+
+def _prepare(p: pn.Panel, cfg: ResolvedConfig, scaling: pn.ScalingParams):
+    """Scale with `scaling` and decompose with the daily period."""
     scaled = pn.apply_scale(p, scaling)
-    decomp = dc.decompose_panel(scaled, period)
-    return boundary, period, scaling, scaled, decomp
+    decomp = dc.decompose_panel(scaled, dc.daily_period(p.step_minutes))
+    return _boundary(p, cfg), scaled, decomp
 
 
 def _cluster_pipeline(p: pn.Panel, cfg: ResolvedConfig):
-    boundary, _, _, scaled, decomp = _prepare(p, cfg)
+    boundary, scaled, decomp = _prepare(p, cfg, _fit_scaling(p, cfg))
     steps_per_hour = 60.0 / p.step_minutes
     window_len = max(2, int(round(cfg.run.dtw_window_hours * steps_per_hour)))
     occ_idx = p.features.index("occupancy")
@@ -193,12 +200,16 @@ def _cluster_pipeline(p: pn.Panel, cfg: ResolvedConfig):
     return table, mm
 
 
-def _windows(p: pn.Panel, cfg: ResolvedConfig):
-    boundary, _, scaling, scaled, decomp = _prepare(p, cfg)
+def _windows(p: pn.Panel, cfg: ResolvedConfig, scaling: pn.ScalingParams):
+    """The decomposition of `p` and its training and test windows.
+
+    A window set builds its per-window arrays only when it is scored or
+    trained on, so a caller pays only for the span it uses.
+    """
+    boundary, scaled, decomp = _prepare(p, cfg, scaling)
     f = cfg.forecaster
     windows = md.make_windows(scaled, decomp, f.window, f.horizon)
-    train_w, test_w = md.split_by_time(windows, boundary, f.horizon)
-    return scaling, decomp, train_w, test_w
+    return (decomp, *md.split_by_time(windows, boundary, f.horizon))
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -254,23 +265,25 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     p = _load_panel(args, cfg)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    _, _, train_w, _ = _windows(p, cfg)
+    _, train_w, _ = _windows(p, cfg, _fit_scaling(p, cfg))
     f = cfg.forecaster
     os.makedirs(args.out, exist_ok=True)
     notes: list[str] = []
-    pretrained = None
+    pretrained, curves = None, []
     if f.use_dae:
         blocks = md.cluster_target_blocks(train_w, mm.clusters)
-        pretrained, _ = md.pretrain_dae(blocks, f, args.seed, log=notes.append)
+        pretrained, curves = md.pretrain_dae(blocks, f, args.seed, log=notes.append)
     model = md.build_forecaster(mm, p.n_sensors, len(p.features), f, args.seed,
                                 pretrained_dae=pretrained)
     history = md.train(model, train_w, f, args.seed)
     save_params(os.path.join(args.out, "checkpoint.txt"), model.parameters())
     history.write_log(os.path.join(args.out, "run.log"))
-    if notes:
-        with open(os.path.join(args.out, "run.log"), "a") as fh:
-            for note in notes:
-                fh.write(f"note={note}\n")
+    with open(os.path.join(args.out, "run.log"), "a") as fh:
+        for note in notes:
+            fh.write(f"note={note}\n")
+        for j, losses in enumerate(curves):
+            for epoch, loss in enumerate(losses, 1):
+                fh.write(f"dae_cluster={j} epoch={epoch} loss={loss:.9g}\n")
     _emit_config(args.out, cfg, args.seed)
     return EXIT_OK
 
@@ -317,7 +330,8 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     p = _load_panel(args, cfg)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    scaling, decomp, _, test_w = _windows(p, cfg)
+    scaling = _fit_scaling(p, cfg)
+    decomp, _, test_w = _windows(p, cfg, scaling)
     model = _rebuild_model(args, cfg, p, mm)
     mae_h, rmse_h, regime = _evaluate(model, p, cfg, scaling, decomp, test_w)
     report = ev.EvalReport(
@@ -337,19 +351,15 @@ def cmd_missing_eval(args) -> int:
     cfg = load_config(args.config)
     p = _load_panel(args, cfg)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    scaling, _, _, test_w = _windows(p, cfg)
     model = _rebuild_model(args, cfg, p, mm)
     f = cfg.forecaster
-    _, _, mae_clean, _ = _score(model, p, scaling, test_w, f.horizon)
-
-    corrupted, injected = ev.inject_missing(p, args.seed)
-    boundary = int(cfg.run.train_fraction * p.n_steps)
-    period = dc.daily_period(p.step_minutes)
-    scaled_c = pn.apply_scale(corrupted, scaling)
-    decomp_c = dc.decompose_panel(scaled_c, period)
-    windows_c = md.make_windows(scaled_c, decomp_c, f.window, f.horizon)
-    _, test_c = md.split_by_time(windows_c, boundary, f.horizon)
-    _, _, mae_missing, rmse_missing = _score(model, p, scaling, test_c, f.horizon)
+    scaling = _fit_scaling(p, cfg)
+    # each pass builds, scores and drops its own test windows, so the clean
+    # pass is released before the corrupted one starts
+    _, _, mae_clean, _ = _score(model, p, scaling, _windows(p, cfg, scaling)[2], f.horizon)
+    corrupted, _ = ev.inject_missing(p, args.seed)
+    _, _, mae_missing, rmse_missing = _score(
+        model, p, scaling, _windows(corrupted, cfg, scaling)[2], f.horizon)
     deltas = {}
     for j in range(f.horizon):
         deltas[f"h{j + 1}_clean"] = mae_clean[j]

@@ -17,6 +17,7 @@ recovered by adding the anchors back before inverting the scaling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, fields, replace
@@ -24,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import nn
-from .decompose import Decomposition, recover_forecast, stationarize_window
+from .decompose import Decomposition, recover_forecast
 from .errors import ConfigError, InsufficientDataError, TrainingDivergence
 from .nn import Tensor
 from .panel import Panel, ScalingParams
@@ -118,54 +119,71 @@ class WindowSet:
     """Stride-1 (w input + h horizon) windows of a decomposed, scaled panel.
 
     The set is an index over the decomposition's (sensor, step, feature)
-    blocks: it holds references to them, the anchor step of each window
-    (`t_index`, the last input step) and the per-window arrays that are
-    small next to the windows themselves: `anchor_seasonal` and
-    `anchor_trend` (N, sensors) and `target_scaled` and `target_st`
-    (N, sensors, h).  `subset` indexes only those; `batch_dict` gathers the
+    blocks: it holds references to them and to the scaled `out_feature`
+    series, and the anchor step of each window (`t_index`, the last input
+    step).  `subset` indexes only the anchors.  The per-window arrays
+    `anchor_seasonal` and `anchor_trend` (N, sensors) and `target_scaled` and
+    `target_st` (N, sensors, h) are gathered on first use, so only a set that
+    is scored or trained on builds them; `batch_dict` gathers the
     stationarized input windows of the requested anchors and nothing else.
     """
 
-    def __init__(self, decomp: Decomposition, w: int, h: int, t_index: np.ndarray,
-                 anchor_seasonal, anchor_trend, target_scaled, target_st):
+    def __init__(self, decomp: Decomposition, series: np.ndarray, w: int, h: int,
+                 out_feature: int, t_index: np.ndarray):
         self.decomp = decomp
+        self.series = series  # (sensors, steps): the scaled output feature
         self.w = w
         self.h = h
+        self.out_feature = out_feature
         self.t_index = t_index
-        self.anchor_seasonal = anchor_seasonal
-        self.anchor_trend = anchor_trend
-        self.target_scaled = target_scaled
-        self.target_st = target_st
 
     def __len__(self) -> int:
         return len(self.t_index)
 
     def subset(self, idx) -> "WindowSet":
-        idx = np.asarray(idx)
-        return WindowSet(self.decomp, self.w, self.h, self.t_index[idx],
-                         self.anchor_seasonal[idx], self.anchor_trend[idx],
-                         self.target_scaled[idx], self.target_st[idx])
+        return WindowSet(self.decomp, self.series, self.w, self.h, self.out_feature,
+                         self.t_index[np.asarray(idx)])
+
+    @functools.cached_property
+    def anchor_seasonal(self) -> np.ndarray:
+        return np.ascontiguousarray(self.decomp.seasonal[:, self.t_index, self.out_feature].T)
+
+    @functools.cached_property
+    def anchor_trend(self) -> np.ndarray:
+        return np.ascontiguousarray(self.decomp.trend[:, self.t_index, self.out_feature].T)
+
+    @functools.cached_property
+    def target_scaled(self) -> np.ndarray:
+        horizon = self.t_index[:, None] + np.arange(1, self.h + 1)
+        return np.ascontiguousarray(self.series[:, horizon].transpose(1, 0, 2))
+
+    @functools.cached_property
+    def target_st(self) -> np.ndarray:
+        return self.target_scaled - (self.anchor_seasonal + self.anchor_trend)[:, :, None]
 
     def batch_dict(self, idx=slice(None)) -> dict[str, np.ndarray]:
         """Model inputs of the windows at `idx` (an index or slice into the set).
 
         Residual and trend windows are (B, sensors, w, features), the seasonal
         window (B, sensors, w+h, features); seasonal and trend are shifted by
-        their value at the anchor step.
+        their own value at the anchor step (input step w-1), residuals pass
+        through.
         """
         w, h = self.w, self.h
         steps = self.t_index[idx][:, None] + np.arange(1 - w, h + 1)  # (B, w+h)
 
-        def gather(block: np.ndarray) -> np.ndarray:
-            return block[:, steps, :].transpose(1, 0, 2, 3)  # (B, n, w+h, k)
+        def gather(block: np.ndarray, span: int) -> np.ndarray:
+            return np.ascontiguousarray(
+                block[:, steps[:, :span], :].transpose(1, 0, 2, 3))  # (B, n, span, k)
+
+        def shifted(block: np.ndarray, span: int) -> np.ndarray:
+            win = gather(block, span)
+            win -= win[:, :, w - 1:w].copy()
+            return win
 
         d = self.decomp
-        seasonal, trend, residual, _ = stationarize_window(
-            gather(d.seasonal), gather(d.trend), gather(d.residual),
-            anchor_index=w - 1, time_axis=2)
-        return {"residual": np.ascontiguousarray(residual[:, :, :w]),
-                "trend": np.ascontiguousarray(trend[:, :, :w]),
-                "seasonal": np.ascontiguousarray(seasonal)}
+        return {"residual": gather(d.residual, w), "trend": shifted(d.trend, w),
+                "seasonal": shifted(d.seasonal, w + h)}
 
 
 def make_windows(panel: Panel, decomp: Decomposition, w: int, h: int,
@@ -174,20 +192,14 @@ def make_windows(panel: Panel, decomp: Decomposition, w: int, h: int,
 
     The panel and decomposition are expected in scaled space.  Window `i` is
     anchored at step `w - 1 + i`; its targets are the horizon values of
-    `out_feature` minus the seasonal + trend at the anchor.  No window is
-    copied here: `WindowSet.batch_dict` gathers them per batch.
+    `out_feature` minus the seasonal + trend at the anchor.  No window and no
+    per-window array is built here (see `WindowSet`).
     """
     n, t, k = panel.values.shape
     if t < w + h:
         raise InsufficientDataError(f"{t} steps cannot fit a window of {w}+{h}")
-    t_index = np.arange(w - 1, t - h)
-    anchor_s = np.ascontiguousarray(decomp.seasonal[:, t_index, out_feature].T)
-    anchor_t = np.ascontiguousarray(decomp.trend[:, t_index, out_feature].T)
-    horizon = t_index[:, None] + np.arange(1, h + 1)
-    target_scaled = np.ascontiguousarray(
-        panel.values[:, horizon, out_feature].transpose(1, 0, 2))
-    target_st = target_scaled - (anchor_s + anchor_t)[:, :, None]
-    return WindowSet(decomp, w, h, t_index, anchor_s, anchor_t, target_scaled, target_st)
+    series = np.ascontiguousarray(panel.values[:, :, out_feature])
+    return WindowSet(decomp, series, w, h, out_feature, np.arange(w - 1, t - h))
 
 
 def split_by_time(windows: WindowSet, boundary_step: int, horizon: int

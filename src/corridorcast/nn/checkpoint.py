@@ -7,10 +7,14 @@ Format (one parameter per line, after a fixed header line):
 
 Values are row-major C-order float64 written as ``float.hex()`` so the file
 round-trips exactly and identical parameters always produce identical bytes.
+Both directions stream: one parameter line can hold hundreds of thousands of
+values, so neither side ever holds a whole line.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 
 import numpy as np
@@ -19,6 +23,8 @@ from ..errors import DataError
 from .autograd import Tensor
 
 _HEADER = "corridorcast-ckpt-v1"
+_CHUNK = 1 << 16  # characters per read; also the most characters of one write
+_TOKEN_MAX = 24  # the longest float.hex() token, "-0x1.fffffffffffffp+1023"
 
 
 class CheckpointError(DataError, ValueError):
@@ -26,68 +32,101 @@ class CheckpointError(DataError, ValueError):
 
 
 def save_params(path: str, params: dict[str, Tensor]) -> None:
-    """Write parameters atomically (temp file + rename)."""
-    lines = [_HEADER]
-    for name, p in params.items():
+    """Write parameters atomically (temp file + rename), a chunk of values at a time."""
+    for name in params:
         if " " in name or ":" in name:
             raise CheckpointError(f"parameter name {name!r} contains reserved characters")
-        dims = " ".join(str(d) for d in p.data.shape)
-        vals = " ".join(float(v).hex() for v in p.data.reshape(-1))
-        lines.append(f"{name} {p.data.ndim}{' ' + dims if dims else ''} : {vals}")
+    step = _CHUNK // (_TOKEN_MAX + 1)
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(_HEADER + "\n")
+            for name, p in params.items():
+                dims = "".join(f" {d}" for d in p.data.shape)
+                fh.write(f"{name} {p.data.ndim}{dims} : ")
+                flat = p.data.reshape(-1)
+                for lo in range(0, flat.size, step):
+                    if lo:
+                        fh.write(" ")
+                    fh.write(" ".join(map(float.hex, flat[lo:lo + step].tolist())))
+                fh.write("\n")
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
-_CHUNK = 1 << 16
+def _read_values(fh, text: str, out: np.ndarray, name: str, lineno: int) -> None:
+    """Fill `out` with the values of one line, starting from its chunk `text`.
 
-
-def _tokens(text: str, start: int):
-    """Whitespace-separated fields of `text[start:]`, split one chunk at a time."""
-    while start < len(text):
-        end = text.find(" ", start + _CHUNK)
-        if end < 0:
-            end = len(text)
-        yield from text[start:end].split()
-        start = end + 1
+    The rest of the line is read a chunk at a time.  A token cut by a chunk
+    boundary is carried into the next chunk; a line that ends before its
+    newline is truncated.
+    """
+    filled, carry = 0, ""
+    if not text:  # the head filled the line's first chunk
+        text = fh.readline(_CHUNK)
+    while True:
+        if not text:
+            raise CheckpointError(f"checkpoint line {lineno} is truncated")
+        chunk = carry + text
+        tokens = chunk.split()
+        carry = "" if chunk[-1].isspace() or not tokens else tokens.pop()
+        if filled + len(tokens) > out.size:
+            raise CheckpointError(f"value count mismatch for {name!r}")
+        try:
+            if len(carry) > _CHUNK:  # no token is that long
+                raise ValueError
+            out[filled:filled + len(tokens)] = np.fromiter(
+                map(float.fromhex, tokens), np.float64, len(tokens))
+        except ValueError:
+            raise CheckpointError(f"malformed checkpoint line {lineno}") from None
+        filled += len(tokens)
+        if chunk.endswith("\n"):
+            if filled != out.size:
+                raise CheckpointError(f"value count mismatch for {name!r}")
+            return
+        text = fh.readline(_CHUNK)
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:
     with open(path) as fh:
-        header = fh.readline().rstrip("\n")
+        header = fh.readline(_CHUNK).rstrip("\n")
         if header != _HEADER:
             raise CheckpointError(f"unrecognized checkpoint header {header!r}")
+        # no line can hold more values than the file has characters
+        most = os.fstat(fh.fileno()).st_size
         out: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(fh, 2):
-            if line.isspace():
+        lineno = 1
+        while text := fh.readline(_CHUNK):
+            lineno += 1
+            if text.isspace():
                 continue
-            # values are parsed straight from the line: one parameter line can
-            # hold hundreds of thousands of them
-            sep = line.find(" : ")
-            if sep < 0:
-                sep = len(line)
-            fields = line[:sep].split()
+            # the head "<name> <ndim> <dims> : " sits in the line's first chunk
+            sep = text.find(" : ")
+            fields = text[:sep].split() if sep >= 0 else []
             try:
                 name, ndim = fields[0], int(fields[1])
-                shape = tuple(int(d) for d in fields[2:2 + ndim])
-                vals = np.fromiter(map(float.fromhex, _tokens(line, sep + 3)), np.float64)
+                shape = tuple(int(d) for d in fields[2:])
+                if len(shape) != ndim or math.prod(shape) > most:
+                    raise ValueError
+                vals = np.empty(shape)
             except (IndexError, ValueError):
                 raise CheckpointError(f"malformed checkpoint line {lineno}") from None
-            if vals.size != int(np.prod(shape)) if shape else vals.size != 1:
-                raise CheckpointError(f"value count mismatch for {name!r}")
-            out[name] = vals.reshape(shape)
+            _read_values(fh, text[sep + 3:], vals.reshape(-1), name, lineno)
+            out[name] = vals
     return out
 
 
 def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into an existing parameter dict (shapes must match)."""
+    """Copy loaded arrays into the existing parameter arrays (shapes must match)."""
     missing = set(params) - set(loaded)
     if missing:
         raise CheckpointError(f"checkpoint is missing parameters: {sorted(missing)}")
     for name, p in params.items():
-        arr = loaded[name]
-        if arr.shape != p.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: checkpoint {arr.shape}, model {p.data.shape}")
-        p.data = arr.copy()
+        if loaded[name].shape != p.data.shape:
+            raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "
+                                  f"{loaded[name].shape}, model {p.data.shape}")
+    for name, p in params.items():
+        np.copyto(p.data, loaded[name])

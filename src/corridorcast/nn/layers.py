@@ -179,6 +179,12 @@ class ConvLSTMCell(Layer):
         return h, c
 
 
+# Windows per im2col + matmul in the forward recurrence: the unrolled columns
+# of a whole batch (5.1 MiB for layer 2 at 64 windows) shrink to those of one
+# block.  GEMM rows do not touch each other's sums, so outputs do not change.
+_ROW_BLOCK = 16
+
+
 def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = None,
                       c0: Tensor | None = None, sequence: bool = False
                       ) -> tuple[Tensor | None, Tensor, Tensor]:
@@ -187,10 +193,11 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
     `x` is (B, T, rows, cols, Cin) and `params` the cell's parameters.  The
     per-gate kernels are stacked once into one (kh, kw, Cin+n, 4n) kernel
     with the gates i, f, c, o on its output axis; each step convolves the
-    zero-padded, channel-stacked [x_t, h_{t-1}] with it (one im2col and one
-    matmul).  Returns the hidden sequence (B, T, rows, cols, n) if `sequence`
-    is set (else None) and the final h and c.  Each output is a thin child of
-    the one node that runs the recurrence; backward is hand-derived BPTT.
+    zero-padded, channel-stacked [x_t, h_{t-1}] with it (im2col and matmul in
+    blocks of `_ROW_BLOCK` windows).  Returns the hidden sequence
+    (B, T, rows, cols, n) if `sequence` is set (else None) and the final h
+    and c.  Each output is a thin child of the one node that runs the
+    recurrence; backward is hand-derived BPTT.
 
     For backward each step keeps only its padded [x, h] input, the activated
     gates, c and tanh(c); backward rebuilds the columns.  Under `no_grad`
@@ -217,6 +224,7 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
     cs = np.empty((T + 1 if record else 2, B, H, W, n))
     cs[0] = 0.0 if c0 is None else c0.data
     hs = np.empty((B, T, H, W, n)) if sequence else None
+    z = np.empty((B, H, W, 4 * n))  # gate pre-activations, rewritten each step
     h = None
     if h0 is not None:
         xh[0, :, rows, cols, cin:] = h0.data
@@ -225,7 +233,9 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
         buf[:, rows, cols, :cin] = x.data[:, t]
         if h is not None:
             buf[:, rows, cols, cin:] = h
-        z = (ag._im2col(buf, kh, kw, 1, 1) @ wmat).reshape(B, H, W, 4 * n)
+        for lo in range(0, B, _ROW_BLOCK):
+            np.matmul(ag._im2col(buf[lo:lo + _ROW_BLOCK], kh, kw, 1, 1), wmat,
+                      out=z[lo:lo + _ROW_BLOCK].reshape(-1, 4 * n))
         i, f, g, o = act[t % slots]
         c_prev, c = cs[t % len(cs)], cs[(t + 1) % len(cs)]
         np.add(z[..., :n], p["wci"] * c_prev, out=i)
@@ -241,7 +251,6 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
         np.add(z[..., 3 * n:], p["wco"] * c, out=o)
         o += p["bo"]
         ag._sigmoid(o, o)
-        del z
         tc = np.tanh(c, out=tcs[t % slots])
         h = np.multiply(o, tc, out=None if hs is None else hs[:, t])
     c = cs[T % len(cs)]

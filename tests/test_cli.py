@@ -1,5 +1,6 @@
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,12 @@ def test_train_emits_checkpoint_and_log(trained):
     assert (tdir / "run.log").exists()
     log = (tdir / "run.log").read_text()
     assert "epoch=1" in log and "train_loss=" in log and "wall_ms=" in log
+    clusters = {line.split(",")[0] for line in
+                (cdir / "clusters.csv").read_text().splitlines()[1:]}
+    dae = [line.split() for line in log.splitlines() if line.startswith("dae_cluster=")]
+    assert [(c, e) for c, e, _ in dae] == [(f"dae_cluster={j}", f"epoch={e}")
+                                           for j in range(len(clusters)) for e in (1, 2)]
+    assert all(np.isfinite(float(loss.removeprefix("loss="))) for _, _, loss in dae)
 
 
 def test_train_checkpoint_deterministic(trained, tmp_path):
@@ -209,6 +216,36 @@ def test_missing_eval_reports_deltas(trained, tmp_path):
     text = open(report).read()
     assert "missing_delta,h1_increase" in text
     assert "missing_delta,mean_increase" in text
+
+
+def test_missing_eval_memory_stays_bounded(tmp_path):
+    # a 24-sensor, 28-day corridor and an untrained desk checkpoint: 43.2 MiB
+    # while both passes built every window's arrays and stayed alive together
+    from corridorcast import cluster as cl
+    from corridorcast import model as md
+    from corridorcast import nn
+    from corridorcast import panel as pn
+    cfg = write_cfg(tmp_path, "synth_sensors=24\nsynth_days=28\n")
+    data = tmp_path / "data"
+    assert run("synth", "--out", str(data), "--seed", "11", "--config", cfg) == 0
+    common = ["--data", str(data / "data.csv"), "--meta", str(data / "meta.csv"),
+              "--seed", "11", "--config", cfg]
+    assert run("cluster", *common, "--out", str(tmp_path)) == 0
+    sensors = sorted(pn.load_sensor_meta(str(data / "meta.csv")),
+                     key=lambda m: (m.position, m.id))
+    mm = cl.clusters_from_csv(str(tmp_path / "clusters.csv"), sensors)
+    model = md.build_forecaster(mm, 24, 3, cli.load_config(cfg).forecaster, seed=11)
+    nn.save_params(str(tmp_path / "checkpoint.txt"), model.parameters())
+    del model
+    tracemalloc.start()
+    try:
+        assert run("missing-eval", *common, "--clusters", str(tmp_path / "clusters.csv"),
+                   "--model", str(tmp_path / "checkpoint.txt"),
+                   "--report", str(tmp_path / "missing.csv")) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_exit_code_missing_file(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -670,3 +671,104 @@ def test_checkpoint_restore_shape_mismatch(tmp_path, rng):
     other = nn.Dense(rng, 3, 4)
     with pytest.raises(nn.CheckpointError):
         nn.restore_params(other.parameters(), nn.load_params(path))
+
+
+def one_string_save(path, params):
+    """The writer that built the whole file as one string, kept as the byte oracle."""
+    lines = ["corridorcast-ckpt-v1"]
+    for name, p in params.items():
+        dims = " ".join(str(d) for d in p.data.shape)
+        vals = " ".join(float(v).hex() for v in p.data.reshape(-1))
+        lines.append(f"{name} {p.data.ndim}{' ' + dims if dims else ''} : {vals}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def desk_params():
+    """A desk forecaster's parameters plus a 0-d and an empty one."""
+    from corridorcast import model as md
+    clusters = [list(range(lo, lo + 4)) for lo in range(0, 24, 4)]
+    model = md.build_forecaster(clusters, 24, 3, md.ForecasterConfig.desk(), seed=1)
+    params = model.parameters()
+    params["scalar"] = Tensor(np.float64(-0.1))
+    params["empty"] = Tensor(np.zeros((3, 0)))
+    return params
+
+
+def test_checkpoint_bytes_match_one_string_oracle(tmp_path, desk_params):
+    streamed, oracle = tmp_path / "streamed.txt", tmp_path / "oracle.txt"
+    nn.save_params(str(streamed), desk_params)
+    one_string_save(str(oracle), desk_params)
+    assert streamed.read_bytes() == oracle.read_bytes()
+    loaded = nn.load_params(str(streamed))
+    assert list(loaded) == list(desk_params)
+    for name, p in desk_params.items():
+        assert loaded[name].shape == p.data.shape and np.array_equal(loaded[name], p.data)
+
+
+def test_checkpoint_token_straddling_a_chunk_boundary(tmp_path, rng, monkeypatch):
+    from corridorcast.nn import checkpoint
+    params = {"straddle.weights.x": Tensor(rng.normal(size=(40, 300))),
+              "b": Tensor(rng.normal(size=7))}
+    path = tmp_path / "ckpt.txt"
+    nn.save_params(str(path), params)
+    line = path.read_text().splitlines()[1]
+    edge = checkpoint._CHUNK
+    assert len(line) > edge and " " not in line[edge - 1:edge + 1]  # a token spans it
+    assert line.index(" : ") + 3 == 30  # so a 30-character chunk ends with the head
+    for chunk in (checkpoint._CHUNK, 30, 31, 37, 64, 1000):
+        monkeypatch.setattr(checkpoint, "_CHUNK", chunk)
+        loaded = nn.load_params(str(path))
+        for name, p in params.items():
+            assert np.array_equal(loaded[name], p.data), (chunk, name)
+
+
+def test_checkpoint_truncated_final_line_raises(tmp_path, rng):
+    path = tmp_path / "ckpt.txt"
+    nn.save_params(str(path), {"w": Tensor(rng.normal(size=(4, 5)) + 3.0)})
+    text = path.read_text()
+    # cut the last token before its exponent: the rest still parses as a float
+    cut = text[:text.rindex("p")]
+    assert float.fromhex(cut.split()[-1]) != float.fromhex(text.split()[-1])
+    for broken in (cut, text[:-1], text[:text.rindex(" ")]):
+        path.write_text(broken)
+        with pytest.raises(nn.CheckpointError):
+            nn.load_params(str(path))
+
+
+def test_checkpoint_failed_save_leaves_no_temp_file(tmp_path, rng):
+    path = tmp_path / "ckpt.txt"
+    good = Tensor(rng.normal(size=3))
+    with pytest.raises(nn.CheckpointError):
+        nn.save_params(str(path), {"a": good, "bad name": good})
+    not_floats = type("P", (), {"data": np.arange(3)})()  # float.hex rejects ints
+    with pytest.raises(TypeError):
+        nn.save_params(str(path), {"a": good, "b": not_floats})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_restore_copies_into_existing_arrays(tmp_path, rng):
+    layer, other = nn.Dense(rng, 6, 5), nn.Dense(rng, 6, 5)
+    path = str(tmp_path / "ckpt.txt")
+    nn.save_params(path, layer.parameters())
+    arrays = {name: p.data for name, p in other.parameters().items()}
+    nn.restore_params(other.parameters(), nn.load_params(path))
+    for name, p in other.parameters().items():
+        assert p.data is arrays[name]
+        assert np.array_equal(p.data, layer.parameters()[name].data)
+
+
+def test_checkpoint_io_memory_stays_bounded(tmp_path, desk_params):
+    # the one-string writer peaks at 28.5 MiB and whole-line reads at 10.7 MiB
+    path = str(tmp_path / "ckpt.txt")
+    peaks = []
+    for call in (lambda: nn.save_params(path, desk_params), lambda: nn.load_params(path)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4 * 2**20
+    assert peaks[1] < 6 * 2**20
