@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from corridorcast import cli
+from corridorcast import cluster as cl
 from corridorcast import evaluation as ev
+from corridorcast import model as md
+from corridorcast import nn
+from corridorcast import panel as pn
 
 TINY_CFG = """\
 # desk-tiny run settings
@@ -221,10 +225,6 @@ def test_missing_eval_reports_deltas(trained, tmp_path):
 def test_missing_eval_memory_stays_bounded(tmp_path):
     # a 24-sensor, 28-day corridor and an untrained desk checkpoint: 43.2 MiB
     # while both passes built every window's arrays and stayed alive together
-    from corridorcast import cluster as cl
-    from corridorcast import model as md
-    from corridorcast import nn
-    from corridorcast import panel as pn
     cfg = write_cfg(tmp_path, "synth_sensors=24\nsynth_days=28\n")
     data = tmp_path / "data"
     assert run("synth", "--out", str(data), "--seed", "11", "--config", cfg) == 0

@@ -5,8 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
+from corridorcast import model as md
 from corridorcast import nn
-from corridorcast.nn import Tensor
+from corridorcast.nn import Tensor, checkpoint
 from corridorcast.nn.autograd import ShapeError, _make
 
 from conftest import assert_grads_close, central_difference_grads
@@ -687,7 +688,6 @@ def one_string_save(path, params):
 @pytest.fixture(scope="module")
 def desk_params():
     """A desk forecaster's parameters plus a 0-d and an empty one."""
-    from corridorcast import model as md
     clusters = [list(range(lo, lo + 4)) for lo in range(0, 24, 4)]
     model = md.build_forecaster(clusters, 24, 3, md.ForecasterConfig.desk(), seed=1)
     params = model.parameters()
@@ -708,7 +708,6 @@ def test_checkpoint_bytes_match_one_string_oracle(tmp_path, desk_params):
 
 
 def test_checkpoint_token_straddling_a_chunk_boundary(tmp_path, rng, monkeypatch):
-    from corridorcast.nn import checkpoint
     params = {"straddle.weights.x": Tensor(rng.normal(size=(40, 300))),
               "b": Tensor(rng.normal(size=7))}
     path = tmp_path / "ckpt.txt"
