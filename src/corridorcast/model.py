@@ -119,8 +119,8 @@ class WindowSet:
     """Stride-1 (w input + h horizon) windows of a decomposed, scaled panel.
 
     The set is an index over the decomposition's (sensor, step, feature)
-    blocks: it holds references to them and to the scaled `out_feature`
-    series, and the anchor step of each window (`t_index`, the last input
+    blocks: it holds a reference to them, a copy of the scaled `out_feature`
+    series and the anchor step of each window (`t_index`, the last input
     step).  `subset` indexes only the anchors.  The per-window arrays
     `anchor_seasonal` and `anchor_trend` (N, sensors) and `target_scaled` and
     `target_st` (N, sensors, h) are gathered on first use, so only a set that
