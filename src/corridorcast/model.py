@@ -600,8 +600,11 @@ def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig, seed:
 
     The last `val_fraction` of the training span is held out for the
     validation curve; training aborts with TrainingDivergence when the epoch
-    loss exceeds `divergence_factor` times the first epoch's loss for
-    `divergence_patience` consecutive epochs.
+    loss exceeds `divergence_factor` times the reference loss for
+    `divergence_patience` consecutive epochs.  The reference is the untrained
+    model's `evaluate_mse` over the training windows, one no-grad pass before
+    the first epoch: an epoch-1 reference would already be inflated when the
+    first epoch blows up.
     """
     n = len(windows)
     if n == 0:

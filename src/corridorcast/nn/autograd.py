@@ -13,9 +13,12 @@ operations record no graph at all, which is how inference runs.
 Only the operations the forecaster needs are implemented: elementwise
 arithmetic, matmul, the usual activations, 2-D convolution (valid/same
 padding), block max-pooling, inverted dropout, reshape, concatenation and
-integer gathers along the sensor axis.  The ConvLSTM recurrence is one
-node of its own (``layers.convlstm_sequence``) built on the same im2col and
-col2im helpers as ``conv2d``.
+integer gathers along the sensor axis.  Every convolution is one banded-row
+matmul (``_Band``): the kernel is expanded once per call into a
+(kh*W*C, Wo*Cout) band holding the column padding and stride, and each output
+row multiplies its kh input rows, laid side by side, by the band.  The
+ConvLSTM recurrence is one node of its own (``layers.convlstm_sequence``)
+built on the same band as ``conv2d``.
 
 Everything is float64 so that central-difference gradient checks are
 meaningful at tight tolerances.
@@ -26,7 +29,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -345,23 +347,68 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- convolution / pooling ----------------------------------------------------
 
 
-def _im2col(xd: np.ndarray, kh: int, kw: int, s1: int, s2: int) -> np.ndarray:
-    """Unroll every (kh, kw) patch of `xd` into a row ordered (p, q, channel)."""
-    win = sliding_window_view(xd, (kh, kw), axis=(1, 2))[:, ::s1, ::s2]
-    B, ho, wo, cin = win.shape[:4]
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(B * ho * wo, kh * kw * cin)
+class _Band:
+    """A 2-D convolution as one matmul of input rows with a banded kernel matrix.
 
+    The (kh, kw, C, G, n) kernel is expanded once into a band of shape
+    (kh*W*C, G*Wo*n) for inputs W columns wide: the entry at row (p, col, c)
+    and column (k, j, f) is w[p, q, c, k, f] where col = j*s2 + q - left, and
+    zero where that tap falls outside the W columns.  So column padding and
+    column stride live in the band, and an input is padded along its rows
+    only.  Each output row multiplies its kh input rows, laid side by side,
+    by the band.  Down a band column the nonzero terms keep the (p, q, c)
+    order of a plain receptive-field sum.  G splits the output channels into
+    groups laid out (group, column, channel), so one group is a slice with
+    runs of Wo*n; `conv2d` uses one group, the ConvLSTM one per gate.
+    """
 
-def _col2im(dcols: np.ndarray, shape, kh: int, kw: int, s1: int, s2: int) -> np.ndarray:
-    """Adjoint of `_im2col`: scatter-add (B*ho*wo, kh*kw*cin) rows into an array of `shape`."""
-    B, H, W, cin = shape
-    ho, wo = (H - kh) // s1 + 1, (W - kw) // s2 + 1
-    dcols = dcols.reshape(B, ho, wo, kh, kw, cin)
-    dxd = np.zeros(shape)
-    for p in range(kh):
-        for q in range(kw):
-            dxd[:, p:p + s1 * ho:s1, q:q + s2 * wo:s2, :] += dcols[:, :, :, p, q, :]
-    return dxd
+    def __init__(self, w: np.ndarray, width: int, strides=(1, 1), cols=(0, 0)):
+        self.kh, kw, self.c, self.groups, self.n = w.shape
+        self.s1, s2 = strides
+        self.width = width
+        self.wo = (width + cols[0] + cols[1] - kw) // s2 + 1
+        # (q, j, col): kernel column q of output column j reads input column col
+        self.taps = [(q, j, j * s2 + q - cols[0]) for q in range(kw) for j in range(self.wo)
+                     if 0 <= j * s2 + q - cols[0] < width]
+        band = np.zeros((self.kh, width, self.c, self.groups, self.wo, self.n))
+        for q, j, col in self.taps:
+            band[:, col, :, :, j] = w[:, q]
+        self.kernel_shape = w.shape
+        self.matrix = band.reshape(self.kh * width * self.c, -1)
+
+    def out_rows(self, height: int) -> int:
+        return (height - self.kh) // self.s1 + 1
+
+    def rows(self, xp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(B, Hp, W, C) row-padded input -> (B*Ho, kh*W*C): each output row's kh input rows.
+
+        `out`, if given, is a (B, Ho, kh, W, C) buffer to fill.
+        """
+        B = xp.shape[0]
+        ho = self.out_rows(xp.shape[1])
+        if out is None:
+            out = np.empty((B, ho, self.kh) + xp.shape[2:])
+        for p in range(self.kh):
+            out[:, :, p] = xp[:, p:p + self.s1 * (ho - 1) + 1:self.s1]
+        return out.reshape(B * ho, -1)
+
+    def fold(self, dband: np.ndarray) -> np.ndarray:
+        """Adjoint of the expansion: sum a band gradient along its diagonals into the kernel's."""
+        d = dband.reshape(self.kh, self.width, self.c, self.groups, self.wo, self.n)
+        dw = np.zeros(self.kernel_shape)
+        for q, j, col in self.taps:
+            dw[:, q] += d[:, col, :, :, j]
+        return dw
+
+    def scatter(self, drows: np.ndarray, shape) -> np.ndarray:
+        """Adjoint of `rows`: add (B*Ho, kh*W*C) row gradients into a zero array of `shape`."""
+        B, hp = shape[:2]
+        ho = self.out_rows(hp)
+        d = drows.reshape((B, ho, self.kh) + tuple(shape[2:]))
+        dxp = np.zeros(shape)
+        for p in range(self.kh):
+            dxp[:, p:p + self.s1 * (ho - 1) + 1:self.s1] += d[:, :, p]
+        return dxp
 
 
 def _same_pads(kh: int, kw: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -374,45 +421,41 @@ def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tens
 
     `padding` is "valid" (no padding) or "same" (stride must be 1; output
     keeps the spatial shape).  Bias and activation are applied by callers.
-    The convolution is unrolled (im2col): every receptive field becomes one
-    row of a (B*Ho*Wo, kh*kw*Cin) matrix, multiplied once by the kernel.
+    The kernel is expanded into a (kh*W*Cin, Wo*Cout) band (`_Band`) that
+    holds the column padding and stride; the input, padded along its rows
+    only, becomes a (B*Ho, kh*W*Cin) matrix of each output row's kh input
+    rows, multiplied once by the band.  Backward folds `rows.T @ g` back onto
+    the kernel and scatters `g @ band.T` with kh row adds.
     """
     kh, kw, cin, cout = w.data.shape
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-D, got {x.data.shape}")
     if x.data.shape[3] != cin:
         raise ShapeError(f"channel mismatch: input {x.data.shape[3]}, kernel {cin}")
-    s1, s2 = strides
     if padding == "same":
-        if (s1, s2) != (1, 1):
+        if tuple(strides) != (1, 1):
             raise ShapeError("same padding requires stride 1")
-        pads = ((0, 0), *_same_pads(kh, kw), (0, 0))
-        xd = np.pad(x.data, pads)
+        (top, bottom), cols = _same_pads(kh, kw)
     elif padding == "valid":
-        pads = None
-        xd = x.data
+        (top, bottom), cols = (0, 0), (0, 0)
     else:
         raise ValueError(f"unknown padding {padding!r}")
-    B, H, W, _ = xd.shape
-    if kh > H or kw > W:
+    B, H, W, _ = x.data.shape
+    if kh > H + top + bottom or kw > W + sum(cols):
         raise ShapeError(f"kernel ({kh},{kw}) larger than input ({H},{W})")
-    ho = (H - kh) // s1 + 1
-    wo = (W - kw) // s2 + 1
-    wmat = w.data.reshape(kh * kw * cin, cout)
-    out_data = (_im2col(xd, kh, kw, s1, s2) @ wmat).reshape(B, ho, wo, cout)
+    xd = np.pad(x.data, ((0, 0), (top, bottom), (0, 0), (0, 0))) if top + bottom else x.data
+    band = _Band(w.data[:, :, :, None, :], W, strides, cols)
+    ho = band.out_rows(xd.shape[1])
+    out_data = (band.rows(xd) @ band.matrix).reshape(B, ho, band.wo, cout)
 
     def backward(g):
-        # the columns are rebuilt here: kept alive by the graph they would
-        # hold a kh*kw-fold copy of every input until backward runs
-        gf = g.reshape(-1, cout)
+        # the rows are rebuilt here: kept alive by the graph they would hold a
+        # kh-fold copy of every input until backward runs
+        gf = g.reshape(B * ho, -1)
         if w.requires_grad:
-            w._accumulate((_im2col(xd, kh, kw, s1, s2).T @ gf).reshape(w.data.shape))
+            w._accumulate(band.fold(band.rows(xd).T @ gf).reshape(w.data.shape))
         if x.requires_grad:
-            dxd = _col2im(gf @ wmat.T, xd.shape, kh, kw, s1, s2)
-            if pads is not None:
-                dxd = dxd[:, pads[1][0]:dxd.shape[1] - pads[1][1] or None,
-                          pads[2][0]:dxd.shape[2] - pads[2][1] or None, :]
-            x._accumulate(dxd)
+            x._accumulate(band.scatter(gf @ band.matrix.T, xd.shape)[:, top:top + H])
 
     return _make(out_data, (x, w), backward)
 

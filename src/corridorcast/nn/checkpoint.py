@@ -91,31 +91,38 @@ def _read_values(fh, text: str, out: np.ndarray, name: str, lineno: int) -> None
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline(_CHUNK).rstrip("\n")
-        if header != _HEADER:
-            raise CheckpointError(f"unrecognized checkpoint header {header!r}")
-        # no line can hold more values than the file has characters
-        most = os.fstat(fh.fileno()).st_size
-        out: dict[str, np.ndarray] = {}
-        lineno = 1
-        while text := fh.readline(_CHUNK):
-            lineno += 1
-            if text.isspace():
-                continue
-            # the head "<name> <ndim> <dims> : " sits in the line's first chunk
-            sep = text.find(" : ")
-            fields = text[:sep].split() if sep >= 0 else []
-            try:
-                name, ndim = fields[0], int(fields[1])
-                shape = tuple(int(d) for d in fields[2:])
-                if len(shape) != ndim or math.prod(shape) > most:
-                    raise ValueError
-                vals = np.empty(shape)
-            except (IndexError, ValueError):
-                raise CheckpointError(f"malformed checkpoint line {lineno}") from None
-            _read_values(fh, text[sep + 3:], vals.reshape(-1), name, lineno)
-            out[name] = vals
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_params(fh)
+    except UnicodeDecodeError:
+        raise CheckpointError(f"checkpoint {path} is not UTF-8 text") from None
+
+
+def _read_params(fh) -> dict[str, np.ndarray]:
+    header = fh.readline(_CHUNK).rstrip("\n")
+    if header != _HEADER:
+        raise CheckpointError(f"unrecognized checkpoint header {header!r}")
+    # no line can hold more values than the file has characters
+    most = os.fstat(fh.fileno()).st_size
+    out: dict[str, np.ndarray] = {}
+    lineno = 1
+    while text := fh.readline(_CHUNK):
+        lineno += 1
+        if text.isspace():
+            continue
+        # the head "<name> <ndim> <dims> : " sits in the line's first chunk
+        sep = text.find(" : ")
+        fields = text[:sep].split() if sep >= 0 else []
+        try:
+            name, ndim = fields[0], int(fields[1])
+            shape = tuple(int(d) for d in fields[2:])
+            if len(shape) != ndim or math.prod(shape) > most:
+                raise ValueError
+            vals = np.empty(shape)
+        except (IndexError, ValueError):
+            raise CheckpointError(f"malformed checkpoint line {lineno}") from None
+        _read_values(fh, text[sep + 3:], vals.reshape(-1), name, lineno)
+        out[name] = vals
     return out
 
 

@@ -179,9 +179,10 @@ class ConvLSTMCell(Layer):
         return h, c
 
 
-# Windows per im2col + matmul in the forward recurrence: the unrolled columns
-# of a whole batch (5.1 MiB for layer 2 at 64 windows) shrink to those of one
-# block.  GEMM rows do not touch each other's sums, so outputs do not change.
+# Windows per banded-row matmul in the forward recurrence: the kh shifted
+# input rows of a whole batch (1.7 MiB for the desk layer 2 at 64 windows)
+# shrink to those of one block.  GEMM rows do not touch each other's sums,
+# so outputs do not change.
 _ROW_BLOCK = 16
 
 
@@ -191,64 +192,72 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
     """The ConvLSTMCell recurrence over the time axis of `x`, as one autograd node.
 
     `x` is (B, T, rows, cols, Cin) and `params` the cell's parameters.  The
-    per-gate kernels are stacked once into one (kh, kw, Cin+n, 4n) kernel
-    with the gates i, f, c, o on its output axis; each step convolves the
-    zero-padded, channel-stacked [x_t, h_{t-1}] with it (im2col and matmul in
-    blocks of `_ROW_BLOCK` windows).  Returns the hidden sequence
-    (B, T, rows, cols, n) if `sequence` is set (else None) and the final h
-    and c.  Each output is a thin child of the one node that runs the
-    recurrence; backward is hand-derived BPTT.
+    per-gate kernels are stacked once into one (kh, kw, Cin+n, 4, n) kernel
+    with the gates i, f, c, o on its fourth axis and expanded into one band
+    (`autograd._Band`) whose output columns run (gate, column, filter).  Each
+    step copies the kh shifted rows of the row-padded, channel-stacked
+    [x_t, h_{t-1}] as contiguous cols*(Cin+n) runs and multiplies them by the
+    band, in blocks of `_ROW_BLOCK` windows; each gate is then a slice with
+    runs of cols*n.  Returns the hidden sequence (B, T, rows, cols, n) if
+    `sequence` is set (else None) and the final h and c.  Each output is a
+    thin child of the one node that runs the recurrence; backward is
+    hand-derived BPTT.
 
     For backward each step keeps only its padded [x, h] input, the activated
-    gates, c and tanh(c); backward rebuilds the columns.  Under `no_grad`
-    nothing per step is kept.
+    gates, c and tanh(c); backward rebuilds the rows, adds `rows.T @ dz` into
+    one band gradient that is folded onto the kernel once, and scatters
+    `dz @ band.T` back with kh row adds.  Under `no_grad` nothing per step is
+    kept.
     """
     B, T, H, W, cin = x.data.shape
     kh, kw, _, n = params["wxi"].data.shape
     gates = ConvLSTMCell.GATES
     p = {name: t.data for name, t in params.items()}
-    kernel = np.concatenate([np.concatenate([p[f"wx{g}"] for g in gates], axis=3),
-                             np.concatenate([p[f"wh{g}"] for g in gates], axis=3)], axis=2)
-    wmat = kernel.reshape(-1, 4 * n)
-    (top, bottom), (left, right) = ag._same_pads(kh, kw)
-    rows, cols = slice(top, top + H), slice(left, left + W)
+    kernel = np.concatenate([np.stack([p[f"wx{g}"] for g in gates], axis=3),
+                             np.stack([p[f"wh{g}"] for g in gates], axis=3)], axis=2)
+    (top, bottom), cols = ag._same_pads(kh, kw)
+    band = ag._Band(kernel, W, cols=cols)
+    rows = slice(top, top + H)
     parents = (x, *(s for s in (h0, c0) if s is not None), *params.values())
     record = ag._grad_enabled and any(t.requires_grad for t in parents)
 
     # per-step buffers for backward when recording, otherwise one reused slot
     # (two for c, which a step reads and writes)
     slots = T if record else 1
-    xh = np.zeros((slots, B, H + top + bottom, W + left + right, cin + n))
+    xh = np.zeros((slots, B, H + top + bottom, W, cin + n))
     act = np.empty((slots, 4, B, H, W, n))  # i, f, tanh candidate g, o
     tcs = np.empty((slots, B, H, W, n))
     cs = np.empty((T + 1 if record else 2, B, H, W, n))
     cs[0] = 0.0 if c0 is None else c0.data
     hs = np.empty((B, T, H, W, n)) if sequence else None
-    z = np.empty((B, H, W, 4 * n))  # gate pre-activations, rewritten each step
+    z = np.empty((B, H, 4, W, n))  # gate pre-activations, rewritten each step
+    zi, zf, zg, zo = (z[:, :, k] for k in range(4))
+    block_rows = np.empty((min(B, _ROW_BLOCK), H, kh, W, cin + n))
     h = None
     if h0 is not None:
-        xh[0, :, rows, cols, cin:] = h0.data
+        xh[0, :, rows, :, cin:] = h0.data
     for t in range(T):
         buf = xh[t % slots]
-        buf[:, rows, cols, :cin] = x.data[:, t]
+        buf[:, rows, :, :cin] = x.data[:, t]
         if h is not None:
-            buf[:, rows, cols, cin:] = h
+            buf[:, rows, :, cin:] = h
         for lo in range(0, B, _ROW_BLOCK):
-            np.matmul(ag._im2col(buf[lo:lo + _ROW_BLOCK], kh, kw, 1, 1), wmat,
-                      out=z[lo:lo + _ROW_BLOCK].reshape(-1, 4 * n))
+            piece = buf[lo:lo + _ROW_BLOCK]
+            np.matmul(band.rows(piece, out=block_rows[:len(piece)]), band.matrix,
+                      out=z[lo:lo + _ROW_BLOCK].reshape(len(piece) * H, -1))
         i, f, g, o = act[t % slots]
         c_prev, c = cs[t % len(cs)], cs[(t + 1) % len(cs)]
-        np.add(z[..., :n], p["wci"] * c_prev, out=i)
+        np.add(zi, p["wci"] * c_prev, out=i)
         i += p["bi"]
         ag._sigmoid(i, i)
-        np.add(z[..., n:2 * n], p["wcf"] * c_prev, out=f)
+        np.add(zf, p["wcf"] * c_prev, out=f)
         f += p["bf"]
         ag._sigmoid(f, f)
-        np.add(z[..., 2 * n:3 * n], p["bc"], out=g)
+        np.add(zg, p["bc"], out=g)
         np.tanh(g, out=g)
         np.multiply(f, c_prev, out=c)
         c += i * g
-        np.add(z[..., 3 * n:], p["wco"] * c, out=o)
+        np.add(zo, p["wco"] * c, out=o)
         o += p["bo"]
         ag._sigmoid(o, o)
         tc = np.tanh(c, out=tcs[t % slots])
@@ -261,15 +270,16 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
 
     def backward(_):
         ghs = out_grads.get("hs")
-        dW = np.zeros_like(wmat)
-        db = np.zeros(4 * n)
+        dband = np.zeros_like(band.matrix)
+        db = np.zeros(4 * W * n)
         dpeep = {gate: np.zeros((H, W, n)) for gate in ("i", "f", "o")}
         dx = np.empty_like(x.data) if x.requires_grad else None
         dh = np.zeros((B, H, W, n)) + out_grads.get("h", 0.0)
         dc = np.zeros((B, H, W, n)) + out_grads.get("c", 0.0)
-        dz = np.empty((B, H, W, 4 * n))  # gate-major: the kernel's output order
-        dzf = dz.reshape(-1, 4 * n)
-        dai, daf, dag, dao = (dz[..., k * n:(k + 1) * n] for k in range(4))
+        dz = np.empty((B, H, 4, W, n))  # the band's output layout
+        dzf = dz.reshape(B * H, -1)
+        dai, daf, dag, dao = (dz[:, :, k] for k in range(4))
+        batch_rows = np.empty((B, H, kh, W, cin + n))
         for t in reversed(range(T)):
             i, f, g, o = act[t]
             c_prev, c, tc = cs[t], cs[t + 1], tcs[t]
@@ -289,8 +299,8 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
             dpeep["o"] += (dao * c).sum(axis=0)
             db += dzf.sum(axis=0)
             dc = dc * f + dai * p["wci"] + daf * p["wcf"]
-            dW += ag._im2col(xh[t], kh, kw, 1, 1).T @ dzf
-            dxh = ag._col2im(dzf @ wmat.T, xh.shape[1:], kh, kw, 1, 1)[:, rows, cols]
+            dband += band.rows(xh[t], out=batch_rows).T @ dzf
+            dxh = band.scatter(dzf @ band.matrix.T, xh.shape[1:])[:, rows]
             if dx is not None:
                 dx[:, t] = dxh[..., :cin]
             dh = dxh[..., cin:]
@@ -299,13 +309,13 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
         for state, grad in ((h0, dh), (c0, dc)):
             if state is not None and state.requires_grad:
                 state._accumulate(grad)
-        dW = dW.reshape(kernel.shape)
+        dW = band.fold(dband)
+        db = db.reshape(4, W, n).sum(axis=1)
         grads = {f"wc{gate}": d for gate, d in dpeep.items()}
         for k, gate in enumerate(gates):
-            out_axis = slice(k * n, (k + 1) * n)
-            grads[f"wx{gate}"] = dW[:, :, :cin, out_axis]
-            grads[f"wh{gate}"] = dW[:, :, cin:, out_axis]
-            grads[f"b{gate}"] = db[out_axis]
+            grads[f"wx{gate}"] = dW[:, :, :cin, k]
+            grads[f"wh{gate}"] = dW[:, :, cin:, k]
+            grads[f"b{gate}"] = db[k]
         for name, t in params.items():
             if t.requires_grad:
                 t._accumulate(grads[name])

@@ -352,3 +352,17 @@ def test_exit_code_truncated_checkpoint(trained, tmp_path, keep):
                "--clusters", str(cdir / "clusters.csv"), "--model", str(cut),
                "--report", str(tmp_path / "report.csv"), "--seed", "7",
                "--config", cfg) == 3
+
+
+def test_exit_code_non_utf8_checkpoint(trained, tmp_path, capsys):
+    out, cfg, cdir, tdir = trained
+    header, rest = (tdir / "checkpoint.txt").read_bytes().split(b"\n", 1)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(header + b"\n\xff\xfe" + rest)
+    capsys.readouterr()
+    assert run("eval", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--clusters", str(cdir / "clusters.csv"), "--model", str(bad),
+               "--report", str(tmp_path / "report.csv"), "--seed", "7",
+               "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not UTF-8 text" in err[0]

@@ -138,6 +138,20 @@ def test_conv2d_same_padding_keeps_shape(rng):
     assert out.data.shape == (2, 5, 4, 2)
 
 
+@pytest.mark.parametrize("padding,kh,kw", [("same", 3, 3), ("same", 3, 2), ("same", 5, 2),
+                                           ("valid", 5, 2)])
+def test_conv2d_same_padding_matches_loop_oracle(rng, padding, kh, kw):
+    # 3x2 pads its columns (0, 1); kh == H = 5 spans every input row, and
+    # gives one output row when valid, as MultiKernelConv uses it
+    x = rng.normal(size=(2, 5, 4, 3))
+    w = rng.normal(size=(kh, kw, 3, 2))
+    pads = ((0, 0), ((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2), (0, 0))
+    want = conv2d_loop(np.pad(x, pads) if padding == "same" else x, w)
+    out = nn.conv2d(Tensor(x), Tensor(w), padding=padding)
+    assert out.data.shape == want.shape
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+
 def test_conv2d_kernel_too_large(rng):
     x = rng.normal(size=(1, 2, 2, 1))
     w = rng.normal(size=(3, 3, 1, 1))
@@ -314,12 +328,24 @@ def test_convlstm_fused_gates_match_per_gate_convolutions(rng):
 
 
 def test_convlstm_sequence_matches_per_step_oracle(rng):
+    check_sequence_against_per_step_oracle(rng, kernel=3)
+
+
+@pytest.mark.parametrize("kernel", [1, 2, 5])
+def test_convlstm_sequence_matches_per_step_oracle_other_kernels(rng, kernel):
+    # kernel 1 has a block-diagonal band; kernel 2 pads rows and columns
+    # (0, 1); with kernel 5 on 4 columns some taps of the edge columns fall
+    # wholly outside the grid
+    check_sequence_against_per_step_oracle(rng, kernel)
+
+
+def check_sequence_against_per_step_oracle(rng, kernel):
     # two stacked cells on the desk grid (24 sensors x 4 channels) over a
     # 6-step window, as in the forecaster; every parameter random, so the
     # peepholes and biases are nonzero
     b, steps, grid = 3, 6, (24, 4)
-    cells = [make_cell(rng, spatial=grid, cin=2, filters=4),
-             make_cell(rng, spatial=grid, cin=4, filters=8)]
+    cells = [make_cell(rng, spatial=grid, cin=2, filters=4, kernel=kernel),
+             make_cell(rng, spatial=grid, cin=4, filters=8, kernel=kernel)]
     for cell in cells:
         for p in cell.parameters().values():
             p.data = 0.5 * rng.normal(size=p.data.shape)
