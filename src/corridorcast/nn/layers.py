@@ -231,7 +231,6 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
     cs[0] = 0.0 if c0 is None else c0.data
     hs = np.empty((B, T, H, W, n)) if sequence else None
     z = np.empty((B, H, 4, W, n))  # gate pre-activations, rewritten each step
-    zi, zf, zg, zo = (z[:, :, k] for k in range(4))
     block_rows = np.empty((min(B, _ROW_BLOCK), H, kh, W, cin + n))
     h = None
     if h0 is not None:
@@ -247,17 +246,17 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
                       out=z[lo:lo + _ROW_BLOCK].reshape(len(piece) * H, -1))
         i, f, g, o = act[t % slots]
         c_prev, c = cs[t % len(cs)], cs[(t + 1) % len(cs)]
-        np.add(zi, p["wci"] * c_prev, out=i)
+        np.add(z[:, :, 0], p["wci"] * c_prev, out=i)
         i += p["bi"]
         ag._sigmoid(i, i)
-        np.add(zf, p["wcf"] * c_prev, out=f)
+        np.add(z[:, :, 1], p["wcf"] * c_prev, out=f)
         f += p["bf"]
         ag._sigmoid(f, f)
-        np.add(zg, p["bc"], out=g)
+        np.add(z[:, :, 2], p["bc"], out=g)
         np.tanh(g, out=g)
         np.multiply(f, c_prev, out=c)
         c += i * g
-        np.add(zo, p["wco"] * c, out=o)
+        np.add(z[:, :, 3], p["wco"] * c, out=o)
         o += p["bo"]
         ag._sigmoid(o, o)
         tc = np.tanh(c, out=tcs[t % slots])
