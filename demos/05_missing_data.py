@@ -7,20 +7,14 @@ scored against the retained ground truth.  Compares the error increase of
 the forecaster with and without its denoising heads.
 """
 
-import numpy as np
-
-from corridorcast import decompose as dc
 from corridorcast import evaluation as ev
 from corridorcast import model as md
-from corridorcast import panel as pn
+from corridorcast import pipeline as pl
 
 SEED = 7
+run = pl.RunConfig()
 panel = ev.synth_generate(ev.SynthConfig(), sensors=8, days=21, seed=SEED)
-boundary = int(0.75 * panel.n_steps)
-period = dc.daily_period(panel.step_minutes)
-scaling = pn.fit_scale(panel, (0, boundary))
-scaled = pn.apply_scale(panel, scaling)
-decomp = dc.decompose_panel(scaled, period)
+scaling = pl.fit_scaling(panel, run)
 clusters = [[0, 1, 2, 3], [3, 4, 5, 6, 7]]
 
 frac = ev.expected_missing_fraction()
@@ -30,29 +24,16 @@ results = {}
 for use_dae in (True, False):
     cfg = md.ForecasterConfig.desk(epochs=8, learning_rate=8e-3, batch_size=128,
                                    use_dae=use_dae)
-    windows = md.make_windows(scaled, decomp, cfg.window, cfg.horizon)
-    train_w, test_w = md.split_by_time(windows, boundary, cfg.horizon)
-    pretrained = None
-    if use_dae:
-        blocks = md.cluster_target_blocks(train_w, clusters)
-        pretrained, _ = md.pretrain_dae(blocks, cfg, SEED)
-    model = md.build_forecaster(clusters, panel.n_sensors, 3, cfg, SEED,
-                                pretrained_dae=pretrained)
-    md.train(model, train_w, cfg, SEED)
-
-    pred = md.recover_predictions(model.predict(test_w), test_w, scaling)
-    truth = md.horizon_truth(panel, test_w.t_index, cfg.horizon)
+    _, train_w, test_w = pl.windows(panel, run, cfg, scaling)
+    model, _, _ = pl.fit(panel, clusters, train_w, cfg, SEED)
+    pred, truth, _, _ = pl.score(model, panel, scaling, test_w)
     clean_mae = ev.mae(truth, pred)
 
     corrupted, injected = ev.inject_missing(panel, seed=SEED + 100)
     print(f"injected {injected[:, :, 0].mean() * 100:.2f}% missing cells"
           if use_dae else "", end="")
-    scaled_c = pn.apply_scale(corrupted, scaling)
-    decomp_c = dc.decompose_panel(scaled_c, period)
-    windows_c = md.make_windows(scaled_c, decomp_c, cfg.window, cfg.horizon)
-    _, test_c = md.split_by_time(windows_c, boundary, cfg.horizon)
-    pred_c = md.recover_predictions(model.predict(test_c), test_c, scaling)
-    truth_c = md.horizon_truth(panel, test_c.t_index, cfg.horizon)
+    test_c = pl.windows(corrupted, run, cfg, scaling)[2]
+    pred_c, truth_c, _, _ = pl.score(model, panel, scaling, test_c)
     missing_mae = ev.mae(truth_c, pred_c)
 
     label = "with DAE heads" if use_dae else "without DAE heads"

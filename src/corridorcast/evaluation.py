@@ -156,6 +156,8 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.free_speed, self.wave_speed, self.max_density) <= 0:
             raise ConfigError("physical parameters must be positive")
+        if len(self.weekday_factors) != 7:
+            raise ConfigError("weekday_factors needs seven entries, Monday to Sunday")
 
 
 def fundamental_flow(occupancy, free_speed, wave_speed, max_density):

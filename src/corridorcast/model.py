@@ -18,9 +18,8 @@ recovered by adding the anchors back before inverting the scaling.
 from __future__ import annotations
 
 import functools
-import hashlib
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +56,8 @@ class ForecasterConfig:
     use_dae: bool = True
 
     def __post_init__(self):
+        if len(self.conv_filters) != 2 or len(self.convlstm_filters) != 2:
+            raise ConfigError("conv_filters and convlstm_filters need two entries each")
         numbers = (self.window, self.horizon, *self.conv_filters, self.conv_time_kernel,
                    self.conv_pool, self.proj_channels, *self.convlstm_filters,
                    self.convlstm_kernel, self.post_units, *self.dae_widths,
@@ -75,41 +76,6 @@ class ForecasterConfig:
                     epochs=25, pretrain_epochs=20, learning_rate=3e-3)
         base.update(overrides)
         return cls(**base)
-
-    def to_items(self) -> dict[str, str]:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                out[f.name] = ",".join(str(x) for x in v)
-            else:
-                out[f.name] = str(v)
-        return out
-
-    @classmethod
-    def from_items(cls, items: dict[str, str]) -> "ForecasterConfig":
-        known = {f.name: f for f in fields(cls)}
-        unknown = set(items) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for name, raw in items.items():
-            default = cls.__dataclass_fields__[name].default
-            if isinstance(default, tuple):
-                kwargs[name] = tuple(int(x) for x in raw.split(","))
-            elif isinstance(default, bool):
-                if raw not in ("true", "false", "True", "False", "0", "1"):
-                    raise ConfigError(f"bad boolean for {name}: {raw!r}")
-                kwargs[name] = raw in ("true", "True", "1")
-            elif isinstance(default, int):
-                kwargs[name] = int(raw)
-            else:
-                kwargs[name] = float(raw)
-        return cls(**kwargs)
-
-    def hash(self) -> str:
-        text = ";".join(f"{k}={v}" for k, v in sorted(self.to_items().items()))
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 # -- windowing -----------------------------------------------------------------

@@ -1,0 +1,287 @@
+"""The forecasting chain, written once for the command line and the demos.
+
+load -> filter -> impute; boundary -> scale -> decompose; DTW -> FHC -> ramps;
+windows -> split; DAE pretraining -> forecaster -> training; score -> regime
+split.  Every function takes a panel and config objects, never parsed
+command-line arguments, so the CLI only parses arguments and writes
+artifacts.
+
+The module also holds the run settings (`RunConfig`), the one text codec for
+flat config dataclasses (`encode`, `decode`) and `load_config`, which reads a
+flat key=value file into the run, forecaster and synthetic-corridor settings.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
+
+from . import cluster as cl
+from . import decompose as dc
+from . import dtw as dt
+from . import evaluation as ev
+from . import model as md
+from . import panel as pn
+from .errors import ConfigError
+from .nn import load_params, restore_params
+
+# -- configuration -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Flat pipeline settings; forecaster and synth settings ride along."""
+
+    completeness_min: float = 0.9
+    train_fraction: float = 0.75
+    neighbor_radius_miles: float = 2.0
+    dtw_window_hours: float = 2.0
+    dtw_quantile: float = 0.75
+    dtw_normalize: bool = False
+    cluster_max_span_miles: float = 10.0
+    cluster_threshold: float = 0.1
+    cluster_m: float = 2.0
+    peak_occupancy: float = 8.0
+    synth_sensors: int = 24
+    synth_days: int = 56
+
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError("train_fraction must lie strictly between 0 and 1")
+        if self.cluster_m <= 1.0:
+            raise ConfigError("cluster_m must exceed 1")
+        if self.synth_sensors < 1 or self.synth_days < 1:
+            raise ConfigError("synth_sensors and synth_days must be at least 1")
+
+
+_SYNTH_PREFIX = "synth_"
+
+
+def encode(cfg, prefix: str = "") -> dict[str, str]:
+    """Each field of a flat dataclass as `prefix + name -> text`; tuples are comma-joined."""
+    out = {}
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        out[prefix + f.name] = ",".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
+    return out
+
+
+def _parse(raw: str, default):
+    if isinstance(default, bool):
+        if raw.lower() not in ("true", "false", "0", "1"):
+            raise ValueError("expected true, false, 0 or 1")
+        return raw.lower() in ("true", "1")
+    if isinstance(default, tuple):
+        return tuple(_parse(x, default[0]) for x in raw.split(","))
+    return type(default)(raw)
+
+
+def decode(base, items: dict[str, str], prefix: str = "",
+           origin: dict[str, str] | None = None):
+    """`base` with each field named in `items` (as `prefix + name`) parsed from text.
+
+    A value parses by the type of the field's value in `base`; tuple elements
+    by the type of its first element, booleans as case-insensitive
+    true/false/0/1.  A key that names no field or a value that does not parse
+    raises ConfigError naming the key, after `origin[key]` (where it was read)
+    when given.  The dataclass's own checks then run on the result.
+    """
+    names = {prefix + f.name: f.name for f in fields(base)}
+    kwargs = {}
+    for key, raw in items.items():
+        where = f"{origin[key]}: " if origin and key in origin else ""
+        if key not in names:
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        try:
+            kwargs[names[key]] = _parse(raw, getattr(base, names[key]))
+        except ValueError as exc:
+            raise ConfigError(f"{where}bad value {raw!r} for {key!r}: {exc}") from None
+    return replace(base, **kwargs)
+
+
+def config_hash(f: md.ForecasterConfig) -> str:
+    """Short digest of the encoded forecaster settings, written into reports."""
+    text = ";".join(f"{k}={v}" for k, v in sorted(encode(f).items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+@dataclass
+class ResolvedConfig:
+    run: RunConfig
+    forecaster: md.ForecasterConfig
+    synth: ev.SynthConfig
+
+    def to_text(self) -> str:
+        items = {**encode(self.run), **encode(self.forecaster),
+                 **encode(self.synth, _SYNTH_PREFIX)}
+        return "".join(f"{k}={items[k]}\n" for k in sorted(items))
+
+
+def load_config(path: str | None) -> ResolvedConfig:
+    """Parse a flat key=value file over the defaults; unknown keys are rejected.
+
+    The forecaster defaults are `ForecasterConfig.desk()`.  A file that
+    cannot be read, an unknown key or a bad value raises ConfigError.
+    """
+    sections = ((RunConfig(), ""), (md.ForecasterConfig.desk(), ""),
+                (ev.SynthConfig(), _SYNTH_PREFIX))
+    keys = [set(encode(base, prefix)) for base, prefix in sections]
+    items: list[dict[str, str]] = [{} for _ in sections]
+    origin: dict[str, str] = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path} is not UTF-8 text") from None
+        for lineno, line in enumerate(text.split("\n"), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            section = next((i for i, known in enumerate(keys) if key in known), None)
+            if section is None:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            items[section][key] = value.strip()
+            origin[key] = f"{path}:{lineno}"
+    return ResolvedConfig(*(decode(base, found, prefix, origin)
+                            for (base, prefix), found in zip(sections, items)))
+
+
+# -- panel, scaling and decomposition ----------------------------------------------------
+
+
+def load_panel(data_path: str, meta_path: str, run: RunConfig) -> pn.Panel:
+    """Read the CSV pair, drop incomplete sensors and forward-fill the gaps."""
+    p = pn.load_csv(data_path, meta_path)
+    p = pn.filter_complete(p, run.completeness_min)
+    return pn.impute_forward(p)
+
+
+def boundary(p: pn.Panel, run: RunConfig) -> int:
+    """First step of the test span."""
+    return int(run.train_fraction * p.n_steps)
+
+
+def fit_scaling(p: pn.Panel, run: RunConfig) -> pn.ScalingParams:
+    """Min-max scaling fit on the training span only."""
+    return pn.fit_scale(p, (0, boundary(p, run)))
+
+
+def decompose(p: pn.Panel) -> dc.Decomposition:
+    """Seasonal + trend + residual of every series, with the daily period."""
+    return dc.decompose_panel(p, dc.daily_period(p.step_minutes))
+
+
+# -- clustering ------------------------------------------------------------------------
+
+
+def cluster(p: pn.Panel, run: RunConfig) -> tuple[dt.DistanceTable, cl.MembershipMatrix]:
+    """DTW distances of neighbouring residuals over the training span, then FHC.
+
+    Ramp sensors join the home cluster of their nearest mainline sensor.
+    """
+    end = boundary(p, run)
+    scaled = pn.apply_scale(p, fit_scaling(p, run))
+    decomp = decompose(scaled)
+    steps_per_hour = 60.0 / p.step_minutes
+    window_len = max(2, int(round(run.dtw_window_hours * steps_per_hour)))
+    occ_idx = p.features.index("occupancy")
+    train_occ = scaled.values[:, :end, occ_idx]
+    active = dt.active_windows_by_occupancy(train_occ, window_len, window_len,
+                                            run.dtw_quantile)
+    neighbors = pn.neighbor_pairs(p.sensors, run.neighbor_radius_miles)
+    residuals = decomp.residual[:, :end, :]
+    table = dt.rolling_dtw_matrix(residuals, neighbors, window_len, window_len,
+                                  active_mask=active, normalize=run.dtw_normalize)
+    mm = cl.fhc(table, p.sensors, run.cluster_max_span_miles, run.cluster_threshold,
+                run.cluster_m)
+    return table, cl.attach_ramps(mm, p.sensors)
+
+
+# -- windows, training and scoring -------------------------------------------------------
+
+
+def windows(p: pn.Panel, run: RunConfig, f: md.ForecasterConfig,
+            scaling: pn.ScalingParams):
+    """The decomposition of `p` scaled by `scaling`, and its training and test windows.
+
+    A window set builds its per-window arrays only when it is scored or
+    trained on, so a caller pays only for the span it uses.
+    """
+    scaled = pn.apply_scale(p, scaling)
+    decomp = decompose(scaled)
+    ws = md.make_windows(scaled, decomp, f.window, f.horizon)
+    return (decomp, *md.split_by_time(ws, boundary(p, run), f.horizon))
+
+
+def fit(p: pn.Panel, clusters: list[list[int]], train_w: md.WindowSet,
+        f: md.ForecasterConfig, seed: int, log=None):
+    """Pretrain the DAE heads (when `f.use_dae`), build the forecaster and train it.
+
+    Returns the model, its training history and the DAE pretraining loss
+    curves, one per cluster (empty without DAE heads).  `log` receives the
+    pretraining notes.
+    """
+    pretrained, curves = None, []
+    if f.use_dae:
+        blocks = md.cluster_target_blocks(train_w, clusters)
+        pretrained, curves = md.pretrain_dae(blocks, f, seed, log=log)
+    model = md.build_forecaster(clusters, p.n_sensors, len(p.features), f, seed,
+                                pretrained_dae=pretrained)
+    history = md.train(model, train_w, f, seed)
+    return model, history, curves
+
+
+def load_model(path: str, p: pn.Panel, clusters: list[list[int]], f: md.ForecasterConfig,
+               seed: int) -> md.Forecaster:
+    """A forecaster for `p` and `clusters` with the parameters of checkpoint `path`."""
+    model = md.build_forecaster(clusters, p.n_sensors, len(p.features), f, seed)
+    restore_params(model.parameters(), load_params(path))
+    return model
+
+
+def score(model: md.Forecaster, p: pn.Panel, scaling: pn.ScalingParams, ws: md.WindowSet):
+    """Forecast `ws` in original units: (pred, truth, MAE and RMSE per horizon).
+
+    The truth comes from `p`, so windows of a corrupted copy of `p` are scored
+    against the retained values.
+    """
+    pred = md.recover_predictions(model.predict(ws), ws, scaling)
+    truth = md.horizon_truth(p, ws.t_index, ws.h)
+    mae_h = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(ws.h)]
+    rmse_h = [ev.rmse(truth[:, :, j], pred[:, :, j]) for j in range(ws.h)]
+    return pred, truth, mae_h, rmse_h
+
+
+def regime_errors(p: pn.Panel, decomp: dc.Decomposition, ws: md.WindowSet,
+                  pred: np.ndarray, truth: np.ndarray,
+                  peak_occupancy: float) -> dict[str, float | None]:
+    """MAE and residual MAE over peak and off-peak target steps.
+
+    Keys are `peak_mae`, `peak_residual_mae`, `offpeak_mae` and
+    `offpeak_residual_mae`; a regime with no target step maps to None.
+    """
+    peak_steps, _ = ev.split_peak(p, peak_occupancy)
+    target_steps = ws.t_index[:, None] + np.arange(1, ws.h + 1)[None, :]
+    in_peak = np.isin(target_steps, peak_steps)
+    s_blk = decomp.seasonal[:, target_steps, 0].transpose(1, 0, 2)
+    t_blk = decomp.trend[:, target_steps, 0].transpose(1, 0, 2)
+    regime = {}
+    for name, sel in (("peak", in_peak), ("offpeak", ~in_peak)):
+        sel3 = np.broadcast_to(sel[:, None, :], truth.shape)
+        if sel.any():
+            regime[name + "_mae"] = ev.mae(truth[sel3], pred[sel3])
+            regime[name + "_residual_mae"] = ev.residual_mae(
+                truth[sel3], pred[sel3], s_blk[sel3], t_blk[sel3])
+        else:
+            regime[name + "_mae"] = None
+            regime[name + "_residual_mae"] = None
+    return regime

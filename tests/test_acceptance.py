@@ -20,7 +20,6 @@ from corridorcast import panel as pn
 from corridorcast.nn import Tensor
 
 from conftest import assert_grads_close, central_difference_grads
-from pipeline_helpers import corridor_experiment, regime_mae
 from test_cluster import metas, table
 from test_dtw import dtw_bruteforce
 

@@ -52,9 +52,16 @@ def test_load_config_rejects_unknown_key(tmp_path):
         cli.load_config(path)
 
 
-def test_load_config_defaults_roundtrip(tmp_path):
-    cfg = cli.load_config(None)
+@pytest.mark.parametrize("given, resolved", [
+    (None, []),
+    ("synth_weekday_factors=1,1,1,1,1,0.5,0.25\nuse_dae=false\ntrain_fraction=0.6\n",
+     ["synth_weekday_factors=1.0,1.0,1.0,1.0,1.0,0.5,0.25", "use_dae=False",
+      "train_fraction=0.6"]),
+], ids=["defaults", "overrides"])
+def test_load_config_defaults_roundtrip(tmp_path, given, resolved):
+    cfg = cli.load_config(None if given is None else write_cfg(tmp_path, given, "given.cfg"))
     text = cfg.to_text()
+    assert set(resolved) <= set(text.splitlines())
     path = tmp_path / "full.cfg"
     path.write_text(text)
     again = cli.load_config(str(path))
@@ -253,12 +260,48 @@ def test_exit_code_missing_file(tmp_path):
                "--meta", str(tmp_path / "nope2.csv"), "--out", str(tmp_path / "o")) == 3
 
 
-def test_exit_code_bad_config(tmp_path, synth_dir):
+BAD_CONFIG_LINES = [
+    ("imaginary_key=2", "bad.cfg:1: unknown config key 'imaginary_key'"),
+    ("epochs=abc", "bad.cfg:1: bad value 'abc' for 'epochs'"),
+    ("epochs=2.5", "bad.cfg:1: bad value '2.5' for 'epochs'"),
+    ("conv_filters=8,x", "bad.cfg:1: bad value '8,x' for 'conv_filters'"),
+    ("train_fraction=abc", "bad.cfg:1: bad value 'abc' for 'train_fraction'"),
+    ("conv_filters=2", "conv_filters and convlstm_filters need two entries"),
+    ("convlstm_filters=2,2,2", "conv_filters and convlstm_filters need two entries"),
+    ("synth_weekday_factors=1,2", "weekday_factors needs seven entries"),
+    ("synth_sensors=-3", "synth_sensors and synth_days must be at least 1"),
+    ("synth_days=0", "synth_sensors and synth_days must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_CONFIG_LINES,
+                         ids=[line for line, _ in BAD_CONFIG_LINES])
+def test_exit_code_bad_config(tmp_path, synth_dir, capsys, line, message):
     out, _ = synth_dir
-    bad = write_cfg(tmp_path, "imaginary_key=2\n", name="bad.cfg")
+    bad = write_cfg(tmp_path, line + "\n", name="bad.cfg")
+    capsys.readouterr()
     assert run("decompose", "--data", str(out / "data.csv"), "--meta",
                str(out / "meta.csv"), "--out", str(tmp_path / "o"),
                "--config", bad) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config file"),
+    (b"epochs=\xff\xfe3\n", "is not UTF-8 text"),
+], ids=["absent", "not-utf8"])
+def test_exit_code_unreadable_config(synth_dir, tmp_path, capsys, content, message):
+    out, _ = synth_dir
+    cfg = tmp_path / "given.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    capsys.readouterr()
+    assert run("decompose", "--data", str(out / "data.csv"), "--meta",
+               str(out / "meta.csv"), "--out", str(tmp_path / "o"),
+               "--config", str(cfg)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0] and "given.cfg" in err[0]
 
 
 def test_exit_code_missing_required_flag(tmp_path):
@@ -310,8 +353,8 @@ def test_exit_code_unknown_sensor_in_clusters(synth_dir, tmp_path, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("training started before the cluster file was checked")
 
-    monkeypatch.setattr(cli.md, "pretrain_dae", no_training)
-    monkeypatch.setattr(cli.md, "train", no_training)
+    monkeypatch.setattr(md, "pretrain_dae", no_training)
+    monkeypatch.setattr(md, "train", no_training)
     tdir = tmp_path / "train"
     assert run("train", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
                "--clusters", str(clusters), "--out", str(tdir),

@@ -7,6 +7,7 @@ from corridorcast import decompose as dc
 from corridorcast import evaluation as ev
 from corridorcast import model as md
 from corridorcast import panel as pn
+from corridorcast import pipeline as pl
 from corridorcast.errors import ConfigError, InsufficientDataError, TrainingDivergence
 from corridorcast.nn import restore_params
 
@@ -52,14 +53,20 @@ def test_config_desk_is_smaller_than_reference():
 
 def test_config_items_roundtrip():
     cfg = md.ForecasterConfig.desk(epochs=7)
-    again = md.ForecasterConfig.from_items(cfg.to_items())
+    again = pl.decode(md.ForecasterConfig(), pl.encode(cfg))
     assert again == cfg
-    assert again.hash() == cfg.hash()
+    assert pl.config_hash(again) == pl.config_hash(cfg)
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        md.ForecasterConfig.from_items({"not_a_key": "1"})
+        pl.decode(md.ForecasterConfig(), {"not_a_key": "1"})
+
+
+def test_config_hash_is_pinned():
+    # reports carry this digest, so a change to the codec must not move it
+    assert pl.config_hash(md.ForecasterConfig.desk()) == "f6aed63390bb"
+    assert pl.config_hash(md.ForecasterConfig()) == "a28998dbaf02"
 
 
 # -- windowing -------------------------------------------------------------------
