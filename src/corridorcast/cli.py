@@ -115,13 +115,7 @@ def cmd_train(args) -> int:
     model, history, curves = pl.fit(p, mm.clusters, train_w, cfg.forecaster, args.seed,
                                     log=notes.append)
     save_params(os.path.join(args.out, "checkpoint.txt"), model.parameters())
-    history.write_log(os.path.join(args.out, "run.log"))
-    with open(os.path.join(args.out, "run.log"), "a") as fh:
-        for note in notes:
-            fh.write(f"note={note}\n")
-        for j, losses in enumerate(curves):
-            for epoch, loss in enumerate(losses, 1):
-                fh.write(f"dae_cluster={j} epoch={epoch} loss={loss:.9g}\n")
+    history.write_log(os.path.join(args.out, "run.log"), notes, curves)
     _emit_config(args.out, cfg, args.seed)
     return EXIT_OK
 

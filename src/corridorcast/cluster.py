@@ -250,6 +250,10 @@ def fhc(distances: DistanceTable, meta, max_avg_span_miles: float = 10.0,
     Repeatedly merges the closest mergeable pair (lowest index pair on ties)
     until the mean cluster span would exceed `max_avg_span_miles` or no pair
     is left; sensors never structurally merged become singleton clusters.
+
+    `m` changes no output: memberships are d_min / (d + d_min), and
+    `ClusterState._set_membership` drops the re-clamped distance of
+    `fuzzy_update`, the only value `m` enters.
     """
     positions = {i: s.position for i, s in enumerate(meta)
                  if s.kind == SensorKind.MAINLINE}

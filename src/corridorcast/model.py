@@ -284,21 +284,18 @@ class DAEHead(nn.Layer):
         super().__init__()
         self.in_dim = in_dim
         self.widths = scale_dae_widths(widths, in_dim)
-        self.dropout = nn.Dropout(dropout_rate)
+        self.dropout_rate = dropout_rate
         self.dense: list[nn.Dense] = []
         dims = [in_dim, *self.widths, in_dim]
         for li, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
             act = "identity" if li == len(dims) - 2 else "relu"
-            layer = nn.Dense(rng, a, b, activation=act)
-            self.dense.append(layer)
-            for pname, p in layer.parameters().items():
-                self._params[f"l{li}.{pname}"] = p
+            self.dense.append(self._adopt(f"l{li}", nn.Dense(rng, a, b, activation=act)))
 
     def __call__(self, x: Tensor, training: bool, rng=None) -> Tensor:
         h = x
         for li, layer in enumerate(self.dense):
             if li > 0:
-                h = self.dropout(h, training, rng)
+                h = nn.dropout(h, self.dropout_rate, training, rng=rng)
             h = layer(h)
         return h
 
@@ -321,24 +318,13 @@ def pretrain_dae(cluster_blocks: list[np.ndarray], config: ForecasterConfig, see
         head = DAEHead(rng, dim, config.dae_widths, config.dropout)
         if head.widths != tuple(config.dae_widths) and log is not None:
             log(f"cluster {j}: dae widths scaled to {head.widths} for dim {dim}")
-        adam = nn.Adam(head.parameters(), lr=config.learning_rate)
-        batch = min(config.batch_size, n)
-        losses: list[float] = []
-        for _ in range(config.pretrain_epochs):
-            order = rng.permutation(n)
-            total, seen = 0.0, 0
-            for lo in range(0, n, batch):
-                idx = order[lo:lo + batch]
-                x = Tensor(block[idx])
-                recon = head(x, training=True, rng=rng)
-                loss = nn.mean(nn.square(recon - Tensor(block[idx])))
-                adam.zero_grad()
-                loss.backward()
-                adam.step()
-                total += float(loss.data) * len(idx)
-                seen += len(idx)
-            losses.append(total / seen)
-        curves.append(losses)
+
+        def batch_loss(idx):
+            recon = head(Tensor(block[idx]), training=True, rng=rng)
+            return nn.mean(nn.square(recon - Tensor(block[idx])))
+
+        curves.append([loss for loss, _ in minibatch_epochs(
+            head, n, config, config.pretrain_epochs, rng, batch_loss)])
         out.append({k: p.data.copy() for k, p in head.parameters().items()})
     return out, curves
 
@@ -346,7 +332,7 @@ def pretrain_dae(cluster_blocks: list[np.ndarray], config: ForecasterConfig, see
 # -- the forecaster ------------------------------------------------------------------
 
 
-class Forecaster:
+class Forecaster(nn.Layer):
     """Cluster-aware convolution-LSTM forecaster with optional DAE heads."""
 
     def __init__(self, clusters: list[list[int]], n_sensors: int, n_features: int,
@@ -380,79 +366,56 @@ class Forecaster:
         t2 = t_pooled - conv2_kernel + 1
 
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        self._params: dict[str, Tensor] = {}
+        super().__init__()
         self.layers: list[tuple[str, dict]] = []
 
-        self.mkconv = nn.MultiKernelConv(rng, self.clusters, cfg.conv_time_kernel,
-                                         n_features, f1)
-        self._adopt("mk", self.mkconv)
+        self.mkconv = self._adopt("mk", nn.MultiKernelConv(
+            rng, self.clusters, cfg.conv_time_kernel, n_features, f1))
         self.layers.append(("multikernel_conv", {"clusters": len(clusters),
                                                  "filters": f1,
                                                  "time_kernel": cfg.conv_time_kernel}))
-        self.cluster_conv2 = []
-        for j in range(len(clusters)):
-            conv = nn.Conv2d(rng, 1, conv2_kernel, f1, f2, activation="relu")
-            self.cluster_conv2.append(conv)
-            self._adopt(f"conv2.{j}", conv)
+        self.cluster_conv2 = [
+            self._adopt(f"conv2.{j}", nn.Conv2d(rng, 1, conv2_kernel, f1, f2, activation="relu"))
+            for j in range(len(clusters))]
         self.layers.append(("cluster_conv2", {"filters": f2, "time_kernel": conv2_kernel}))
 
         concat_dim = len(clusters) * t2 * f2
-        self.proj = nn.Dense(rng, concat_dim, w * n_sensors * v, activation="relu")
-        self._adopt("proj", self.proj)
-        self.trend_proj = nn.Dense(rng, n_sensors * w * n_features, w * n_sensors * v,
-                                   activation="relu")
-        self._adopt("trend", self.trend_proj)
+        self.proj = self._adopt("proj", nn.Dense(rng, concat_dim, w * n_sensors * v,
+                                                 activation="relu"))
+        self.trend_proj = self._adopt("trend", nn.Dense(
+            rng, n_sensors * w * n_features, w * n_sensors * v, activation="relu"))
         self.layers.append(("grid_projection", {"grid": (w, n_sensors, v, 2)}))
 
-        self.lstm1 = nn.ConvLSTMCell(rng, (n_sensors, v), 2, l1, cfg.convlstm_kernel)
-        self._adopt("lstm1", self.lstm1)
-        self.lstm2 = nn.ConvLSTMCell(rng, (n_sensors, v), l1, l2, cfg.convlstm_kernel)
-        self._adopt("lstm2", self.lstm2)
+        self.lstm1 = self._adopt("lstm1", nn.ConvLSTMCell(rng, (n_sensors, v), 2, l1,
+                                                          cfg.convlstm_kernel))
+        self.lstm2 = self._adopt("lstm2", nn.ConvLSTMCell(rng, (n_sensors, v), l1, l2,
+                                                          cfg.convlstm_kernel))
         self.layers.append(("convlstm", {"filters": (l1, l2), "kernel": cfg.convlstm_kernel}))
 
-        self.post = nn.Dense(rng, n_sensors * v * l2, cfg.post_units, activation="relu")
-        self._adopt("post", self.post)
+        self.post = self._adopt("post", nn.Dense(rng, n_sensors * v * l2, cfg.post_units,
+                                                 activation="relu"))
         head_in = cfg.post_units + n_sensors * (w + h)
-        self.head = nn.Dense(rng, head_in, n_sensors * h, activation="identity")
-        self._adopt("head", self.head)
+        self.head = self._adopt("head", nn.Dense(rng, head_in, n_sensors * h))
         self.layers.append(("seasonal_head", {"units": cfg.post_units}))
 
         self.use_dae = cfg.use_dae
         self.dae_heads: list[DAEHead] = []
         if self.use_dae:
             for j, members in enumerate(self.clusters):
-                head = DAEHead(rng, len(members) * h, cfg.dae_widths, cfg.dropout)
-                self.dae_heads.append(head)
-                self._adopt(f"dae{j}", head)
+                self.dae_heads.append(self._adopt(f"dae{j}", DAEHead(
+                    rng, len(members) * h, cfg.dae_widths, cfg.dropout)))
             total = sum(len(m) * h for m in self.clusters)
-            self.fct = nn.Dense(rng, total, n_sensors * h, activation="identity")
-            self._adopt("fct", self.fct)
+            self.fct = self._adopt("fct", nn.Dense(rng, total, n_sensors * h))
             self.layers.append(("dae_target", {"heads": len(clusters)}))
             if pretrained_dae is not None:
                 self.load_dae_weights(pretrained_dae)
-
-    def _adopt(self, prefix: str, layer: nn.Layer) -> None:
-        for name, p in layer.parameters().items():
-            self._params[f"{prefix}.{name}"] = p
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
-
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self._params.values())
 
     def load_dae_weights(self, pretrained: list[dict[str, np.ndarray]]) -> None:
         if len(pretrained) != len(self.dae_heads):
             raise ConfigError(f"{len(pretrained)} pretrained DAEs for "
                               f"{len(self.dae_heads)} heads")
         for head, weights in zip(self.dae_heads, pretrained):
-            params = head.parameters()
-            if set(weights) != set(params):
-                raise ConfigError("pretrained DAE parameter names do not match")
-            for name, arr in weights.items():
-                if params[name].data.shape != arr.shape:
-                    raise ConfigError(f"pretrained DAE shape mismatch on {name}")
-                params[name].data = arr.copy()
+            nn.restore_params(head.parameters(), weights)
 
     # -- forward -----------------------------------------------------------------
 
@@ -466,13 +429,17 @@ class Forecaster:
         if batch["seasonal"].shape[1:] != (s, w + h, k):
             raise ConfigError(f"seasonal input must be (B,{s},{w + h},{k})")
 
+    def _cluster_maps(self, residual: np.ndarray) -> list[Tensor]:
+        """Each cluster's kernel, pooled, then its second convolution."""
+        feats = self.mkconv(Tensor(residual))
+        return [conv(nn.maxpool2d(f, (1, self.config.conv_pool)))
+                for conv, f in zip(self.cluster_conv2, feats)]
+
     def cluster_features(self, batch: dict[str, np.ndarray]) -> list[np.ndarray]:
         """Per-cluster convolution outputs before any cross-cluster mixing."""
         self._check_batch(batch)
         with nn.no_grad():
-            feats = self.mkconv(Tensor(batch["residual"]))
-            return [self.cluster_conv2[j](nn.maxpool2d(f, (1, self.config.conv_pool))).data
-                    for j, f in enumerate(feats)]
+            return [f.data for f in self._cluster_maps(batch["residual"])]
 
     def forward(self, batch: dict[str, np.ndarray], training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -482,13 +449,8 @@ class Forecaster:
         v = cfg.proj_channels
         b = batch["residual"].shape[0]
 
-        feats = self.mkconv(Tensor(batch["residual"]))
-        flat_feats = []
-        for j, f in enumerate(feats):
-            pooled = nn.maxpool2d(f, (1, cfg.conv_pool))
-            conv2 = self.cluster_conv2[j](pooled)
-            flat_feats.append(nn.reshape(conv2, (b, -1)))
-        merged = nn.concat(flat_feats, axis=1)
+        maps = self._cluster_maps(batch["residual"])
+        merged = nn.concat([nn.reshape(f, (b, -1)) for f in maps], axis=1)
         grid = nn.reshape(self.proj(merged), (b, w, s, v, 1))
 
         trend_flat = nn.reshape(Tensor(batch["trend"]), (b, -1))
@@ -539,6 +501,32 @@ def cluster_target_blocks(windows: WindowSet, clusters: list[list[int]]) -> list
 # -- training -------------------------------------------------------------------------
 
 
+def minibatch_epochs(layer: nn.Layer, n: int, config: ForecasterConfig, epochs: int,
+                     rng: np.random.Generator, batch_loss):
+    """ADAM steps on minibatches of a fresh permutation of `n` samples per epoch.
+
+    `batch_loss(idx)` is the scalar loss Tensor of the samples at `idx`.
+    Yields, per epoch, the sample-weighted mean batch loss and the loss of its
+    first batch, which is computed before that epoch's first step.
+    """
+    adam = nn.Adam(layer.parameters(), lr=config.learning_rate)
+    batch = min(config.batch_size, n)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total, seen, first = 0.0, 0, None
+        for lo in range(0, n, batch):
+            idx = order[lo:lo + batch]
+            loss = batch_loss(idx)
+            adam.zero_grad()
+            loss.backward()
+            adam.step()
+            total += float(loss.data) * len(idx)
+            seen += len(idx)
+            if first is None:
+                first = float(loss.data)
+        yield total / seen, first
+
+
 @dataclass
 class TrainHistory:
     epochs: list[int]
@@ -546,12 +534,18 @@ class TrainHistory:
     val_loss: list[float]
     wall_ms: list[float]
 
-    def write_log(self, path: str) -> None:
+    def write_log(self, path: str, notes: list[str], dae_curves: list[list[float]]) -> None:
+        """The run log: one line per epoch, then the notes, then the DAE curves."""
         with open(path, "w") as fh:
             for e, tr, vl, ms in zip(self.epochs, self.train_loss, self.val_loss,
                                      self.wall_ms):
                 fh.write(f"epoch={e} train_loss={tr:.9g} val_loss={vl:.9g} "
                          f"wall_ms={ms:.1f}\n")
+            for note in notes:
+                fh.write(f"note={note}\n")
+            for j, losses in enumerate(dae_curves):
+                for epoch, loss in enumerate(losses, 1):
+                    fh.write(f"dae_cluster={j} epoch={epoch} loss={loss:.9g}\n")
 
 
 def evaluate_mse(model: Forecaster, windows: WindowSet) -> float:
@@ -565,12 +559,12 @@ def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig, seed:
     """Minimize forecast MSE with ADAM over stride-1 window batches.
 
     The last `val_fraction` of the training span is held out for the
-    validation curve; training aborts with TrainingDivergence when the epoch
-    loss exceeds `divergence_factor` times the reference loss for
-    `divergence_patience` consecutive epochs.  The reference is the untrained
-    model's `evaluate_mse` over the training windows, one no-grad pass before
-    the first epoch: an epoch-1 reference would already be inflated when the
-    first epoch blows up.
+    validation curve, the one `predict` pass of each epoch.  Training aborts
+    with TrainingDivergence when the epoch loss exceeds `divergence_factor`
+    times the reference loss for `divergence_patience` consecutive epochs, or
+    at once when it is not finite.  The reference is the loss of epoch 1's
+    first batch, which the untrained model computes before the first ADAM
+    step, so a first epoch that blows up cannot inflate it.
     """
     n = len(windows)
     if n == 0:
@@ -580,35 +574,29 @@ def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig, seed:
     val_set = windows.subset(np.arange(n - n_val, n)) if n_val else None
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    adam = nn.Adam(model.parameters(), lr=config.learning_rate)
+
+    def batch_loss(idx):
+        out = model.forward(train_set.batch_dict(idx), training=True, rng=rng)
+        return nn.mean(nn.square(out - Tensor(train_set.target_st[idx])))
+
     history = TrainHistory([], [], [], [])
-    batch = min(config.batch_size, len(train_set))
-    initial_loss = max(evaluate_mse(model, train_set), 1e-12)
     bad_epochs = 0
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        order = rng.permutation(len(train_set))
-        total, seen = 0.0, 0
-        for lo in range(0, len(train_set), batch):
-            idx = order[lo:lo + batch]
-            out = model.forward(train_set.batch_dict(idx), training=True, rng=rng)
-            loss = nn.mean(nn.square(out - Tensor(train_set.target_st[idx])))
-            adam.zero_grad()
-            loss.backward()
-            adam.step()
-            total += float(loss.data) * len(idx)
-            seen += len(idx)
-        train_loss = total / seen
+    started = time.perf_counter()
+    epochs = minibatch_epochs(model, len(train_set), config, config.epochs, rng, batch_loss)
+    for epoch, (train_loss, first_loss) in enumerate(epochs, 1):
+        if epoch == 1:
+            reference = max(first_loss, 1e-12)
         val_loss = evaluate_mse(model, val_set) if val_set is not None else float("nan")
         history.epochs.append(epoch)
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
         history.wall_ms.append((time.perf_counter() - started) * 1000.0)
-        if not np.isfinite(train_loss) or train_loss > divergence_factor * initial_loss:
+        started = time.perf_counter()
+        if not np.isfinite(train_loss) or train_loss > divergence_factor * reference:
             bad_epochs += 1
             if bad_epochs >= divergence_patience or not np.isfinite(train_loss):
                 raise TrainingDivergence(
-                    f"epoch {epoch}: loss {train_loss:.4g} vs initial {initial_loss:.4g}")
+                    f"epoch {epoch}: loss {train_loss:.4g} vs reference {reference:.4g}")
         else:
             bad_epochs = 0
     return history

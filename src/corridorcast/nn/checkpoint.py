@@ -127,10 +127,13 @@ def _read_params(fh) -> dict[str, np.ndarray]:
 
 
 def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into the existing parameter arrays (shapes must match)."""
+    """Copy loaded arrays into the existing parameter arrays; names and shapes must match."""
     missing = set(params) - set(loaded)
     if missing:
         raise CheckpointError(f"checkpoint is missing parameters: {sorted(missing)}")
+    extra = set(loaded) - set(params)
+    if extra:
+        raise CheckpointError(f"checkpoint has parameters the model lacks: {sorted(extra)}")
     for name, p in params.items():
         if loaded[name].shape != p.data.shape:
             raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "

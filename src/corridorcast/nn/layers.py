@@ -20,7 +20,11 @@ def xavier_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 class Layer:
-    """Base: parameter registry keyed by attribute name."""
+    """Base: parameter registry keyed by name, in registration order.
+
+    An adopted child's parameters join it as ``<prefix>.<name>``, so a whole
+    layer tree has one registry.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -30,8 +34,16 @@ class Layer:
         self._params[name] = t
         return t
 
+    def _adopt(self, prefix: str, child: "Layer") -> "Layer":
+        for name, p in child._params.items():
+            self._params[f"{prefix}.{name}"] = p
+        return child
+
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
+
+    def parameter_count(self) -> int:
+        return sum(p.data.size for p in self._params.values())
 
 
 class Dense(Layer):
@@ -329,12 +341,3 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
         return ag._make(data, (node,), collect)
 
     return (None if hs is None else output(hs, "hs")), output(h, "h"), output(c, "c")
-
-
-class Dropout:
-    def __init__(self, rate: float):
-        self.rate = rate
-
-    def __call__(self, x: Tensor, training: bool, rng: np.random.Generator | None = None,
-                 mask: np.ndarray | None = None) -> Tensor:
-        return ag.dropout(x, self.rate, training, rng=rng, mask=mask)

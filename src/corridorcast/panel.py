@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 
@@ -92,7 +92,11 @@ class Panel:
         return [s.id for s in self.sensors]
 
     def copy(self) -> "Panel":
-        return Panel(self.values.copy(), self.time_index.copy(), self.features,
+        return self.with_values(self.values.copy())
+
+    def with_values(self, values: np.ndarray) -> "Panel":
+        """A panel over `values` with its own copies of the time index and mask."""
+        return Panel(values, self.time_index.copy(), self.features,
                      self.missing_mask.copy(), self.sensors)
 
 
@@ -260,15 +264,13 @@ def fit_scale(p: Panel, train_range: tuple[int, int]) -> ScalingParams:
 def apply_scale(p: Panel, s: ScalingParams) -> Panel:
     span = np.where(s.degenerate, 1.0, s.hi - s.lo)
     scaled = (p.values - s.lo[:, None, :]) / span[:, None, :]
-    scaled = np.where(s.degenerate[:, None, :], 0.0, scaled)
-    return replace(p.copy(), values=scaled)
+    return p.with_values(np.where(s.degenerate[:, None, :], 0.0, scaled))
 
 
 def invert_scale(p: Panel, s: ScalingParams) -> Panel:
     span = np.where(s.degenerate, 1.0, s.hi - s.lo)
     raw = p.values * span[:, None, :] + s.lo[:, None, :]
-    raw = np.where(s.degenerate[:, None, :], s.lo[:, None, :], raw)
-    return replace(p.copy(), values=raw)
+    return p.with_values(np.where(s.degenerate[:, None, :], s.lo[:, None, :], raw))
 
 
 def invert_scale_values(values: np.ndarray, s: ScalingParams, feature: int) -> np.ndarray:
@@ -301,7 +303,7 @@ def impute_forward(p: Panel) -> Panel:
             first = np.argmax(obs)
             idx[idx < 0] = first
             values[si, :, fi] = values[si, idx, fi]
-    return replace(p.copy(), values=values)
+    return p.with_values(values)
 
 
 def neighbor_pairs(sensors, radius_miles: float = 2.0,

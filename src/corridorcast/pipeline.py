@@ -32,7 +32,10 @@ from .nn import load_params, restore_params
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat pipeline settings; forecaster and synth settings ride along."""
+    """Flat pipeline settings; forecaster and synth settings ride along.
+
+    `cluster_m` must exceed 1 but changes no output (see `cluster.fhc`).
+    """
 
     completeness_min: float = 0.9
     train_fraction: float = 0.75
@@ -50,6 +53,9 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
+        for name in ("completeness_min", "dtw_quantile"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.cluster_m <= 1.0:
             raise ConfigError("cluster_m must exceed 1")
         if self.synth_sensors < 1 or self.synth_days < 1:

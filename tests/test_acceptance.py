@@ -1,8 +1,14 @@
 """Acceptance suite: one test per release criterion, tolerances pinned.
 
-Criteria 8-10 share session-scoped end-to-end runs on seed-pinned synthetic
-corridors; everything is deterministic given the seeds baked in below.
-Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
+The criteria checked today are c01-c06 and c11: DTW against a brute-force
+oracle and its identities, decomposition reconstruction, the clustering
+trace, gradient checks of every layer and of the composed forecaster, the
+ConvLSTM zero-parameter identity and the missing-data generator's
+statistics.  The end-to-end criteria c07-c10 (overfit probe, baseline
+ordering, peak-regime gain, DAE robustness) do not exist yet; ROADMAP.md
+item 2 describes them.  Everything is deterministic given the seeds baked
+in below.  Run with `pytest tests/test_acceptance.py -s` to see one line
+per criterion.
 """
 
 import time

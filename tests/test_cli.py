@@ -271,6 +271,8 @@ BAD_CONFIG_LINES = [
     ("synth_weekday_factors=1,2", "weekday_factors needs seven entries"),
     ("synth_sensors=-3", "synth_sensors and synth_days must be at least 1"),
     ("synth_days=0", "synth_sensors and synth_days must be at least 1"),
+    ("dtw_quantile=2", "dtw_quantile must lie in [0, 1]"),
+    ("completeness_min=-0.5", "completeness_min must lie in [0, 1]"),
 ]
 
 
@@ -383,6 +385,19 @@ def test_exit_code_bad_cluster_header(synth_dir, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "cluster file header must be cluster_id,sensor_id,membership" in err[0]
+
+
+def test_exit_code_dae_checkpoint_without_dae_heads(trained, tmp_path, capsys):
+    out, _, cdir, tdir = trained
+    no_dae = write_cfg(tmp_path, TINY_CFG + "use_dae=false\n", name="no_dae.cfg")
+    capsys.readouterr()
+    assert run("eval", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--clusters", str(cdir / "clusters.csv"), "--model",
+               str(tdir / "checkpoint.txt"), "--report", str(tmp_path / "report.csv"),
+               "--seed", "7", "--config", no_dae) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "parameters the model lacks" in err[0]
+    assert not (tmp_path / "report.csv").exists()
 
 
 @pytest.mark.parametrize("keep", [0.3, 0.6, 0.999])

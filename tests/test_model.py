@@ -579,6 +579,25 @@ def test_train_divergence_aborts(rng):
         md.train(model, train_w, cfg, seed=2)
 
 
+def test_train_predicts_once_per_epoch_for_validation(rng, monkeypatch):
+    # the divergence guard takes its reference from epoch 1's first batch, so
+    # the one inference pass of an epoch scores the validation windows
+    train_w = training_windows(rng)
+    cfg = tiny_config(epochs=3, use_dae=False)
+    model = md.build_forecaster(CLUSTERS4, 4, 3, cfg, seed=2)
+    scored = []
+    predict = md.Forecaster.predict
+
+    def counted(self, windows, *args, **kwargs):
+        scored.append(len(windows))
+        return predict(self, windows, *args, **kwargs)
+
+    monkeypatch.setattr(md.Forecaster, "predict", counted)
+    md.train(model, train_w, cfg, seed=2)
+    n_val = int(len(train_w) * 0.1)
+    assert n_val > 0 and scored == [n_val] * 3
+
+
 def test_eval_consistency_between_code_paths(rng):
     # recovering through the window helper equals recovering through the
     # decompose + panel primitives
