@@ -5,6 +5,18 @@ over the L1 point cost delta(a, b) = sum_k |a_k - b_k|, allowing monotone
 non-linear alignment.  Corridor-level similarity is the average of window
 DTW distances over a rolling window, restricted to high-interaction windows
 when a window activity mask is supplied.
+
+One kernel, `_dtw_costs`, solves a block of problems at once: P sensor pairs
+times S windows, each an (n, m) grid of cells.  The point cost accumulates
+|x_k - y_k| one feature at a time into a (P, S, n, m) block.  The cells are
+then filled in row-major order: each takes the `np.minimum` of its three
+predecessors across the whole block and adds its own cost.  Every cell thus
+runs the same operations in the same order as a loop over single problems,
+so each distance is bit for bit the one that problem gets alone.
+`dtw_distance` is the case P = S = 1.  `rolling_dtw_matrix` gathers each
+pair's windows straight from the residual block and runs the kernel over
+chunks of pairs, so that a chunk's cost block stays within `BLOCK_BYTES`
+whatever the size of the corridor.
 """
 
 from __future__ import annotations
@@ -15,6 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+
+# Byte budget of one chunk's (pairs, windows, n, m) cost block in
+# `rolling_dtw_matrix`; the chunk holds as many pairs as fit, and at least one.
+BLOCK_BYTES = 1 << 20
 
 
 def _as_feature_matrix(x) -> np.ndarray:
@@ -29,12 +45,27 @@ def _as_feature_matrix(x) -> np.ndarray:
 
 
 def _znorm(x: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    out = np.zeros_like(x)
-    nz = sd > 0
-    out[:, nz] = (x[:, nz] - mean[nz]) / sd[nz]
-    return out
+    """Z-normalize each feature along the step axis (-2); constant features map to zero."""
+    mean = x.mean(axis=-2, keepdims=True)
+    sd = x.std(axis=-2, keepdims=True)
+    return np.divide(x - mean, sd, out=np.zeros_like(x), where=sd > 0)
+
+
+def _dtw_costs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """DTW distance of every problem in a block: x (P, S, n, K), y (P, S, m, K) -> (P, S)."""
+    cost = np.abs(x[..., :, None, 0] - y[..., None, :, 0])
+    term = np.empty_like(cost)
+    for k in range(1, x.shape[-1]):
+        np.subtract(x[..., :, None, k], y[..., None, :, k], out=term)
+        cost += np.abs(term, out=term)
+    n, m = cost.shape[-2:]
+    cost[..., 0, :] = np.cumsum(cost[..., 0, :], axis=-1)
+    cost[..., :, 0] = np.cumsum(cost[..., :, 0], axis=-1)
+    for i in range(1, n):
+        for j in range(1, m):
+            cost[..., i, j] += np.minimum(np.minimum(cost[..., i - 1, j], cost[..., i, j - 1]),
+                                          cost[..., i - 1, j - 1])
+    return cost[..., n - 1, m - 1].copy()
 
 
 def dtw_distance(x, y, normalize: bool = False) -> float:
@@ -49,17 +80,7 @@ def dtw_distance(x, y, normalize: bool = False) -> float:
         raise ValueError(f"feature counts differ: {x.shape[1]} vs {y.shape[1]}")
     if normalize:
         x, y = _znorm(x), _znorm(y)
-    delta = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
-    n, m = delta.shape
-    c = np.empty((n, m))
-    c[0, :] = np.cumsum(delta[0, :])
-    c[:, 0] = np.cumsum(delta[:, 0])
-    for i in range(1, n):
-        ci, cp = c[i], c[i - 1]
-        di = delta[i]
-        for j in range(1, m):
-            ci[j] = min(cp[j], ci[j - 1], cp[j - 1]) + di[j]
-    return float(c[n - 1, m - 1])
+    return float(_dtw_costs(x[None, None], y[None, None])[0, 0])
 
 
 @dataclass
@@ -108,6 +129,8 @@ class DistanceTable:
 
 
 def window_starts(n_steps: int, window_len: int, stride: int) -> list[int]:
+    if window_len < 1:
+        raise ValueError(f"window length must be at least 1, got {window_len}")
     if window_len > n_steps:
         raise ValueError(f"window of {window_len} steps exceeds series length {n_steps}")
     return list(range(0, n_steps - window_len + 1, stride))
@@ -149,10 +172,23 @@ def rolling_dtw_matrix(residuals: np.ndarray, neighbors, window_len: int, stride
             starts = [s for s, a in zip(starts, active_mask) if a]
     table = DistanceTable(window_count=len(starts))
     n = residuals.shape[0]
+    neighbors = list(neighbors)
     for i, j in neighbors:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"neighbor pair ({i},{j}) out of range for {n} sensors")
-        dists = [dtw_distance(residuals[i, s:s + window_len], residuals[j, s:s + window_len],
-                              normalize=normalize) for s in starts]
-        table.set(i, j, float(np.mean(dists)))
+    if not neighbors:
+        return table
+    pairs = np.array(neighbors, dtype=np.intp)
+    win = np.asarray(starts)[:, None] + np.arange(window_len)
+    chunk = max(1, BLOCK_BYTES // (8 * win.size * window_len))
+    for lo in range(0, len(pairs), chunk):
+        block = pairs[lo:lo + chunk, :, None, None]
+        x, y = residuals[block[:, 0], win], residuals[block[:, 1], win]
+        if normalize:
+            x, y = _znorm(x), _znorm(y)
+        # windows are the contiguous last axis, so each pair's mean sums them
+        # pairwise, as np.mean does the list of that pair's window distances
+        means = _dtw_costs(x, y).mean(axis=1)
+        for (i, j), d in zip(neighbors[lo:lo + chunk], means):
+            table.set(i, j, d)
     return table

@@ -250,11 +250,12 @@ def panel_to_csv(p: Panel, data_path: str, meta_path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["sensor_id", "timestamp", "flow", "occupancy", "speed"])
         stamps = [str(ts.astype("datetime64[s]")) for ts in p.time_index]
+        observed = p.missing_mask.all(axis=2)
         for si, s in enumerate(p.sensors):
-            for ti, stamp in enumerate(stamps):
-                if p.missing_mask[si, ti].all():
-                    writer.writerow([s.id, stamp] + [repr(float(v))
-                                                     for v in p.values[si, ti]])
+            steps = np.flatnonzero(observed[si])
+            # Python floats, which csv writes as their repr
+            writer.writerows([s.id, stamps[ti], *row]
+                             for ti, row in zip(steps.tolist(), p.values[si, steps].tolist()))
 
 
 # -- reports -------------------------------------------------------------------

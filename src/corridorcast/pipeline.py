@@ -14,6 +14,7 @@ flat key=value file into the run, forecaster and synthetic-corridor settings.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import dtw as dt
 from . import evaluation as ev
 from . import model as md
 from . import panel as pn
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientDataError
 from .nn import load_params, restore_params
 
 # -- configuration -------------------------------------------------------------------
@@ -51,11 +52,17 @@ class RunConfig:
     synth_days: int = 56
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
         for name in ("completeness_min", "dtw_quantile"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if self.dtw_window_hours <= 0.0:
+            raise ConfigError(f"dtw_window_hours must be positive, got {self.dtw_window_hours}")
         if self.cluster_m <= 1.0:
             raise ConfigError("cluster_m must exceed 1")
         if self.synth_sensors < 1 or self.synth_days < 1:
@@ -195,10 +202,13 @@ def cluster(p: pn.Panel, run: RunConfig) -> tuple[dt.DistanceTable, cl.Membershi
     Ramp sensors join the home cluster of their nearest mainline sensor.
     """
     end = boundary(p, run)
-    scaled = pn.apply_scale(p, fit_scaling(p, run))
-    decomp = decompose(scaled)
     steps_per_hour = 60.0 / p.step_minutes
     window_len = max(2, int(round(run.dtw_window_hours * steps_per_hour)))
+    if window_len > end:
+        raise InsufficientDataError(f"DTW window of {window_len} steps exceeds the "
+                                    f"training span of {end} steps")
+    scaled = pn.apply_scale(p, fit_scaling(p, run))
+    decomp = decompose(scaled)
     occ_idx = p.features.index("occupancy")
     train_occ = scaled.values[:, :end, occ_idx]
     active = dt.active_windows_by_occupancy(train_occ, window_len, window_len,

@@ -273,6 +273,11 @@ BAD_CONFIG_LINES = [
     ("synth_days=0", "synth_sensors and synth_days must be at least 1"),
     ("dtw_quantile=2", "dtw_quantile must lie in [0, 1]"),
     ("completeness_min=-0.5", "completeness_min must lie in [0, 1]"),
+    ("dtw_window_hours=nan", "dtw_window_hours must be finite"),
+    ("dtw_window_hours=0", "dtw_window_hours must be positive"),
+    ("dtw_window_hours=-2", "dtw_window_hours must be positive"),
+    ("cluster_m=nan", "cluster_m must be finite"),
+    ("neighbor_radius_miles=inf", "neighbor_radius_miles must be finite"),
 ]
 
 
@@ -362,6 +367,17 @@ def test_exit_code_unknown_sensor_in_clusters(synth_dir, tmp_path, monkeypatch):
                "--clusters", str(clusters), "--out", str(tdir),
                "--seed", "7", "--config", cfg) == 3
     assert not (tdir / "checkpoint.txt").exists()
+
+
+def test_exit_code_dtw_window_longer_than_training_span(synth_dir, tmp_path, capsys):
+    out, _ = synth_dir
+    # 8 days of 15-minute steps leave 576 training steps; 200 hours are 800 steps
+    cfg = write_cfg(tmp_path, TINY_CFG + "dtw_window_hours=200\n", name="long.cfg")
+    capsys.readouterr()
+    assert run("cluster", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--out", str(tmp_path / "c"), "--seed", "7", "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "800 steps" in err[0] and "576 steps" in err[0]
 
 
 def test_exit_code_malformed_cluster_row(synth_dir, tmp_path, capsys):

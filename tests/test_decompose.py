@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,63 @@ def test_decompose_panel_matches_per_series(rng):
     single = dc.decompose_additive(p.values[1, :, 2], period=4)
     assert np.array_equal(d.trend[1, :, 2], single.trend)
     assert np.max(np.abs(reconstruct(d) - p.values)) < 1e-9
+
+
+def decompose_loop(series, period):
+    """The per-series, per-phase decomposition the panel routine replaced, kept as its oracle."""
+    if period % 2 == 0:
+        weights = np.full(period + 1, 1.0 / period)
+        weights[0] = weights[-1] = 0.5 / period
+        offset = period // 2
+    else:
+        weights = np.full(period, 1.0 / period)
+        offset = (period - 1) // 2
+    t = len(series)
+    valid_ma = np.convolve(series, weights[::-1], mode="valid")
+    trend = np.empty_like(series)
+    trend[offset:t - offset] = valid_ma
+    trend[:offset] = valid_ma[0]
+    trend[t - offset:] = valid_ma[-1]
+    detrended = series - trend
+    phases = np.arange(t) % period
+    valid = slice(offset, t - offset)
+    cycle = np.zeros(period)
+    for j in range(period):
+        cycle[j] = detrended[valid][phases[valid] == j].mean()
+    cycle -= cycle.mean()
+    seasonal = cycle[phases]
+    return seasonal, trend, series - trend - seasonal
+
+
+# (period, steps): even and odd periods; one or two phase-occurrence counts
+# over the span where the trend is defined; counts of 8 and more, where numpy
+# sums pairwise
+@pytest.mark.parametrize("period, steps", [(4, 22), (5, 23), (5, 24), (7, 87), (24, 245)])
+@pytest.mark.parametrize("features", [1, 3])
+def test_decompose_panel_equals_per_series_loop(rng, period, steps, features):
+    values = rng.normal(size=(3, steps, features)) * 40 + 100
+    d = dc.decompose_panel(make_panel(values), period)
+    for si in range(3):
+        for fi in range(features):
+            want = decompose_loop(values[si, :, fi], period)
+            got = (d.seasonal[si, :, fi], d.trend[si, :, fi], d.residual[si, :, fi])
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    single = dc.decompose_additive(values[0, :, 0], period)
+    want = decompose_loop(values[0, :, 0], period)
+    assert all(np.array_equal(a, b) for a, b in
+               zip((single.seasonal, single.trend, single.residual), want))
+
+
+def test_decompose_panel_memory(rng):
+    p = make_panel(rng.normal(size=(32, 1600, 3)))
+    tracemalloc.start()
+    try:
+        d = dc.decompose_panel(p, period=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = p.values[:, :, 0].nbytes  # one (sensors, steps) block
+    assert peak < d.seasonal.nbytes + d.trend.nbytes + d.residual.nbytes + 2 * block
 
 
 def test_daily_period():

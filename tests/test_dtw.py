@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,80 @@ def test_table_symmetry_and_csv(tmp_path):
     table.to_csv(path)
     again = dtw.DistanceTable.from_csv(path)
     assert again.entries == table.entries
+
+
+# -- batched kernel against the per-window loop --------------------------------------
+
+
+def znorm_loop(x):
+    mean = x.mean(axis=0)
+    sd = x.std(axis=0)
+    out = np.zeros_like(x)
+    nz = sd > 0
+    out[:, nz] = (x[:, nz] - mean[nz]) / sd[nz]
+    return out
+
+
+def dtw_loop(x, y, normalize=False):
+    """The per-cell double loop the batched kernel replaced, kept as its oracle."""
+    if normalize:
+        x, y = znorm_loop(x), znorm_loop(y)
+    delta = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
+    n, m = delta.shape
+    c = np.empty((n, m))
+    c[0, :] = np.cumsum(delta[0, :])
+    c[:, 0] = np.cumsum(delta[:, 0])
+    for i in range(1, n):
+        for j in range(1, m):
+            c[i, j] = min(c[i - 1, j], c[i, j - 1], c[i - 1, j - 1]) + delta[i, j]
+    return float(c[n - 1, m - 1])
+
+
+def rolling_loop(residuals, neighbors, window_len, active_mask, normalize):
+    """One `dtw_loop` per (pair, window), averaged per pair, as before batching."""
+    starts = dtw.window_starts(residuals.shape[1], window_len, window_len)
+    if active_mask.any():
+        starts = [s for s, a in zip(starts, active_mask) if a]
+    return {(min(i, j), max(i, j)): float(np.mean([
+        dtw_loop(residuals[i, s:s + window_len], residuals[j, s:s + window_len], normalize)
+        for s in starts])) for i, j in neighbors}
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "znorm"])
+@pytest.mark.parametrize("window_len", [2, 7, 8, 9])
+@pytest.mark.parametrize("features", [1, 3])
+def test_rolling_equals_per_window_loop(rng, monkeypatch, normalize, window_len, features):
+    n_sensors, n_windows = 9, 11
+    residuals = rng.normal(size=(n_sensors, window_len * n_windows + 1, features))
+    residuals[4, :, 0] = 0.25  # a constant feature, which z-normalizes to zero
+    neighbors = [(i, j) for i in range(n_sensors) for j in range(i + 1, n_sensors)
+                 if j - i <= 4] + [(8, 2)]
+    mask = rng.random(n_windows) < 0.6
+    mask[:2] = True, False
+    # five pairs per chunk, so the 27 pairs span six chunks and the last is partial
+    monkeypatch.setattr(dtw, "BLOCK_BYTES", 5 * 8 * mask.sum() * window_len ** 2)
+    table = dtw.rolling_dtw_matrix(residuals, neighbors, window_len, window_len,
+                                   active_mask=mask, normalize=normalize)
+    assert table.entries == rolling_loop(residuals, neighbors, window_len, mask, normalize)
+
+
+def test_dtw_distance_equals_loop(rng):
+    for _ in range(40):
+        k = int(rng.integers(1, 4))
+        x = rng.normal(size=(int(rng.integers(1, 12)), k))
+        y = rng.normal(size=(int(rng.integers(1, 12)), k))
+        for normalize in (False, True):
+            assert dtw.dtw_distance(x, y, normalize) == dtw_loop(x, y, normalize)
+
+
+def test_rolling_memory_is_bounded_by_chunks(rng):
+    residuals = rng.normal(size=(301, 256, 3))  # 32 windows of 8 steps
+    neighbors = [(i, i + 1) for i in range(300)]
+    tracemalloc.start()
+    try:
+        table = dtw.rolling_dtw_matrix(residuals, neighbors, 8, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 300
+    assert peak < 8 * 2**20

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,34 @@ def test_synth_flow_respects_diagram():
 def test_synth_rejects_bad_params():
     with pytest.raises(ConfigError):
         ev.SynthConfig(free_speed=-1.0)
+
+
+def panel_rows_oracle(p, data_path):
+    """The row-by-row body of the data writer in `panel_to_csv`, kept as its oracle."""
+    with open(data_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sensor_id", "timestamp", "flow", "occupancy", "speed"])
+        stamps = [str(ts.astype("datetime64[s]")) for ts in p.time_index]
+        for si, s in enumerate(p.sensors):
+            for ti, stamp in enumerate(stamps):
+                if p.missing_mask[si, ti].all():
+                    writer.writerow([s.id, stamp] + [repr(float(v))
+                                                     for v in p.values[si, ti]])
+
+
+def test_panel_to_csv_matches_row_oracle(tmp_path):
+    p = ev.synth_generate(ev.SynthConfig(), sensors=3, days=2, seed=4)
+    p.values[0, :4] = [[-0.0, 1e-300, 0.1 + 0.2], [1e22, 123456789.125, 2.0 / 3.0],
+                       [5e-324, -1.5, 0.0], [1.0, 2.0, 3.0]]
+    p.missing_mask[1, 10] = [True, False, True]  # partially observed: skipped
+    p.missing_mask[2, 20:30] = False
+    ev.panel_to_csv(p, str(tmp_path / "data.csv"), str(tmp_path / "meta.csv"))
+    panel_rows_oracle(p, str(tmp_path / "oracle.csv"))
+    written = (tmp_path / "data.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    assert written.count(b"\n") == 1 + p.missing_mask.all(axis=2).sum()
+    assert f"{p.sensors[1].id},{p.time_index[10].astype('datetime64[s]')}".encode() \
+        not in written
 
 
 def pulse_heavy_config():
