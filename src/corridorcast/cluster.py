@@ -1,34 +1,32 @@
 """Fuzzy hierarchical agglomerative clustering of corridor sensors.
 
-Mainline sensors are merged bottom-up on a sparse distance table defined
-over geographically neighboring pairs.  Distances follow single-linkage
-between points (and between a point and a cluster) and complete-linkage
-between clusters; since the table only links milepost-consecutive sensors,
-every cluster stays a contiguous corridor segment.
+The distance table links only consecutive mainline sensors (it is built over
+`panel.neighbor_pairs`), so the sensors form a path, every cluster is a run
+of it, and any other edge (a skip edge, a ramp, a self pair) raises
+ValueError.  One float array holds the distance across each boundary between
+neighbouring runs, `inf` where the table has no edge.  That edge alone joins
+two runs, so single linkage (point to cluster) and complete linkage (cluster
+to cluster) both read it, and a merge just deletes its boundary.
 
-Candidate pairs are searched over the neighbour graph, not over all pairs:
-two elements (free points or clusters) can only merge when an edge of the
-table joins them.  A heap holds one entry per adjacent pair, ordered by
-(distance, sort keys), and entries for merged elements are discarded when
-they surface.  After a merge only the new cluster's edges to the rest of the
-graph are read, so clustering costs O(E log E) heap work on a table with E
-edges, plus one O(clusters) mean-span check per merge.
+Each step merges across the smallest boundary.  `np.argmin` takes the
+leftmost on ties, which is the order of a search over all pairs that breaks
+ties on the elements' lowest sensor indices, because run starts rise along
+the path.  Merging stops when the mean milepost span of the clusters (oldest
+first, so that `np.mean` sums in a fixed order) would exceed the limit, or
+when no finite boundary remains.
 
-Alongside the crisp merge tree, assigned points accumulate graded
-memberships to nearby clusters: with d_min the point's smallest
-single-linkage distance to any live cluster (its own included),
+Memberships are read once from the final clusters.  A sensor ending a
+cluster that faces another across a finite boundary joins that one with
 
     mu(u, c) = d_min / (d(u, c) + d_min)
 
-A merge refreshes only the memberships that touch the new cluster.  Merging
-stops when the mean milepost span of the clusters would exceed the
-configured limit, or when no mergeable pair remains.
+d_min being the smaller of its distances to its inner neighbour and across
+the boundary.  Sensors never merged become singleton clusters.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -89,201 +87,83 @@ def _span(members, positions) -> float:
     return max(pos) - min(pos)
 
 
-@dataclass(eq=False)
-class _Cluster:
-    cid: int
-    members: list[int]  # sorted
-    span: float
-    crossing: list[tuple[int, int]]  # edges (member, outside point) leaving the cluster
-
-
 class ClusterState:
-    """Working state of the agglomeration: neighbour graph, heap, clusters.
+    """The path's runs, left to right, and the distances between them.
 
-    The live elements are the free points and the live clusters.  Each has a
-    sort key, (point, 0, point) or (min member, 1, cid); the heap holds
-    (distance, (lower key, higher key)) for every pair of elements that an
-    edge joins, and a pair is stale once either element has been merged.
+    `gaps[r]` is the distance between runs r and r+1, `bounds` keeps the
+    distances across the path's original boundaries, and `spans` each
+    cluster's milepost span by its first sensor, oldest cluster first.
     """
 
     def __init__(self, base: DistanceTable, positions: dict[int, float], m: float):
         if m <= 1.0:
             raise ConfigError(f"fuzziness parameter must exceed 1, got {m}")
-        self.base = base
         self.positions = positions
-        self.m = m
-        self.points = sorted(positions)
-        self.adjacent: dict[int, list[int]] = {p: [] for p in self.points}
-        self._heap: list[tuple[float, tuple[tuple, tuple]]] = []
+        self.runs = [[p] for p in sorted(positions)]
+        rank = {run[0]: r for r, run in enumerate(self.runs)}
+        self.gaps = np.full(max(len(self.runs) - 1, 0), np.inf)
         for i, j in base.pairs():
-            if i != j and i in positions and j in positions:
-                self.adjacent[i].append(j)
-                self.adjacent[j].append(i)
-                self._heap.append(self._entry(base.get(i, j), i, j))
-        heapq.heapify(self._heap)
-        self.home: dict[int, _Cluster] = {}  # assigned point -> its live cluster
-        self.clusters: dict[int, _Cluster] = {}  # live clusters by cid, oldest first
-        self.fuzzy_mu: dict[int, dict[int, float]] = {}  # cid -> {outside point: mu}
+            if i not in rank or rank.get(j) != rank[i] + 1:
+                raise ValueError(f"distance table edge ({i}, {j}) does not join two "
+                                 f"consecutive mainline sensors")
+            self.gaps[rank[i]] = base.get(i, j)
+        self.bounds: list[float] = self.gaps.tolist()
+        self.spans: dict[int, float] = {}
         self.merge_log: list[tuple[int, str, str, float]] = []
-        self._next_cid = 0
 
-    # -- merge candidates ------------------------------------------------------
-
-    @staticmethod
-    def _label(element) -> str:
-        if isinstance(element, _Cluster):
-            return "+".join(str(i) for i in element.members)
-        return str(element)
-
-    @staticmethod
-    def _sort_key(element):
-        if isinstance(element, _Cluster):
-            return (element.members[0], 1, element.cid)
-        return (element, 0, element)
-
-    def _entry(self, d, a, b):
-        ka, kb = self._sort_key(a), self._sort_key(b)
-        return (d, (ka, kb) if ka < kb else (kb, ka))
-
-    def _live(self, key):
-        """The element behind a sort key, or None once it has been merged."""
-        if key[1] == 1:
-            return self.clusters.get(key[2])
-        return None if key[0] in self.home else key[0]
-
-    def closest_pair(self):
-        """Pop the closest live pair as (distance, a, b), lowest keys first on ties.
-
-        Returns None when no two live elements share an edge.
-        """
-        while self._heap:
-            d, (ka, kb) = heapq.heappop(self._heap)
-            a, b = self._live(ka), self._live(kb)
-            if a is not None and b is not None:
-                return d, a, b
-        return None
-
-    # -- merging ----------------------------------------------------------------
-
-    def _members_of(self, element) -> list[int]:
-        return element.members if isinstance(element, _Cluster) else [element]
-
-    def _crossing_of(self, element) -> list[tuple[int, int]]:
-        if isinstance(element, _Cluster):
-            return element.crossing
-        return [(element, v) for v in self.adjacent[element]]
-
-    def merge(self, a, b, distance: float) -> _Cluster:
-        members = sorted(self._members_of(a) + self._members_of(b))
-        inside = set(members)
-        crossing = [(u, v) for u, v in self._crossing_of(a) + self._crossing_of(b)
-                    if v not in inside]
-        new = _Cluster(self._next_cid, members, _span(members, self.positions), crossing)
-        self._next_cid += 1
-        for el in (a, b):
-            if isinstance(el, _Cluster):
-                del self.clusters[el.cid]
-                self.fuzzy_mu.pop(el.cid, None)
-        self.clusters[new.cid] = new
-        for u in members:
-            self.home[u] = new
-        self.merge_log.append((len(self.merge_log) + 1, self._label(a), self._label(b),
-                               float(distance)))
-        self._queue_pairs(new)
-        self._fuzzy_round(new)
-        return new
-
-    def _queue_pairs(self, new: _Cluster) -> None:
-        """Push the new cluster's distance to every element an edge joins it to."""
-        linked: dict[object, list[float]] = {}  # free point or cluster -> edge distances
-        for u, v in new.crossing:
-            linked.setdefault(self.home.get(v, v), []).append(self.base.get(u, v))
-        for other, ds in linked.items():
-            # complete linkage between clusters, single linkage to a point
-            d = max(ds) if isinstance(other, _Cluster) else min(ds)
-            heapq.heappush(self._heap, self._entry(d, new, other))
-
-    def _fuzzy_round(self, new: _Cluster) -> None:
-        """Refresh memberships touching the freshly formed cluster.
-
-        Only points at either end of an edge leaving `new` can gain or change
-        such a membership: members of `new` in each other cluster they touch,
-        and assigned outside points in `new`.
-        """
-        inner = sorted({u for u, v in new.crossing if v in self.home})
-        outer = sorted({v for u, v in new.crossing if v in self.home})
-        for u in inner:
-            dists = self._cluster_distances_from(u)
-            for cid in dists:
-                if cid != new.cid:
-                    self._set_membership(u, cid, dists)
-        for u in outer:
-            self._set_membership(u, new.cid, self._cluster_distances_from(u))
-
-    def _cluster_distances_from(self, u: int) -> dict[int, float]:
-        """Single linkage from point `u` to each live cluster an edge joins it to."""
-        out: dict[int, float] = {}
-        for v in self.adjacent[u]:
-            c = self.home.get(v)
-            if c is not None:
-                d = self.base.get(u, v)
-                if c.cid not in out or d < out[c.cid]:
-                    out[c.cid] = d
-        return out
-
-    def _set_membership(self, u: int, cid: int, dists: dict[int, float]) -> None:
-        mu, _ = fuzzy_update(dists[cid], list(dists.values()), self.m)
-        self.fuzzy_mu.setdefault(cid, {})[u] = mu
-
-    # -- stopping ----------------------------------------------------------------
-
-    def mean_span_after(self, a, b) -> float:
-        spans = [c.span for c in self.clusters.values() if c is not a and c is not b]
-        spans.append(_span(sorted(self._members_of(a) + self._members_of(b)), self.positions))
+    def mean_span_after(self, r: int) -> float:
+        left, right = self.runs[r], self.runs[r + 1]
+        spans = [s for start, s in self.spans.items() if start not in (left[0], right[0])]
+        spans.append(_span(left + right, self.positions))
         return float(np.mean(spans))
+
+    def merge(self, r: int) -> None:
+        left, right = self.runs[r], self.runs.pop(r + 1)
+        self.merge_log.append((len(self.merge_log) + 1, "+".join(map(str, left)),
+                               "+".join(map(str, right)), float(self.gaps[r])))
+        self.spans.pop(left[0], None)
+        self.spans.pop(right[0], None)
+        self.runs[r] = left + right
+        self.spans[left[0]] = _span(self.runs[r], self.positions)
+        self.gaps = np.delete(self.gaps, r)
 
 
 def fhc(distances: DistanceTable, meta, max_avg_span_miles: float = 10.0,
         threshold: float = 0.1, m: float = 2.0) -> MembershipMatrix:
-    """Cluster mainline sensors over a neighbor-pair distance table.
+    """Cluster mainline sensors over a table of consecutive-sensor distances.
 
-    Repeatedly merges the closest mergeable pair (lowest index pair on ties)
-    until the mean cluster span would exceed `max_avg_span_miles` or no pair
-    is left; sensors never structurally merged become singleton clusters.
+    Merges the closest neighbouring runs (the leftmost on ties) until the mean
+    cluster span would exceed `max_avg_span_miles` or no edge is left; sensors
+    never merged follow as singleton clusters.
 
-    `m` changes no output: memberships are d_min / (d + d_min), and
-    `ClusterState._set_membership` drops the re-clamped distance of
-    `fuzzy_update`, the only value `m` enters.
+    `m` changes no output: memberships are d_min / (d + d_min), and `m`
+    enters only the re-clamped distance of `fuzzy_update`, which is dropped.
     """
     positions = {i: s.position for i, s in enumerate(meta)
                  if s.kind == SensorKind.MAINLINE}
     state = ClusterState(distances, positions, m)
-    while True:
-        best = state.closest_pair()
-        if best is None:
+    while len(state.gaps) and state.gaps.min() < np.inf:
+        r = int(np.argmin(state.gaps))
+        if state.mean_span_after(r) > max_avg_span_miles:
             break
-        d, a, b = best
-        if state.mean_span_after(a, b) > max_avg_span_miles:
-            break
-        state.merge(a, b, d)
+        state.merge(r)
 
-    ordered = sorted(state.clusters.values(), key=lambda c: c.members[0])
-    singles = [p for p in state.points if p not in state.home]
-    memberships: dict[tuple[int, int], float] = {}
-    crisp: list[list[int]] = []
-    for idx, c in enumerate(ordered):
-        members = set(c.members)
-        for u in c.members:
-            memberships[(u, idx)] = 1.0
-        for u, mu in state.fuzzy_mu.get(c.cid, {}).items():
-            memberships[(u, idx)] = mu
-            if mu >= threshold:
-                members.add(u)
-        crisp.append(sorted(members))
-    for p in singles:
-        memberships[(p, len(crisp))] = 1.0
-        crisp.append([p])
-    return MembershipMatrix(memberships, crisp, threshold, state.merge_log)
+    runs, bounds = state.runs, state.bounds
+    order = sorted(range(len(runs)), key=lambda k: len(runs[k]) == 1)  # clusters first
+    number = {k: c for c, k in enumerate(order)}
+    memberships = {(u, number[k]): 1.0 for k in order for u in runs[k]}
+    crisp = [list(runs[k]) for k in order]
+    end = 0  # path rank of the right run's first sensor
+    for k, (left, right) in enumerate(zip(runs, runs[1:])):
+        end += len(left)
+        d = bounds[end - 1]
+        if len(left) > 1 and len(right) > 1 and d < math.inf:
+            for u, c, inner in ((left[-1], k + 1, bounds[end - 2]), (right[0], k, bounds[end])):
+                mu = memberships[(u, number[c])] = fuzzy_update(d, [inner, d], m)[0]
+                if mu >= threshold:
+                    crisp[number[c]].append(u)
+    return MembershipMatrix(memberships, [sorted(c) for c in crisp], threshold,
+                            state.merge_log)
 
 
 def attach_ramps(mm: MembershipMatrix, meta) -> MembershipMatrix:

@@ -95,8 +95,8 @@ class DistanceTable:
         return (i, j) if i <= j else (j, i)
 
     def set(self, i: int, j: int, value: float) -> None:
-        if value < 0:
-            raise ValueError("distances must be nonnegative")
+        if not value >= 0:  # also rejects NaN, which no merge order can rank
+            raise ValueError(f"distances must be nonnegative, got {value}")
         self.entries[self._key(i, j)] = float(value)
 
     def get(self, i: int, j: int) -> float | None:
@@ -113,19 +113,6 @@ class DistanceTable:
             writer.writerow(["i", "j", "distance"])
             for (i, j) in self.pairs():
                 writer.writerow([i, j, repr(self.entries[(i, j)])])
-
-    @classmethod
-    def from_csv(cls, path: str) -> "DistanceTable":
-        table = cls()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["i", "j", "distance"]:
-                raise DataError("distance table header must be i,j,distance")
-            for row in reader:
-                if row:
-                    table.set(int(row[0]), int(row[1]), float(row[2]))
-        return table
 
 
 def window_starts(n_steps: int, window_len: int, stride: int) -> list[int]:

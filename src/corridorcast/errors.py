@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the configs' finiteness check.
 
 The CLI maps these onto exit codes: configuration problems exit 2, data
 problems exit 3, training divergence exits 4.
 """
+
+import math
+from dataclasses import fields
 
 
 class CorridorcastError(Exception):
@@ -39,3 +42,13 @@ class InsufficientDataError(DataError):
 
 class TrainingDivergence(CorridorcastError):
     """Training loss blew up past the divergence guard."""
+
+
+def require_finite(cfg) -> None:
+    """Raise ConfigError naming the first field of dataclass `cfg` that holds a
+    non-finite float, alone or in a tuple."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{f.name} must be finite, got {value}")

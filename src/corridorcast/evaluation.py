@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_finite
 from .panel import FEATURES, Panel, SensorKind, SensorMeta
 
 
@@ -154,6 +154,7 @@ class SynthConfig:
     propagation_delay_steps: int = 4
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.free_speed, self.wave_speed, self.max_density) <= 0:
             raise ConfigError("physical parameters must be positive")
         if len(self.weekday_factors) != 7:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .decompose import Decomposition, recover_forecast
-from .errors import ConfigError, InsufficientDataError, TrainingDivergence
+from .errors import ConfigError, InsufficientDataError, TrainingDivergence, require_finite
 from .nn import Tensor
 from .panel import Panel, ScalingParams
 
@@ -56,6 +56,7 @@ class ForecasterConfig:
     use_dae: bool = True
 
     def __post_init__(self):
+        require_finite(self)
         if len(self.conv_filters) != 2 or len(self.convlstm_filters) != 2:
             raise ConfigError("conv_filters and convlstm_filters need two entries each")
         numbers = (self.window, self.horizon, *self.conv_filters, self.conv_time_kernel,
@@ -85,8 +86,8 @@ class WindowSet:
     """Stride-1 (w input + h horizon) windows of a decomposed, scaled panel.
 
     The set is an index over the decomposition's (sensor, step, feature)
-    blocks: it holds a reference to them, a copy of the scaled `out_feature`
-    series and the anchor step of each window (`t_index`, the last input
+    blocks: it holds a reference to them, a copy of the scaled series of
+    feature 0, the one the model forecasts, and the anchor step of each window (`t_index`, the last input
     step).  `subset` indexes only the anchors.  The per-window arrays
     `anchor_seasonal` and `anchor_trend` (N, sensors) and `target_scaled` and
     `target_st` (N, sensors, h) are gathered on first use, so only a set that
@@ -95,28 +96,27 @@ class WindowSet:
     """
 
     def __init__(self, decomp: Decomposition, series: np.ndarray, w: int, h: int,
-                 out_feature: int, t_index: np.ndarray):
+                 t_index: np.ndarray):
         self.decomp = decomp
-        self.series = series  # (sensors, steps): the scaled output feature
+        self.series = series  # (sensors, steps): the scaled feature 0
         self.w = w
         self.h = h
-        self.out_feature = out_feature
         self.t_index = t_index
 
     def __len__(self) -> int:
         return len(self.t_index)
 
     def subset(self, idx) -> "WindowSet":
-        return WindowSet(self.decomp, self.series, self.w, self.h, self.out_feature,
+        return WindowSet(self.decomp, self.series, self.w, self.h,
                          self.t_index[np.asarray(idx)])
 
     @functools.cached_property
     def anchor_seasonal(self) -> np.ndarray:
-        return np.ascontiguousarray(self.decomp.seasonal[:, self.t_index, self.out_feature].T)
+        return np.ascontiguousarray(self.decomp.seasonal[:, self.t_index, 0].T)
 
     @functools.cached_property
     def anchor_trend(self) -> np.ndarray:
-        return np.ascontiguousarray(self.decomp.trend[:, self.t_index, self.out_feature].T)
+        return np.ascontiguousarray(self.decomp.trend[:, self.t_index, 0].T)
 
     @functools.cached_property
     def target_scaled(self) -> np.ndarray:
@@ -152,20 +152,20 @@ class WindowSet:
                 "seasonal": shifted(d.seasonal, w + h)}
 
 
-def make_windows(panel: Panel, decomp: Decomposition, w: int, h: int,
-                 out_feature: int = 0) -> WindowSet:
+def make_windows(panel: Panel, decomp: Decomposition, w: int, h: int) -> WindowSet:
     """Index every stride-1 (w input + h horizon) window of the panel.
 
     The panel and decomposition are expected in scaled space.  Window `i` is
     anchored at step `w - 1 + i`; its targets are the horizon values of
-    `out_feature` minus the seasonal + trend at the anchor.  No window and no
-    per-window array is built here (see `WindowSet`).
+    feature 0 minus its seasonal + trend at the anchor, the feature whose
+    seasonal slice `Forecaster.forward` joins.  No window and no per-window
+    array is built here (see `WindowSet`).
     """
     n, t, k = panel.values.shape
     if t < w + h:
         raise InsufficientDataError(f"{t} steps cannot fit a window of {w}+{h}")
-    series = np.ascontiguousarray(panel.values[:, :, out_feature])
-    return WindowSet(decomp, series, w, h, out_feature, np.arange(w - 1, t - h))
+    series = np.ascontiguousarray(panel.values[:, :, 0])
+    return WindowSet(decomp, series, w, h, np.arange(w - 1, t - h))
 
 
 def split_by_time(windows: WindowSet, boundary_step: int, horizon: int
@@ -177,13 +177,13 @@ def split_by_time(windows: WindowSet, boundary_step: int, horizon: int
 
 
 def recover_predictions(pred_st: np.ndarray, windows: WindowSet,
-                        scaling: ScalingParams, out_feature: int = 0) -> np.ndarray:
-    """Stationarized scaled forecasts -> original units (N, sensors, horizon)."""
+                        scaling: ScalingParams) -> np.ndarray:
+    """Stationarized scaled forecasts of feature 0 -> original units (N, sensors, horizon)."""
     scaled = recover_forecast(pred_st, (windows.anchor_seasonal, windows.anchor_trend),
                               horizon_axis=-1)
-    lo = scaling.lo[:, out_feature][None, :, None]
-    hi = scaling.hi[:, out_feature][None, :, None]
-    degen = scaling.degenerate[:, out_feature][None, :, None]
+    lo = scaling.lo[:, 0][None, :, None]
+    hi = scaling.hi[:, 0][None, :, None]
+    degen = scaling.degenerate[:, 0][None, :, None]
     span = np.where(degen, 1.0, hi - lo)
     return np.where(degen, lo, scaled * span + lo)
 

@@ -14,7 +14,6 @@ flat key=value file into the run, forecaster and synthetic-corridor settings.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import dtw as dt
 from . import evaluation as ev
 from . import model as md
 from . import panel as pn
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, require_finite
 from .nn import load_params, restore_params
 
 # -- configuration -------------------------------------------------------------------
@@ -52,10 +51,7 @@ class RunConfig:
     synth_days: int = 56
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        require_finite(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
         for name in ("completeness_min", "dtw_quantile"):

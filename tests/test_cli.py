@@ -278,6 +278,10 @@ BAD_CONFIG_LINES = [
     ("dtw_window_hours=-2", "dtw_window_hours must be positive"),
     ("cluster_m=nan", "cluster_m must be finite"),
     ("neighbor_radius_miles=inf", "neighbor_radius_miles must be finite"),
+    ("learning_rate=nan", "learning_rate must be finite"),
+    ("synth_noise_sd=nan", "noise_sd must be finite"),
+    ("synth_free_speed=inf", "free_speed must be finite"),
+    ("synth_weekday_factors=1,1,1,1,1,nan,1", "weekday_factors must be finite"),
 ]
 
 

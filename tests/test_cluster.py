@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from corridorcast import cluster as cl
+from corridorcast import evaluation as ev
+from corridorcast import pipeline
 from corridorcast.dtw import DistanceTable
 from corridorcast.errors import ConfigError, FormatError
 from corridorcast.panel import SensorKind, SensorMeta
@@ -97,9 +101,7 @@ def test_zero_distance_pair_beside_a_farther_cluster():
     assert mm.membership(1, 1) == 0.0  # sensor 1 sits on its own cluster
     assert mm.membership(2, 0) == pytest.approx(1.0 / 6.0)
     assert mm.clusters == [[0, 1, 2], [2, 3]]
-    want = reference_fhc(t, meta, 2.0)
-    assert (mm.merge_log, mm.clusters, mm.memberships) == (
-        want.merge_log, want.clusters, want.memberships)
+    assert_matches_reference(t, meta, 2.0)
 
 
 def test_empty_table_gives_singletons():
@@ -255,7 +257,7 @@ def test_clusters_from_csv_rejects_bad_rows(tmp_path, row, fault):
         cl.clusters_from_csv(str(path), metas([0.0, 1.0]))
 
 
-# -- neighbour-graph search against a brute-force reference ---------------------------
+# -- the path agglomeration against a brute-force reference ----------------------------
 
 
 def reference_fhc(distances, meta, max_avg_span_miles=10.0, threshold=0.1, m=2.0):
@@ -350,43 +352,84 @@ def reference_fhc(distances, meta, max_avg_span_miles=10.0, threshold=0.1, m=2.0
 
 
 def random_sparse_case(seed):
-    """A corridor with ramps, skip edges such as (1, 3), and often tied distances."""
+    """A corridor with ramps, gaps in the path and, at odd seeds, tied distances.
+
+    Edges join consecutive mainline sensors only, as `panel.neighbor_pairs`
+    makes them, so an edge steps over the ramps between its ends.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 26))
     positions = np.cumsum(rng.uniform(0.2, 1.5, size=n)).tolist()
     kinds = [SensorKind.ON_RAMP if rng.random() < 0.15 else SensorKind.MAINLINE
              for _ in range(n)]
     levels = [0.5, 1.0, 1.5, 2.0] if seed % 2 else None  # odd seeds draw tied distances
+    mainline = [i for i, k in enumerate(kinds) if k == SensorKind.MAINLINE]
     entries = {}
-    for i in range(n):
-        for j in range(i + 1, min(n, i + 4)):
-            if rng.random() < (0.85 if j == i + 1 else 0.2):
-                entries[(i, j)] = float(rng.choice(levels) if levels else rng.uniform(0.1, 5.0))
+    for i, j in zip(mainline, mainline[1:]):
+        if rng.random() < 0.85:
+            entries[(i, j)] = float(rng.choice(levels) if levels else rng.uniform(0.1, 5.0))
     span = float(rng.uniform(0.5, positions[-1] - positions[0] + 1.0))
     return table(entries), metas(positions, kinds), span
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_fhc_matches_brute_force_reference(seed):
-    t, meta, span = random_sparse_case(seed)
-    m = (1.5, 2.0, 3.0)[seed % 3]
-    threshold = (0.05, 0.1, 0.3)[seed % 3]
-    got = cl.fhc(t, meta, span, threshold, m)
-    want = reference_fhc(t, meta, span, threshold, m)
+SPARSE_SEEDS = range(60)
+
+
+def assert_matches_reference(t, meta, *args):
+    got, want = cl.fhc(t, meta, *args), reference_fhc(t, meta, *args)
     assert got.merge_log == want.merge_log
     assert got.clusters == want.clusters
     assert got.memberships == want.memberships
 
 
+@pytest.mark.parametrize("seed", SPARSE_SEEDS)
+def test_fhc_matches_brute_force_reference(seed):
+    t, meta, span = random_sparse_case(seed)
+    m = (1.5, 2.0, 3.0)[seed % 3]
+    threshold = (0.05, 0.1, 0.3)[seed % 3]
+    assert_matches_reference(t, meta, span, threshold, m)
+
+
 def test_reference_covers_skip_edges_ties_and_span_stops():
-    cases = [random_sparse_case(seed) for seed in range(60)]
-    assert any(i + 1 < j for t, _, _ in cases for i, j in t.entries)
+    cases = [random_sparse_case(seed) for seed in SPARSE_SEEDS]
+    assert any(i + 1 < j for t, _, _ in cases for i, j in t.entries)  # across a ramp
     assert any(len(set(t.entries.values())) < len(t.entries) for t, _, _ in cases)
     stopped = 0
     for t, meta, span in cases:
         unbounded = reference_fhc(t, meta, float("inf"))
         stopped += len(reference_fhc(t, meta, span).merge_log) < len(unbounded.merge_log)
     assert stopped > 10
+
+
+@pytest.mark.parametrize("edge", [(1, 4), (0, 3), (0, 2), (1, 2), (2, 3), (1, 1), (3, 9)])
+def test_fhc_rejects_edges_off_the_mainline_path(edge):
+    # the path is (0, 1), (1, 3), (3, 4); (1, 4) and (0, 3) skip a mainline
+    # sensor, (0, 2), (1, 2) and (2, 3) touch the ramp 2, (1, 1) is a self
+    # pair and (3, 9) reaches past the corridor
+    meta = metas([0.0, 1.0, 1.5, 2.0, 3.0],
+                 kinds=[SensorKind.MAINLINE, SensorKind.MAINLINE, SensorKind.OFF_RAMP,
+                        SensorKind.MAINLINE, SensorKind.MAINLINE])
+    path = {(0, 1): 1.0, (1, 3): 2.0, (3, 4): 1.0}
+    assert cl.fhc(table(path), meta).merge_log
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) does not join"):
+        cl.fhc(table({**path, edge: 1.0}), meta)
+
+
+@pytest.fixture(scope="module")
+def ramp_corridor():
+    """A pipeline-built table on a 32-sensor synth corridor, every 8th sensor a ramp."""
+    p = ev.synth_generate(ev.SynthConfig(), sensors=32, days=7, seed=3)
+    kinds = [SensorKind.ON_RAMP if k % 8 == 7 else SensorKind.MAINLINE for k in range(32)]
+    p = replace(p, sensors=tuple(replace(s, kind=k) for s, k in zip(p.sensors, kinds)))
+    t, _ = pipeline.cluster(p, pipeline.RunConfig())
+    return t, list(p.sensors)
+
+
+@pytest.mark.parametrize("span", [1.0, 2.5, 10.0])
+def test_fhc_matches_reference_on_a_pipeline_table(ramp_corridor, span):
+    t, meta = ramp_corridor
+    assert any(i + 1 < j for i, j in t.entries)  # edges across the ramps
+    assert_matches_reference(t, meta, span, 0.1, 2.0)
 
 
 class CountingTable(DistanceTable):

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -158,14 +159,23 @@ def test_active_windows_by_occupancy(rng):
 
 def test_table_symmetry_and_csv(tmp_path):
     table = dtw.DistanceTable()
+    table.set(3, 1, 0.1 + 0.2)
     table.set(2, 0, 1.5)
     assert table.get(0, 2) == table.get(2, 0) == 1.5
     assert table.get(1, 1) == 0.0
     assert table.get(0, 1) is None
-    path = str(tmp_path / "d.csv")
-    table.to_csv(path)
-    again = dtw.DistanceTable.from_csv(path)
-    assert again.entries == table.entries
+    path = tmp_path / "d.csv"
+    table.to_csv(str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["i", "j", "distance"], ["0", "2", "1.5"], ["1", "3", repr(0.1 + 0.2)]]
+    assert {(int(i), int(j)): float(d) for i, j, d in rows[1:]} == table.entries
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_table_rejects_negative_and_nan_distances(value):
+    with pytest.raises(ValueError, match="nonnegative"):
+        dtw.DistanceTable().set(0, 1, value)
 
 
 # -- batched kernel against the per-window loop --------------------------------------

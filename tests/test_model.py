@@ -139,7 +139,7 @@ def test_split_by_time_no_leakage(rng):
     assert len(train) + len(test) <= len(ws)
 
 
-def reference_make_windows(panel, decomp, w, h, out_feature=0):
+def reference_make_windows(panel, decomp, w, h):
     """The eager windowing the lazy WindowSet replaced, kept as its oracle."""
     n, t, k = panel.values.shape
     count = t - w - h + 1
@@ -155,9 +155,9 @@ def reference_make_windows(panel, decomp, w, h, out_feature=0):
     r_win = spans(decomp.residual, w + h)
     seasonal_in, trend_in, residual_in, (anchor_s, anchor_t) = dc.stationarize_window(
         s_win, t_win, r_win, anchor_index=w - 1, time_axis=2)
-    target_scaled = spans(panel.values, w + h)[:, :, w:, out_feature]
-    anchor_s = anchor_s[:, :, out_feature]
-    anchor_t = anchor_t[:, :, out_feature]
+    target_scaled = spans(panel.values, w + h)[:, :, w:, 0]
+    anchor_s = anchor_s[:, :, 0]
+    anchor_t = anchor_t[:, :, 0]
     target_st = target_scaled - (anchor_s + anchor_t)[:, :, None]
     return {"residual": residual_in[:, :, :w, :], "trend": trend_in[:, :, :w, :],
             "seasonal": seasonal_in, "target_st": target_st,
@@ -179,11 +179,10 @@ def assert_matches_reference(ws, ref, rows, rng):
 def test_windows_match_eager_reference(rng):
     p, boundary, scaling, scaled, decomp = scaled_decomposed(rng, sensors=5, days=5)
     w, h = 6, 4
-    for feature in (0, 1):
-        ref = reference_make_windows(scaled, decomp, w, h, out_feature=feature)
-        ws = md.make_windows(scaled, decomp, w, h, out_feature=feature)
-        assert len(ws) == len(ref["t_index"])
-        assert_matches_reference(ws, ref, np.arange(len(ws)), rng)
+    ref = reference_make_windows(scaled, decomp, w, h)
+    ws = md.make_windows(scaled, decomp, w, h)
+    assert len(ws) == len(ref["t_index"])
+    assert_matches_reference(ws, ref, np.arange(len(ws)), rng)
     train, test = md.split_by_time(ws, boundary, horizon=h)
     train_rows = np.flatnonzero(ref["t_index"] + h < boundary)
     test_rows = np.flatnonzero(ref["t_index"] >= boundary)
