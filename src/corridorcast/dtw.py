@@ -9,10 +9,12 @@ when a window activity mask is supplied.
 One kernel, `_dtw_costs`, solves a block of problems at once: P sensor pairs
 times S windows, each an (n, m) grid of cells.  The point cost accumulates
 |x_k - y_k| one feature at a time into a (P, S, n, m) block.  The cells are
-then filled in row-major order: each takes the `np.minimum` of its three
-predecessors across the whole block and adds its own cost.  Every cell thus
-runs the same operations in the same order as a loop over single problems,
-so each distance is bit for bit the one that problem gets alone.
+then filled one anti-diagonal (i + j constant) at a time, since a cell's
+three predecessors all lie on the two diagonals before it: each cell takes
+the `np.minimum` of its three predecessors across the whole block and adds
+its own cost.  Every cell thus runs the same operations as a loop over
+single problems, so each distance is bit for bit the one that problem gets
+alone.
 `dtw_distance` is the case P = S = 1.  `rolling_dtw_matrix` gathers each
 pair's windows straight from the residual block and runs the kernel over
 chunks of pairs, so that a chunk's cost block stays within `BLOCK_BYTES`
@@ -61,10 +63,18 @@ def _dtw_costs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     n, m = cost.shape[-2:]
     cost[..., 0, :] = np.cumsum(cost[..., 0, :], axis=-1)
     cost[..., :, 0] = np.cumsum(cost[..., :, 0], axis=-1)
-    for i in range(1, n):
-        for j in range(1, m):
-            cost[..., i, j] += np.minimum(np.minimum(cost[..., i - 1, j], cost[..., i, j - 1]),
-                                          cost[..., i - 1, j - 1])
+    # cell (i, j) sits at i*m + j of the flattened grid, so the interior cells
+    # of anti-diagonal d = i + j are one slice with step m - 1, and each
+    # predecessor slice is that one shifted by m, 1 or m + 1
+    flat = cost.reshape(*cost.shape[:-2], n * m)
+    for d in range(2, n + m - 1):
+        first, last = max(1, d - m + 1), min(n - 1, d - 1)
+        if first > last:
+            continue
+        cells = slice(first * (m - 1) + d, last * (m - 1) + d + 1, m - 1)
+        up, left, diag = (slice(cells.start - s, cells.stop - s, m - 1) for s in (m, 1, m + 1))
+        cur = flat[..., cells]
+        cur += np.minimum(np.minimum(flat[..., up], flat[..., left]), flat[..., diag])
     return cost[..., n - 1, m - 1].copy()
 
 

@@ -16,6 +16,18 @@ class ConfigError(CorridorcastError):
     """Bad configuration: unknown keys, invalid parameter values, wiring mismatches."""
 
 
+class FieldError(ConfigError):
+    """A config check that rejects the value of the one field `field`.
+
+    The message is `field` then `problem`, so a config reader can name the
+    key the value was read under, and where, in its place.
+    """
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
+
+
 class DataError(CorridorcastError):
     """Bad input data."""
 
@@ -45,10 +57,10 @@ class TrainingDivergence(CorridorcastError):
 
 
 def require_finite(cfg) -> None:
-    """Raise ConfigError naming the first field of dataclass `cfg` that holds a
+    """Raise FieldError naming the first field of dataclass `cfg` that holds a
     non-finite float, alone or in a tuple."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+            raise FieldError(f.name, f"must be finite, got {value}")

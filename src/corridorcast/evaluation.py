@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, require_finite
+from .errors import ConfigError, DataError, FieldError, require_finite
 from .panel import FEATURES, Panel, SensorKind, SensorMeta
 
 
@@ -158,7 +158,7 @@ class SynthConfig:
         if min(self.free_speed, self.wave_speed, self.max_density) <= 0:
             raise ConfigError("physical parameters must be positive")
         if len(self.weekday_factors) != 7:
-            raise ConfigError("weekday_factors needs seven entries, Monday to Sunday")
+            raise FieldError("weekday_factors", "needs seven entries, Monday to Sunday")
 
 
 def fundamental_flow(occupancy, free_speed, wave_speed, max_density):

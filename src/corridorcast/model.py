@@ -25,7 +25,8 @@ import numpy as np
 
 from . import nn
 from .decompose import Decomposition, recover_forecast
-from .errors import ConfigError, InsufficientDataError, TrainingDivergence, require_finite
+from .errors import (ConfigError, FieldError, InsufficientDataError, TrainingDivergence,
+                     require_finite)
 from .nn import Tensor
 from .panel import Panel, ScalingParams
 
@@ -66,9 +67,9 @@ class ForecasterConfig:
         if any(v <= 0 for v in numbers) or self.learning_rate <= 0:
             raise ConfigError("all size and rate settings must be positive")
         if tuple(self.dae_widths) != tuple(reversed(self.dae_widths)):
-            raise ConfigError(f"dae widths must be palindromic, got {self.dae_widths}")
+            raise FieldError("dae_widths", f"must be palindromic, got {self.dae_widths}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+            raise FieldError("dropout", f"must lie in [0, 1), got {self.dropout}")
 
     @classmethod
     def desk(cls, **overrides) -> "ForecasterConfig":

@@ -9,14 +9,16 @@ neighborhoods are index-contiguous.
 from __future__ import annotations
 
 import csv
-from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyPanelError,
     EmptySeriesError,
     FormatError,
@@ -27,6 +29,11 @@ FEATURES = ("flow", "occupancy", "speed")
 
 DATA_HEADER = ["sensor_id", "timestamp", "flow", "occupancy", "speed"]
 META_HEADER = ["sensor_id", "milepost", "kind"]
+
+# Characters of data CSV text parsed per block in `load_csv` (bytes, for ASCII
+# files); each block runs on to the end of its last line.  A block's lines and
+# field strings take 15 to 20 times its text, so 64 KiB keeps them near 1 MiB.
+BLOCK_CHARS = 1 << 16
 
 
 class SensorKind(str, Enum):
@@ -158,6 +165,122 @@ def _short_row(row: list[str], header: list[str], what: str, line: int) -> Forma
                        f"{len(header)} ({','.join(header)}): {row!r}")
 
 
+def _unquote(raw: str) -> str:
+    """The text of one comma-free field under CSV quoting rules.
+
+    A field may be wrapped in double quotes, with `""` standing for one quote
+    inside.  ValueError if a quote is still open at the end of the field: in
+    the line, that quote would have swallowed the comma after it.
+    """
+    if '"' not in raw:
+        return raw
+    closed = next(csv.reader([raw + ","]))
+    if len(closed) != 2:
+        raise ValueError(f"quote left open in {raw!r}")
+    return closed[0]
+
+
+def _sensor_index(raw: str, known: dict[str, int]) -> int:
+    sid = _unquote(raw).strip()
+    if sid not in known:
+        raise UnknownSensorError(f"data references unknown sensor {sid!r}")
+    return known[sid]
+
+
+def _epoch(raw: str) -> int:
+    return int(_parse_timestamp(_unquote(raw).strip()).astype(np.int64))
+
+
+def _lookup(fields: list[str], parsed: dict[str, int], parse) -> list[int]:
+    """`parsed[f]` for each raw field, parsing (and keeping) each new one once."""
+    try:
+        return list(map(parsed.__getitem__, fields))
+    except KeyError:
+        for raw in set(fields).difference(parsed):
+            parsed[raw] = parse(raw)
+        return list(map(parsed.__getitem__, fields))
+
+
+def _raise_first_bad_row(lines: list[str], first_line: int, known: dict[str, int]) -> None:
+    """Raise the error of the first bad data row among `lines`, a block whose
+    first line is physical line `first_line`; rows are checked one by one, in
+    file order, as the block parse checks them all at once."""
+    for line_no, line in enumerate(lines, first_line):
+        if not line:
+            continue
+        fields = line.split(",")
+        as_csv = next(csv.reader([line]))
+        if len(as_csv) != len(DATA_HEADER):
+            raise _short_row(as_csv, DATA_HEADER, "data", line_no)
+        if len(fields) != len(DATA_HEADER):  # a quoted field holds a comma
+            raise _short_row(fields, DATA_HEADER, "data", line_no)
+        try:
+            row = [_unquote(f) for f in fields]
+        except ValueError:
+            raise FormatError(f"data line {line_no} ends inside a quoted field: "
+                              f"{line!r}") from None
+        _sensor_index(fields[0], known)
+        _epoch(fields[1])
+        try:
+            float(row[2]), float(row[3]), float(row[4])
+        except ValueError as exc:
+            raise FormatError(f"bad numeric field in row {row!r}: {exc}") from None
+
+
+def _row_capacity(path: str) -> int:
+    """An upper bound on the data rows of `path` that hold five fields each:
+    its commas over four, since every such row holds four."""
+    commas = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(BLOCK_CHARS):
+            commas += chunk.count(b",")
+    return commas // (len(DATA_HEADER) - 1)
+
+
+def _read_rows(path: str, known: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sensor index, epoch seconds and readings of each data row of `path`, in
+    file order, parsed block by block into buffers allocated once.  The last
+    block's strings die on return, before `load_csv` builds the panel."""
+    capacity = _row_capacity(path)
+    sensors = np.empty(capacity, dtype=np.int64)
+    epochs = np.empty(capacity, dtype=np.int64)
+    observed = np.empty((capacity, len(FEATURES)))
+    sensor_of: dict[str, int] = {}  # raw field -> sensor index
+    epoch_of: dict[str, int] = {}  # raw field -> epoch seconds
+    sensor_index = partial(_sensor_index, known=known)
+    count = 0
+    # universal newlines: the reader turns each \r\n and \r into \n
+    with open(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != DATA_HEADER:
+            raise FormatError(f"data header must be {','.join(DATA_HEADER)}")
+        line_no = reader.line_num + 1  # physical number of the block's first line
+        while text := fh.read(BLOCK_CHARS):
+            lines = (text + fh.readline()).split("\n")
+            rows = list(filter(None, lines))
+            end = count + len(rows)
+            try:
+                # every row holds exactly four commas
+                if set(map(str.count, rows, repeat(","))) - {len(DATA_HEADER) - 1}:
+                    raise ValueError("a row without five fields")
+                flat = ",".join(rows).split(",") if rows else []
+                sensors[count:end] = _lookup(flat[0::5], sensor_of, sensor_index)
+                epochs[count:end] = _lookup(flat[1::5], epoch_of, _epoch)
+                for j in range(len(FEATURES)):
+                    column = flat[2 + j::5]
+                    try:
+                        observed[count:end, j] = column
+                    except ValueError:  # quoted numbers
+                        observed[count:end, j] = [float(_unquote(f)) for f in column]
+            except (ValueError, DataError):
+                _raise_first_bad_row(lines, line_no, known)
+                raise
+            count = end
+            line_no += len(lines) - 1
+    return sensors[:count], epochs[:count], observed[:count]
+
+
 def load_csv(path: str, meta_path: str) -> Panel:
     """Read a long-format data CSV plus sensor metadata into a Panel.
 
@@ -167,47 +290,25 @@ def load_csv(path: str, meta_path: str) -> Panel:
     sit on that grid.  Rows absent from the grid become mask=False cells.
     Sensors are ordered by milepost.
 
-    The file is read once: each distinct sensor id and timestamp string is
-    parsed once, and every row appends its sensor index, epoch seconds and
-    three values to flat buffers that fill the panel in one assignment.
+    Lines end at `\\n`, `\\r\\n` or `\\r`; blank lines are skipped.  Every other
+    line splits at each comma into exactly five fields, and each field may be
+    wrapped in double quotes (`""` inside stands for one quote), so a quoted
+    field cannot hold a comma or a line break.  Fields are stripped of
+    surrounding whitespace.  A bad file raises the error of its first bad row
+    in file order; a row with the wrong field count, or a quote still open at
+    its end, is named by its physical line.
+
+    The file is parsed in blocks of whole lines, about `BLOCK_CHARS`
+    characters each.  A first pass counts the commas, four per row, so the
+    row buffers are allocated once.  Each block is split into one flat field
+    list; each distinct sensor id and timestamp string is unquoted and parsed
+    once, through dicts; each numeric column is parsed by one numpy
+    assignment, which calls `float` on every field.  A block that fails any
+    check is scanned again row by row to raise the first bad row's error.
     """
     metas = sorted(load_sensor_meta(meta_path), key=lambda m: (m.position, m.id))
     known = {m.id: i for i, m in enumerate(metas)}
-
-    sensor_of: dict[str, int] = {}  # raw field -> sensor index
-    epoch_of: dict[str, int] = {}  # raw field -> epoch seconds
-    sensors, epochs, observed = array("q"), array("q"), array("d")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != DATA_HEADER:
-            raise FormatError(f"data header must be {','.join(DATA_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(DATA_HEADER):
-                raise _short_row(row, DATA_HEADER, "data", reader.line_num)
-            si = sensor_of.get(row[0])
-            if si is None:
-                sid = row[0].strip()
-                if sid not in known:
-                    raise UnknownSensorError(f"data references unknown sensor {sid!r}")
-                si = sensor_of[row[0]] = known[sid]
-            ts = epoch_of.get(row[1])
-            if ts is None:
-                ts = epoch_of[row[1]] = int(_parse_timestamp(row[1].strip()).astype(np.int64))
-            try:
-                flow, occupancy, speed = float(row[2]), float(row[3]), float(row[4])
-            except ValueError as exc:
-                raise FormatError(f"bad numeric field in row {row!r}: {exc}") from None
-            sensors.append(si)
-            epochs.append(ts)
-            observed.append(flow)
-            observed.append(occupancy)
-            observed.append(speed)
-
-    sensor_idx = np.frombuffer(sensors, dtype=np.int64)
-    epoch_s = np.frombuffer(epochs, dtype=np.int64)
+    sensor_idx, epoch_s, readings = _read_rows(path, known)
     order = np.argsort(sensor_idx, kind="stable")  # file order within each sensor
     s_sorted, e_sorted = sensor_idx[order], epoch_s[order]
     regress = (s_sorted[1:] == s_sorted[:-1]) & (e_sorted[1:] <= e_sorted[:-1])
@@ -229,7 +330,6 @@ def load_csv(path: str, meta_path: str) -> Panel:
     values = np.zeros((n, t, k))
     mask = np.zeros((n, t, k), dtype=bool)
     slots = (epoch_s - lo) // step
-    readings = np.frombuffer(observed, dtype=np.float64).reshape(-1, k)
     values[sensor_idx, slots] = readings
     mask[sensor_idx, slots] = True
     if not np.all(np.isfinite(readings)):
@@ -255,9 +355,11 @@ def fit_scale(p: Panel, train_range: tuple[int, int]) -> ScalingParams:
         raise ValueError(f"train range {train_range} is empty or out of bounds")
     vals = p.values[:, start:stop, :]
     mask = p.missing_mask[:, start:stop, :]
-    masked = np.ma.masked_array(vals, mask=~mask)
-    lo = masked.min(axis=1).filled(0.0)
-    hi = masked.max(axis=1).filled(0.0)
+    # unobserved cells read as +inf for the min and -inf for the max, so
+    # reductions over observed cells only; a series with none gets 0
+    seen = mask.any(axis=1)
+    lo = np.where(seen, np.where(mask, vals, np.inf).min(axis=1), 0.0)
+    hi = np.where(seen, np.where(mask, vals, -np.inf).max(axis=1), 0.0)
     return ScalingParams(lo=lo, hi=hi)
 
 
@@ -288,22 +390,19 @@ def impute_forward(p: Panel) -> Panel:
     """Fill unobserved cells with the last observed value of the same series.
 
     Leading gaps take the first observed value.  A series with no observed
-    value at all is an error.
+    value at all is an error.  Every series is filled by one gather: each
+    step reads the latest observed step up to it, or the first observed one.
     """
-    values = p.values.copy()
-    n, t, k = values.shape
-    for si in range(n):
-        for fi in range(k):
-            obs = p.missing_mask[si, :, fi]
-            if not obs.any():
-                raise EmptySeriesError(
-                    f"sensor {p.sensors[si].id!r} feature {p.features[fi]!r} has no observations")
-            idx = np.where(obs, np.arange(t), -1)
-            np.maximum.accumulate(idx, out=idx)
-            first = np.argmax(obs)
-            idx[idx < 0] = first
-            values[si, :, fi] = values[si, idx, fi]
-    return p.with_values(values)
+    observed = p.missing_mask
+    empty = ~observed.any(axis=1)
+    if empty.any():
+        si, fi = np.argwhere(empty)[0]
+        raise EmptySeriesError(
+            f"sensor {p.sensors[si].id!r} feature {p.features[fi]!r} has no observations")
+    steps = np.where(observed, np.arange(p.n_steps)[:, None], -1)
+    np.maximum.accumulate(steps, axis=1, out=steps)
+    np.maximum(steps, observed.argmax(axis=1)[:, None, :], out=steps)
+    return p.with_values(np.take_along_axis(p.values, steps, axis=1))
 
 
 def neighbor_pairs(sensors, radius_miles: float = 2.0,

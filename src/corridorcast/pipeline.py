@@ -24,7 +24,7 @@ from . import dtw as dt
 from . import evaluation as ev
 from . import model as md
 from . import panel as pn
-from .errors import ConfigError, InsufficientDataError, require_finite
+from .errors import ConfigError, FieldError, InsufficientDataError, require_finite
 from .nn import load_params, restore_params
 
 # -- configuration -------------------------------------------------------------------
@@ -53,14 +53,14 @@ class RunConfig:
     def __post_init__(self):
         require_finite(self)
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie strictly between 0 and 1")
+            raise FieldError("train_fraction", "must lie strictly between 0 and 1")
         for name in ("completeness_min", "dtw_quantile"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+                raise FieldError(name, f"must lie in [0, 1], got {getattr(self, name)}")
         if self.dtw_window_hours <= 0.0:
-            raise ConfigError(f"dtw_window_hours must be positive, got {self.dtw_window_hours}")
+            raise FieldError("dtw_window_hours", f"must be positive, got {self.dtw_window_hours}")
         if self.cluster_m <= 1.0:
-            raise ConfigError("cluster_m must exceed 1")
+            raise FieldError("cluster_m", "must exceed 1")
         if self.synth_sensors < 1 or self.synth_days < 1:
             raise ConfigError("synth_sensors and synth_days must be at least 1")
 
@@ -95,19 +95,27 @@ def decode(base, items: dict[str, str], prefix: str = "",
     by the type of its first element, booleans as case-insensitive
     true/false/0/1.  A key that names no field or a value that does not parse
     raises ConfigError naming the key, after `origin[key]` (where it was read)
-    when given.  The dataclass's own checks then run on the result.
+    when given.  The dataclass's own checks then run on the result; one that
+    rejects a single field is reported the same way, by key.
     """
     names = {prefix + f.name: f.name for f in fields(base)}
+
+    def where(key: str) -> str:
+        return f"{origin[key]}: " if origin and key in origin else ""
+
     kwargs = {}
     for key, raw in items.items():
-        where = f"{origin[key]}: " if origin and key in origin else ""
         if key not in names:
-            raise ConfigError(f"{where}unknown config key {key!r}")
+            raise ConfigError(f"{where(key)}unknown config key {key!r}")
         try:
             kwargs[names[key]] = _parse(raw, getattr(base, names[key]))
         except ValueError as exc:
-            raise ConfigError(f"{where}bad value {raw!r} for {key!r}: {exc}") from None
-    return replace(base, **kwargs)
+            raise ConfigError(f"{where(key)}bad value {raw!r} for {key!r}: {exc}") from None
+    try:
+        return replace(base, **kwargs)
+    except FieldError as exc:
+        key = prefix + exc.field
+        raise ConfigError(f"{where(key)}{key} {exc.problem}") from None
 
 
 def config_hash(f: md.ForecasterConfig) -> str:

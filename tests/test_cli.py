@@ -268,20 +268,24 @@ BAD_CONFIG_LINES = [
     ("train_fraction=abc", "bad.cfg:1: bad value 'abc' for 'train_fraction'"),
     ("conv_filters=2", "conv_filters and convlstm_filters need two entries"),
     ("convlstm_filters=2,2,2", "conv_filters and convlstm_filters need two entries"),
-    ("synth_weekday_factors=1,2", "weekday_factors needs seven entries"),
+    ("synth_weekday_factors=1,2", "bad.cfg:1: synth_weekday_factors needs seven entries"),
     ("synth_sensors=-3", "synth_sensors and synth_days must be at least 1"),
     ("synth_days=0", "synth_sensors and synth_days must be at least 1"),
-    ("dtw_quantile=2", "dtw_quantile must lie in [0, 1]"),
-    ("completeness_min=-0.5", "completeness_min must lie in [0, 1]"),
-    ("dtw_window_hours=nan", "dtw_window_hours must be finite"),
-    ("dtw_window_hours=0", "dtw_window_hours must be positive"),
-    ("dtw_window_hours=-2", "dtw_window_hours must be positive"),
-    ("cluster_m=nan", "cluster_m must be finite"),
-    ("neighbor_radius_miles=inf", "neighbor_radius_miles must be finite"),
-    ("learning_rate=nan", "learning_rate must be finite"),
-    ("synth_noise_sd=nan", "noise_sd must be finite"),
-    ("synth_free_speed=inf", "free_speed must be finite"),
-    ("synth_weekday_factors=1,1,1,1,1,nan,1", "weekday_factors must be finite"),
+    ("dtw_quantile=2", "bad.cfg:1: dtw_quantile must lie in [0, 1]"),
+    ("completeness_min=-0.5", "bad.cfg:1: completeness_min must lie in [0, 1]"),
+    ("train_fraction=1.5", "bad.cfg:1: train_fraction must lie strictly between 0 and 1"),
+    ("dtw_window_hours=nan", "bad.cfg:1: dtw_window_hours must be finite"),
+    ("dtw_window_hours=0", "bad.cfg:1: dtw_window_hours must be positive"),
+    ("dtw_window_hours=-2", "bad.cfg:1: dtw_window_hours must be positive"),
+    ("cluster_m=nan", "bad.cfg:1: cluster_m must be finite"),
+    ("cluster_m=0.5", "bad.cfg:1: cluster_m must exceed 1"),
+    ("neighbor_radius_miles=inf", "bad.cfg:1: neighbor_radius_miles must be finite"),
+    ("learning_rate=nan", "bad.cfg:1: learning_rate must be finite"),
+    ("dropout=1.5", "bad.cfg:1: dropout must lie in [0, 1)"),
+    ("dae_widths=4,2,3", "bad.cfg:1: dae_widths must be palindromic"),
+    ("synth_noise_sd=nan", "bad.cfg:1: synth_noise_sd must be finite, got nan"),
+    ("synth_free_speed=inf", "bad.cfg:1: synth_free_speed must be finite"),
+    ("synth_weekday_factors=1,1,1,1,1,nan,1", "bad.cfg:1: synth_weekday_factors must be finite"),
 ]
 
 
@@ -350,6 +354,20 @@ def test_exit_code_short_data_row(synth_dir, tmp_path, capsys):
                "--out", str(tmp_path / "c"), "--seed", "7", "--config", cfg) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "has 3 fields" in err[0]
+
+
+@pytest.mark.parametrize("row, fields", [
+    ("S001,2016-01-04T00:00:00,1.0,2.0,3.0,4.0", 6),
+    ('"S001,x",2016-01-04T00:00:00,1.0,2.0,3.0', 6),
+], ids=["extra-field", "quoted-comma"])
+def test_exit_code_data_row_with_extra_fields(synth_dir, tmp_path, capsys, row, fields):
+    out, cfg = synth_dir
+    data = tmp_path / "long.csv"
+    data.write_text((out / "data.csv").read_text() + row + "\n")
+    assert run("cluster", "--data", str(data), "--meta", str(out / "meta.csv"),
+               "--out", str(tmp_path / "c"), "--seed", "7", "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"has {fields} fields, expected 5" in err[0]
 
 
 def test_exit_code_unknown_sensor_in_clusters(synth_dir, tmp_path, monkeypatch):

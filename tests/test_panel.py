@@ -1,8 +1,13 @@
+import csv
+import tracemalloc
+from array import array
+
 import numpy as np
 import pytest
 
 from corridorcast import panel as pn
 from corridorcast.errors import (
+    DataError,
     EmptyPanelError,
     EmptySeriesError,
     FormatError,
@@ -128,6 +133,263 @@ def test_off_grid_timestamp_rejected(tmp_path):
             "A,2016-01-04T00:12:00,1,1,1"]
     with pytest.raises(FormatError):
         pn.load_csv(*write_fixture(tmp_path, rows))
+
+
+def load_csv_rows_oracle(path, meta_path):
+    """The row-by-row loader that `load_csv` replaced, kept as its reference.
+
+    It reads the data file with `csv.reader`: a row may hold more than five
+    fields (the extra ones are dropped) and a quoted field may hold commas
+    and line breaks, which `load_csv` rejects; on every file that `load_csv`
+    accepts the two must agree bit for bit.
+    """
+    metas = sorted(pn.load_sensor_meta(meta_path), key=lambda m: (m.position, m.id))
+    known = {m.id: i for i, m in enumerate(metas)}
+
+    sensor_of = {}
+    epoch_of = {}
+    sensors, epochs, observed = array("q"), array("q"), array("d")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != pn.DATA_HEADER:
+            raise FormatError(f"data header must be {','.join(pn.DATA_HEADER)}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < len(pn.DATA_HEADER):
+                raise pn._short_row(row, pn.DATA_HEADER, "data", reader.line_num)
+            si = sensor_of.get(row[0])
+            if si is None:
+                sid = row[0].strip()
+                if sid not in known:
+                    raise UnknownSensorError(f"data references unknown sensor {sid!r}")
+                si = sensor_of[row[0]] = known[sid]
+            ts = epoch_of.get(row[1])
+            if ts is None:
+                ts = epoch_of[row[1]] = int(pn._parse_timestamp(row[1].strip()).astype(np.int64))
+            try:
+                flow, occupancy, speed = float(row[2]), float(row[3]), float(row[4])
+            except ValueError as exc:
+                raise FormatError(f"bad numeric field in row {row!r}: {exc}") from None
+            sensors.append(si)
+            epochs.append(ts)
+            observed.append(flow)
+            observed.append(occupancy)
+            observed.append(speed)
+
+    sensor_idx = np.frombuffer(sensors, dtype=np.int64)
+    epoch_s = np.frombuffer(epochs, dtype=np.int64)
+    order = np.argsort(sensor_idx, kind="stable")
+    s_sorted, e_sorted = sensor_idx[order], epoch_s[order]
+    regress = (s_sorted[1:] == s_sorted[:-1]) & (e_sorted[1:] <= e_sorted[:-1])
+    if regress.any():
+        sid = metas[s_sorted[1:][regress][0]].id
+        raise FormatError(f"timestamps for sensor {sid!r} are not strictly increasing")
+    if epoch_s.size == 0:
+        raise EmptyPanelError("data file contains no rows")
+
+    times = np.unique(epoch_s)
+    lo, step = int(times[0]), 1
+    if len(times) > 1:
+        step = int(np.diff(times).min())
+        if np.any((times - lo) % step != 0):
+            raise FormatError("timestamps do not sit on a fixed-step grid")
+    time_index = (lo + step * np.arange((int(times[-1]) - lo) // step + 1)).astype("datetime64[s]")
+
+    n, t, k = len(metas), len(time_index), len(pn.FEATURES)
+    values = np.zeros((n, t, k))
+    mask = np.zeros((n, t, k), dtype=bool)
+    slots = (epoch_s - lo) // step
+    readings = np.frombuffer(observed, dtype=np.float64).reshape(-1, k)
+    values[sensor_idx, slots] = readings
+    mask[sensor_idx, slots] = True
+    if not np.all(np.isfinite(readings)):
+        raise FormatError("observed values must be finite")
+    return pn.Panel(values, time_index, pn.FEATURES, mask, tuple(metas))
+
+
+def write_raw(tmp_path, body: str, meta_rows=("A,1.0,mainline", "B,2.0,mainline",
+                                              "C,0.5,on_ramp")):
+    """A data file holding exactly `body` (any line endings) and its metadata."""
+    data = tmp_path / "raw.csv"
+    meta = tmp_path / "raw_meta.csv"
+    data.write_bytes(body.encode())
+    meta.write_text("sensor_id,milepost,kind\n" + "".join(r + "\n" for r in meta_rows))
+    return str(data), str(meta)
+
+
+HEADER = "sensor_id,timestamp,flow,occupancy,speed"
+
+# Valid files: interleaved sensors, missing rows, blank lines (also first and
+# last), CRLF and bare CR line endings, quoted ids, timestamps and numbers,
+# whitespace around fields, and values whose bits a sloppy parse would change.
+GOOD_BODIES = {
+    "interleaved-missing": "\n".join([
+        HEADER,
+        "B,2016-01-04T00:05:00,21,3.5,56",
+        "A,2016-01-04T00:00:00,10,1,60",
+        "C,2016-01-04T00:00:00,1,0.5,30",
+        "A,2016-01-04T00:10:00,12,2,62",
+        "B,2016-01-04T00:15:00,22,4,57",
+        "C,2016-01-04T00:15:00,2,0.25,31",
+    ]) + "\n",
+    "blank-lines-crlf": "\r\n".join([
+        HEADER, "", "",
+        "A,2016-01-04T00:00:00,10,1,60", "",
+        "B,2016-01-04T00:00:00,20,3,55",
+        "A,2016-01-04T00:05:00,11,1.5,61", "", "",
+        "B,2016-01-04T00:05:00,21,3.5,56", "",
+    ]),
+    "bare-cr-no-final-newline": "\r".join([
+        HEADER,
+        "A,2016-01-04T00:00:00,10,1,60",
+        "A,2016-01-04T00:05:00,11,1.5,61",
+        "B,2016-01-04T00:05:00,21,3.5,56",
+    ]),
+    "mixed-endings": (HEADER + "\r\n" + "A,2016-01-04T00:00:00,10,1,60\n"
+                      + "B,2016-01-04T00:00:00,20,3,55\r"
+                      + "A,2016-01-04T00:05:00,11,1.5,61\r\n\r\n"
+                      + "B,2016-01-04T00:05:00,21,3.5,56\n"),
+    "quotes-and-spaces": "\n".join([
+        " sensor_id , timestamp,flow , occupancy,speed ",
+        '"A",2016-01-04T00:00:00,10,1,60',
+        ' A ,"2016-01-04T00:05:00", 11 ,"1.5",61\t',
+        '"B ",  2016-01-04T00:00:00 ,"20", 3 ,55',
+        'B,2016-01-04T00:05:00,"21",3.5," 56 "',
+        '"A",2016-01-04T00:10:00,1_2,2,62',
+    ]) + "\n",
+    "unicode-separators": "\n".join([
+        HEADER,
+        "A\x85,2016-01-04T00:00:00,\x0c10,1,60\x0b",
+        '"B"\u2028,2016-01-04T00:00:00,20,3,55',
+        "A,2016-01-04T00:05:00\u2029,11,1.5\x0c,61",
+    ]) + "\n",
+    "extreme-values": "\n".join([
+        HEADER,
+        "A,2016-01-04T00:00:00,-0.0,5e-324,1e22",
+        "A,2016-01-04T00:05:00,0.1,-1e-320,1.7976931348623157e308",
+        "B,2016-01-04T00:00:00,0.30000000000000004,2.2250738585072014e-308,-0.0",
+        "B,2016-01-04T00:05:00,123456789.12345678,1e-7,4.9406564584124654e-324",
+    ]) + "\n",
+}
+
+
+def assert_same_panel(p, q):
+    assert p.values.tobytes() == q.values.tobytes()
+    assert p.missing_mask.tobytes() == q.missing_mask.tobytes()
+    assert p.time_index.dtype == q.time_index.dtype
+    assert p.time_index.tobytes() == q.time_index.tobytes()
+    assert p.sensors == q.sensors
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, pn.BLOCK_CHARS])
+@pytest.mark.parametrize("name", sorted(GOOD_BODIES))
+def test_load_csv_equals_row_oracle(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(pn, "BLOCK_CHARS", block)
+    paths = write_raw(tmp_path, GOOD_BODIES[name])
+    assert_same_panel(pn.load_csv(*paths), load_csv_rows_oracle(*paths))
+
+
+def test_load_csv_equals_row_oracle_on_a_synthetic_corridor(tmp_path, monkeypatch):
+    from corridorcast import evaluation as ev
+    data, meta = str(tmp_path / "data.csv"), str(tmp_path / "meta.csv")
+    p = ev.synth_generate(ev.SynthConfig(), sensors=5, days=2, seed=3)
+    p.missing_mask[1, 10:30] = False
+    ev.panel_to_csv(p, data, meta)
+    reference = load_csv_rows_oracle(data, meta)
+    for block in (97, 4096, pn.BLOCK_CHARS):
+        monkeypatch.setattr(pn, "BLOCK_CHARS", block)
+        assert_same_panel(pn.load_csv(data, meta), reference)
+
+
+# Bad files on which the row loop and the block parse must raise the same
+# error: class and message, with physical line numbers after blank lines.
+BAD_BODIES = {
+    "bad-header": "sensor,timestamp,flow,occupancy,speed\nA,2016-01-04T00:00:00,1,1,1\n",
+    "empty-file": "",
+    "header-only": HEADER + "\r\n\r\n",
+    "short-row-after-blanks": "\r\n".join([
+        HEADER, "A,2016-01-04T00:00:00,1,1,1", "", "", "A,2016-01-04T00:05:00,1,1",
+        "Z,2016-01-04T00:10:00,1,1,1"]),
+    "short-row-bare-cr": "\r".join([
+        HEADER, "", "A,2016-01-04T00:00:00,1,1,1", "B,2016-01-04T00:05:00"]),
+    "blank-looking-row": HEADER + "\nA,2016-01-04T00:00:00,1,1,1\n   \n",
+    "short-then-long-row": "\n".join([
+        HEADER, "A,2016-01-04T00:00:00,1,1", "A,2016-01-04T00:05:00,1,1,1,1"]) + "\n",
+    "quoted-comma-short": HEADER + '\n"A,x",2016-01-04T00:00:00,1,1\n',
+    "unknown-sensor-first": "\n".join([
+        HEADER, "A,2016-01-04T00:00:00,1,1,1", "Z,2016-01-04T00:05:00,1,1,1",
+        "A,2016-01-04T00:05:00,fast,1,1"]) + "\n",
+    "bad-number-first": "\n".join([
+        HEADER, "A,2016-01-04T00:00:00,1,1,1", "A,2016-01-04T00:05:00,1,slow,1",
+        "Z,2016-01-04T00:10:00,1,1,1", "A,2016-01-04 noon,1,1,1"]) + "\n",
+    "bad-timestamp-first": "\n".join([
+        HEADER, "A,2016-01-04T00:00:00,1,1,1", "A,2016-01-04 noon,x,1,1",
+        "Z,2016-01-04T00:10:00,1,1,1"]) + "\n",
+    "quoted-bad-number": HEADER + '\nA,2016-01-04T00:00:00,"1 2",1,1\n',
+    "number-quoted-after-space": HEADER + '\nA,2016-01-04T00:00:00, "1",1,1\n',
+    "nan": HEADER + "\nA,2016-01-04T00:00:00,nan,1,1\nA,2016-01-04T00:05:00,1,1,1\n",
+    "inf": HEADER + "\nA,2016-01-04T00:00:00,1,-inf,1\n",
+    "duplicate": HEADER + "\nB,2016-01-04T00:00:00,1,1,1\nB,2016-01-04T00:00:00,1,1,1\n",
+    "non-monotone": "\n".join([
+        HEADER, "A,2016-01-04T00:05:00,1,1,1", "B,2016-01-04T00:00:00,1,1,1",
+        "A,2016-01-04T00:00:00,1,1,1"]) + "\n",
+    "off-grid": "\n".join([
+        HEADER, "A,2016-01-04T00:00:00,1,1,1", "A,2016-01-04T00:05:00,1,1,1",
+        "A,2016-01-04T00:12:00,1,1,1"]) + "\n",
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, pn.BLOCK_CHARS])
+@pytest.mark.parametrize("name", sorted(BAD_BODIES))
+def test_load_csv_errors_match_row_oracle(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(pn, "BLOCK_CHARS", block)
+    paths = write_raw(tmp_path, BAD_BODIES[name])
+    with pytest.raises(DataError) as expected:
+        load_csv_rows_oracle(*paths)
+    with pytest.raises(DataError) as got:
+        pn.load_csv(*paths)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("line, fields, shown", [
+    ("A,2016-01-04T00:05:00,11,1.5,61,extra", 6, "'extra'"),
+    ("A,2016-01-04T00:05:00,11,1.5,61,", 6, "''"),
+    ('"A,B",2016-01-04T00:05:00,11,1.5,61', 6, "'B\"'"),
+])
+def test_rows_with_extra_fields_rejected(tmp_path, line, fields, shown):
+    body = "\r\n".join([HEADER, "A,2016-01-04T00:00:00,10,1,60", "", line]) + "\r\n"
+    with pytest.raises(FormatError) as err:
+        pn.load_csv(*write_raw(tmp_path, body))
+    message = str(err.value)
+    assert message.startswith(f"data line 4 has {fields} fields, expected 5 "
+                              f"(sensor_id,timestamp,flow,occupancy,speed): ")
+    assert shown in message and "\n" not in message
+
+
+def test_quote_left_open_at_line_end_rejected(tmp_path):
+    body = HEADER + '\nA,2016-01-04T00:00:00,10,1,"60\nA,2016-01-04T00:05:00,11,1,61\n'
+    with pytest.raises(FormatError, match="data line 2 ends inside a quoted field"):
+        pn.load_csv(*write_raw(tmp_path, body))
+
+
+def test_load_csv_memory_stays_within_the_row_loop(tmp_path, rng):
+    from corridorcast import evaluation as ev
+    data, meta = str(tmp_path / "data.csv"), str(tmp_path / "meta.csv")
+    ev.panel_to_csv(make_panel(rng.gamma(2.0, 20.0, (18, 2784, 3))), data, meta)  # 50,112 rows
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            load(data, meta)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    pn.load_csv(data, meta)  # the first load imports modules; count neither loader's share
+    assert peak(pn.load_csv) <= 1.1 * peak(load_csv_rows_oracle)
 
 
 def make_panel(values, mask=None, positions=None, kinds=None, step_s=300):
