@@ -41,5 +41,6 @@ for c, members in enumerate(mm.clusters):
     parts = [f"{u}({mm.membership(u, c):.2f})" for u in members]
     print(f"  cluster {c}: " + " ".join(parts))
 
-multi = [u for u in range(panel.n_sensors) if len(mm.clusters_of(u)) > 1]
+multi = [u for u in range(panel.n_sensors)
+         if sum(u in members for members in mm.clusters) > 1]
 print(f"\nsensors in more than one cluster: {multi or 'none'}")

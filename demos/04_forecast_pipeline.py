@@ -30,8 +30,7 @@ print(f"{len(train_w)} training windows, {len(test_w)} test windows")
 model, history, curves = pl.fit(panel, clusters.clusters, train_w, cfg, SEED)
 print("DAE pretraining loss, first -> last epoch:",
       " ".join(f"{c[0]:.4f}->{c[-1]:.4f}" for c in curves))
-print(f"forecaster has {model.parameter_count()} parameters in "
-      f"{len(model.layers)} layer groups")
+print(f"forecaster has {model.parameter_count()} parameters")
 print("training loss by epoch:", " ".join(f"{x:.4f}" for x in history.train_loss))
 
 pred, truth, _, _ = pl.score(model, panel, scaling, test_w)

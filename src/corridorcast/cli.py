@@ -68,7 +68,7 @@ def cmd_decompose(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for si, sensor in enumerate(p.sensors):
         path = os.path.join(args.out, f"decomp_{sensor.id}.csv")
-        dc.dump_components_csv(path + ".tmp", decomp, si, feature_index=0)
+        dc.dump_components_csv(path + ".tmp", decomp, si)
         os.replace(path + ".tmp", path)
     _emit_config(args.out, cfg, None)
     return EXIT_OK

@@ -34,39 +34,35 @@ import numpy as np
 
 from .dtw import DistanceTable
 from .errors import ConfigError, FormatError, UnknownSensorError
-from .panel import SensorKind, SensorMeta, _short_row
+from .panel import SensorKind, SensorMeta, _open_utf8, _short_row
 
 
 @dataclass
 class MembershipMatrix:
     """Graded sensor-to-cluster memberships plus the crisp lists they induce.
 
-    `clusters[c]` holds exactly the sensors whose membership in cluster `c`
-    reaches the threshold; a sensor's home cluster always has membership 1.
+    `clusters[c]` lists the sensors whose membership in cluster `c` reached
+    the clustering threshold when the matrix was built; a sensor's home
+    cluster always has membership 1.  `merge_log` holds the agglomeration's
+    merges as (step, a, b, distance), empty for a matrix read from a file.
     """
 
     memberships: dict[tuple[int, int], float]
     clusters: list[list[int]]
-    threshold: float
     merge_log: list[tuple[int, str, str, float]] = field(default_factory=list)
 
     def membership(self, sensor: int, cluster: int) -> float:
         return self.memberships.get((sensor, cluster), 0.0)
 
-    def clusters_of(self, sensor: int) -> list[int]:
-        return [c for c, members in enumerate(self.clusters) if sensor in members]
 
+def fuzzy_update(d_current: float, all_cluster_distances) -> float:
+    """Membership of an assigned point in a cluster at distance `d_current`.
 
-def fuzzy_update(d_current: float, all_cluster_distances, m: float) -> tuple[float, float]:
-    """Membership and re-clamped distance for an assigned point and one cluster.
-
-    Returns (mu, updated_distance).  The degenerate all-zero case pins the
-    membership to 1 and the distance to 0; a point at distance 0 from its
-    nearest cluster but not from this one gets mu = 0 and keeps its distance,
-    the clamp's limit as mu -> 0.
+    The membership is d_min / (d_current + d_min), d_min being the smallest
+    of `all_cluster_distances` (None entries are skipped).  A point at
+    distance 0 from its nearest cluster but not from this one gets 0; the
+    degenerate all-zero case gets 1.
     """
-    if m <= 1.0:
-        raise ConfigError(f"fuzziness parameter must exceed 1, got {m}")
     dists = [d for d in all_cluster_distances if d is not None]
     if not dists:
         raise ValueError("no cluster distances available")
@@ -74,12 +70,8 @@ def fuzzy_update(d_current: float, all_cluster_distances, m: float) -> tuple[flo
         raise ValueError("distances must be nonnegative")
     d_min = min(dists)
     if d_current + d_min == 0.0:
-        return 1.0, 0.0
-    mu = d_min / (d_current + d_min)
-    if mu == 0.0:
-        return 0.0, d_current
-    updated = min((1.0 - math.log(mu, m)) * d_current, d_current)
-    return mu, updated
+        return 1.0
+    return d_min / (d_current + d_min)
 
 
 def _span(members, positions) -> float:
@@ -95,9 +87,7 @@ class ClusterState:
     cluster's milepost span by its first sensor, oldest cluster first.
     """
 
-    def __init__(self, base: DistanceTable, positions: dict[int, float], m: float):
-        if m <= 1.0:
-            raise ConfigError(f"fuzziness parameter must exceed 1, got {m}")
+    def __init__(self, base: DistanceTable, positions: dict[int, float]):
         self.positions = positions
         self.runs = [[p] for p in sorted(positions)]
         rank = {run[0]: r for r, run in enumerate(self.runs)}
@@ -129,19 +119,18 @@ class ClusterState:
 
 
 def fhc(distances: DistanceTable, meta, max_avg_span_miles: float = 10.0,
-        threshold: float = 0.1, m: float = 2.0) -> MembershipMatrix:
+        threshold: float = 0.1) -> MembershipMatrix:
     """Cluster mainline sensors over a table of consecutive-sensor distances.
 
     Merges the closest neighbouring runs (the leftmost on ties) until the mean
     cluster span would exceed `max_avg_span_miles` or no edge is left; sensors
-    never merged follow as singleton clusters.
-
-    `m` changes no output: memberships are d_min / (d + d_min), and `m`
-    enters only the re-clamped distance of `fuzzy_update`, which is dropped.
+    never merged follow as singleton clusters.  A sensor ending a cluster
+    joins the neighbouring cluster's crisp list when its membership there
+    (`fuzzy_update`) reaches `threshold`.
     """
     positions = {i: s.position for i, s in enumerate(meta)
                  if s.kind == SensorKind.MAINLINE}
-    state = ClusterState(distances, positions, m)
+    state = ClusterState(distances, positions)
     while len(state.gaps) and state.gaps.min() < np.inf:
         r = int(np.argmin(state.gaps))
         if state.mean_span_after(r) > max_avg_span_miles:
@@ -159,11 +148,10 @@ def fhc(distances: DistanceTable, meta, max_avg_span_miles: float = 10.0,
         d = bounds[end - 1]
         if len(left) > 1 and len(right) > 1 and d < math.inf:
             for u, c, inner in ((left[-1], k + 1, bounds[end - 2]), (right[0], k, bounds[end])):
-                mu = memberships[(u, number[c])] = fuzzy_update(d, [inner, d], m)[0]
+                mu = memberships[(u, number[c])] = fuzzy_update(d, [inner, d])
                 if mu >= threshold:
                     crisp[number[c]].append(u)
-    return MembershipMatrix(memberships, [sorted(c) for c in crisp], threshold,
-                            state.merge_log)
+    return MembershipMatrix(memberships, [sorted(c) for c in crisp], state.merge_log)
 
 
 def attach_ramps(mm: MembershipMatrix, meta) -> MembershipMatrix:
@@ -187,7 +175,7 @@ def attach_ramps(mm: MembershipMatrix, meta) -> MembershipMatrix:
         memberships[(ri, target)] = 1.0
         if ri not in clusters[target]:
             clusters[target] = sorted(clusters[target] + [ri])
-    return MembershipMatrix(memberships, clusters, mm.threshold, list(mm.merge_log))
+    return MembershipMatrix(memberships, clusters, list(mm.merge_log))
 
 
 CLUSTER_HEADER = ["cluster_id", "sensor_id", "membership"]
@@ -213,13 +201,16 @@ def merge_log_to_csv(mm: MembershipMatrix, path: str) -> None:
 def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:
     """Rebuild a membership matrix from the exported cluster CSV.
 
-    A header other than `CLUSTER_HEADER`, a short row, a cluster id that is
-    not a nonnegative integer or a membership that is not a number raises
-    `FormatError` (the rows name their line).
+    A file that is not UTF-8 text, a header other than `CLUSTER_HEADER`, a
+    short row, a cluster id that is not a nonnegative integer, a membership
+    that is not a number or a second row for one (cluster, sensor) pair raises
+    `FormatError` (the rows name their line), and so does a file that leaves a
+    cluster id below its largest one without rows or leaves out a sensor.
     """
     by_id = {s.id: i for i, s in enumerate(sensors)}
-    rows: list[tuple[int, int, float]] = []
-    with open(path, newline="") as fh:
+    clusters: list[list[int]] = []
+    memberships: dict[tuple[int, int], float] = {}
+    with _open_utf8(path, "cluster file", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CLUSTER_HEADER:
@@ -241,11 +232,18 @@ def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:
                                   f"{row!r}")
             if row[1] not in by_id:
                 raise UnknownSensorError(f"cluster file references unknown sensor {row[1]!r}")
-            rows.append((c, by_id[row[1]], mu))
-    n_clusters = max((c for c, _, _ in rows), default=-1) + 1
-    clusters: list[list[int]] = [[] for _ in range(n_clusters)]
-    memberships: dict[tuple[int, int], float] = {}
-    for c, u, mu in rows:
-        clusters[c].append(u)
-        memberships[(u, c)] = mu
-    return MembershipMatrix(memberships, [sorted(c) for c in clusters], threshold=0.1)
+            u = by_id[row[1]]
+            if (u, c) in memberships:
+                raise FormatError(f"cluster file line {line} repeats sensor {row[1]!r} "
+                                  f"in cluster {c}")
+            clusters.extend([] for _ in range(c + 1 - len(clusters)))
+            clusters[c].append(u)
+            memberships[(u, c)] = mu
+    empty = [c for c, members in enumerate(clusters) if not members]
+    if empty:
+        raise FormatError(f"cluster file {path} has no rows for cluster id {empty[0]}")
+    covered = {u for u, _ in memberships}
+    left_out = [s.id for i, s in enumerate(sensors) if i not in covered]
+    if left_out:
+        raise FormatError(f"cluster file {path} leaves out sensor {left_out[0]!r}")
+    return MembershipMatrix(memberships, [sorted(c) for c in clusters])

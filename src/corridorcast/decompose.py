@@ -1,4 +1,4 @@
-"""Additive seasonal/trend/residual decomposition and stationarization.
+"""Additive seasonal/trend/residual decomposition, and recovery of anchored forecasts.
 
 The split is the classical moving-average decomposition: the trend is a
 centered moving average over one season (half-weighted ends when the period
@@ -124,34 +124,18 @@ def daily_period(step_minutes: float) -> int:
     return int(round(period))
 
 
-def stationarize_window(s_win: np.ndarray, t_win: np.ndarray, r_win: np.ndarray,
-                        anchor_index: int, time_axis: int = -1):
-    """Shift a (w+h)-step window so its last input step becomes the origin.
+def recover_forecast(pred: np.ndarray, anchors) -> np.ndarray:
+    """Undo stationarization: add the anchor seasonal + trend back onto a forecast.
 
-    Seasonal and trend channels have their value at `anchor_index` subtracted;
-    residuals pass through unchanged.  Returns the shifted channels plus the
-    (seasonal, trend) anchor values needed to undo the shift.
+    The anchors hold one value per forecast row; the forecast's last axis is
+    the horizon.
     """
-    s_win = np.asarray(s_win, dtype=np.float64)
-    t_win = np.asarray(t_win, dtype=np.float64)
-    r_win = np.asarray(r_win, dtype=np.float64)
-    if s_win.shape != t_win.shape or s_win.shape != r_win.shape:
-        raise ValueError("component windows must share a shape")
-    anchor_s = np.take(s_win, anchor_index, axis=time_axis)
-    anchor_t = np.take(t_win, anchor_index, axis=time_axis)
-    seasonal_in = s_win - np.expand_dims(anchor_s, axis=time_axis)
-    trend_in = t_win - np.expand_dims(anchor_t, axis=time_axis)
-    return seasonal_in, trend_in, r_win, (anchor_s, anchor_t)
-
-
-def recover_forecast(pred: np.ndarray, anchors, horizon_axis: int = -1) -> np.ndarray:
-    """Undo stationarization: add the anchor seasonal + trend back onto a forecast."""
     anchor_s, anchor_t = anchors
     anchor_s = np.asarray(anchor_s, dtype=np.float64)
     anchor_t = np.asarray(anchor_t, dtype=np.float64)
     if anchor_s.shape != anchor_t.shape:
         raise ValueError(f"anchor shapes disagree: {anchor_s.shape} vs {anchor_t.shape}")
-    base = np.expand_dims(anchor_s + anchor_t, axis=horizon_axis)
+    base = np.expand_dims(anchor_s + anchor_t, axis=-1)
     try:
         return pred + base
     except ValueError:
@@ -160,12 +144,11 @@ def recover_forecast(pred: np.ndarray, anchors, horizon_axis: int = -1) -> np.nd
             f"{pred.shape}") from None
 
 
-def dump_components_csv(path: str, d: Decomposition, sensor_index: int,
-                        feature_index: int = 0) -> None:
-    """Write one sensor's (t, S, T, R) columns for inspection."""
-    s = d.seasonal[sensor_index, :, feature_index]
-    t = d.trend[sensor_index, :, feature_index]
-    r = d.residual[sensor_index, :, feature_index]
+def dump_components_csv(path: str, d: Decomposition, sensor_index: int) -> None:
+    """Write one sensor's (t, S, T, R) columns of feature 0 for inspection."""
+    s = d.seasonal[sensor_index, :, 0]
+    t = d.trend[sensor_index, :, 0]
+    r = d.residual[sensor_index, :, 0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "S", "T", "R"])

@@ -69,34 +69,40 @@ def split_peak(p: Panel, occupancy_threshold: float = 8.0) -> tuple[np.ndarray, 
 # -- missing-data protocol -------------------------------------------------------
 
 
-def inject_missing(p: Panel, seed: int, blocks_per_sensor_week: int = 1,
-                   duration_mean_hours: float = 2.0, duration_sd_hours: float = 0.5,
-                   duration_clip_hours: tuple[float, float] = (0.5, 4.0),
-                   ) -> tuple[Panel, np.ndarray]:
-    """Mask one random contiguous block per sensor per week and forward-fill it.
+# The missing-data blocks: one per sensor per week, lasting Normal(mean, sd)
+# hours clipped to the range.
+BLOCKS_PER_SENSOR_WEEK = 1
+DURATION_MEAN_HOURS = 2.0
+DURATION_SD_HOURS = 0.5
+DURATION_CLIP_HOURS = (0.5, 4.0)
 
-    Block durations are Normal(mean, sd) hours clipped to the given range and
-    rounded to whole steps; the start is uniform within the week so the block
-    never crosses a week boundary.  Returns the corrupted panel (masked cells
-    forward-filled so models still see dense input) and the injected mask;
-    callers keep the original panel as ground truth.
+
+def inject_missing(p: Panel, seed: int) -> tuple[Panel, np.ndarray]:
+    """Mask random contiguous blocks per sensor per week and forward-fill them.
+
+    Each sensor gets `BLOCKS_PER_SENSOR_WEEK` blocks in every full week.
+    Durations are Normal(`DURATION_MEAN_HOURS`, `DURATION_SD_HOURS`) hours
+    clipped to `DURATION_CLIP_HOURS` and rounded to whole steps; the start is
+    uniform within the week so a block never crosses a week boundary.
+    Returns the corrupted panel (masked cells forward-filled so models still
+    see dense input) and the injected mask; callers keep the original panel
+    as ground truth.
     """
     from .panel import impute_forward
 
     step_minutes = p.step_minutes
     week_steps = int(round(7 * 24 * 60 / step_minutes))
     n_weeks = p.n_steps // week_steps
-    injected = np.zeros(p.values.shape, dtype=bool)
-    if blocks_per_sensor_week == 0:
-        return p.copy(), injected
     if n_weeks < 1:
         raise DataError("missing-data injection needs at least one full week of data")
+    injected = np.zeros(p.values.shape, dtype=bool)
     rng = np.random.default_rng(seed)
-    lo, hi = duration_clip_hours
+    lo, hi = DURATION_CLIP_HOURS
     for si in range(p.n_sensors):
         for wk in range(n_weeks):
-            for _ in range(blocks_per_sensor_week):
-                dur_h = float(np.clip(rng.normal(duration_mean_hours, duration_sd_hours), lo, hi))
+            for _ in range(BLOCKS_PER_SENSOR_WEEK):
+                dur_h = float(np.clip(rng.normal(DURATION_MEAN_HOURS, DURATION_SD_HOURS),
+                                      lo, hi))
                 steps = max(1, int(round(dur_h * 60 / step_minutes)))
                 steps = min(steps, week_steps)
                 start = wk * week_steps + int(rng.integers(0, week_steps - steps + 1))
@@ -107,13 +113,10 @@ def inject_missing(p: Panel, seed: int, blocks_per_sensor_week: int = 1,
     return filled, injected
 
 
-def expected_missing_fraction(blocks_per_sensor_week: int = 1,
-                              duration_mean_hours: float = 2.0,
-                              duration_sd_hours: float = 0.5,
-                              duration_clip_hours: tuple[float, float] = (0.5, 4.0)) -> float:
-    """Analytic expectation of the masked fraction under the block generator."""
-    mu, sd = duration_mean_hours, duration_sd_hours
-    a, b = duration_clip_hours
+def expected_missing_fraction() -> float:
+    """Analytic expectation of the fraction `inject_missing` masks."""
+    mu, sd = DURATION_MEAN_HOURS, DURATION_SD_HOURS
+    a, b = DURATION_CLIP_HOURS
     alpha, beta = (a - mu) / sd, (b - mu) / sd
 
     def cdf(z):
@@ -124,7 +127,7 @@ def expected_missing_fraction(blocks_per_sensor_week: int = 1,
 
     middle = mu * (cdf(beta) - cdf(alpha)) - sd * (pdf(beta) - pdf(alpha))
     expected_hours = a * cdf(alpha) + b * (1.0 - cdf(beta)) + middle
-    return blocks_per_sensor_week * expected_hours / (7.0 * 24.0)
+    return BLOCKS_PER_SENSOR_WEEK * expected_hours / (7.0 * 24.0)
 
 
 # -- synthetic corridor ------------------------------------------------------------

@@ -180,8 +180,7 @@ def split_by_time(windows: WindowSet, boundary_step: int, horizon: int
 def recover_predictions(pred_st: np.ndarray, windows: WindowSet,
                         scaling: ScalingParams) -> np.ndarray:
     """Stationarized scaled forecasts of feature 0 -> original units (N, sensors, horizon)."""
-    scaled = recover_forecast(pred_st, (windows.anchor_seasonal, windows.anchor_trend),
-                              horizon_axis=-1)
+    scaled = recover_forecast(pred_st, (windows.anchor_seasonal, windows.anchor_trend))
     lo = scaling.lo[:, 0][None, :, None]
     hi = scaling.hi[:, 0][None, :, None]
     degen = scaling.degenerate[:, 0][None, :, None]
@@ -189,21 +188,20 @@ def recover_predictions(pred_st: np.ndarray, windows: WindowSet,
     return np.where(degen, lo, scaled * span + lo)
 
 
-def horizon_truth(panel: Panel, t_indices: np.ndarray, horizon: int,
-                  feature: int = 0) -> np.ndarray:
-    """Ground-truth horizon blocks (N, sensors, horizon) from an original-unit panel."""
+def horizon_truth(panel: Panel, t_indices: np.ndarray, horizon: int) -> np.ndarray:
+    """Ground-truth horizon blocks (N, sensors, horizon) of feature 0 from an
+    original-unit panel."""
     offsets = np.arange(1, horizon + 1)
     steps = np.asarray(t_indices)[:, None] + offsets[None, :]
-    return panel.values[:, steps, feature].transpose(1, 0, 2)
+    return panel.values[:, steps, 0].transpose(1, 0, 2)
 
 
 # -- baselines ---------------------------------------------------------------------
 
 
-def baseline_current(panel: Panel, t_indices: np.ndarray, horizon: int,
-                     feature: int = 0) -> np.ndarray:
-    """Repeat the value at the anchor step across the whole horizon."""
-    now = panel.values[:, np.asarray(t_indices), feature].T  # (N, s)
+def baseline_current(panel: Panel, t_indices: np.ndarray, horizon: int) -> np.ndarray:
+    """Repeat the feature-0 value at the anchor step across the whole horizon."""
+    now = panel.values[:, np.asarray(t_indices), 0].T  # (N, s)
     return np.repeat(now[:, :, None], horizon, axis=2)
 
 
@@ -211,20 +209,20 @@ class WeekdayHourlyBaseline:
     """Timetable forecaster: training-mean flow per (sensor, weekday, slot).
 
     `table[sensor, weekday, slot]` holds the mean of the observed training
-    values under that key, or the sensor's global training mean where the key
-    was never observed.  Each key's values are summed in time order.
+    values of feature 0 under that key, or the sensor's global training mean
+    where the key was never observed.  Each key's values are summed in time
+    order.
     """
 
-    def __init__(self, train_panel: Panel, feature: int = 0):
-        self.feature = feature
+    def __init__(self, train_panel: Panel):
         self.step_minutes = train_panel.step_minutes
         self.step_seconds = int(self.step_minutes * 60)
         slots = -(-86400 // self.step_seconds)
         weekday, slot = self._key(
             train_panel.time_index.astype("datetime64[s]").astype(np.int64))
         n = train_panel.n_sensors
-        vals = train_panel.values[:, :, feature]
-        obs = train_panel.missing_mask[:, :, feature]
+        vals = train_panel.values[:, :, 0]
+        obs = train_panel.missing_mask[:, :, 0]
         # sensor-major flat keys; bincount adds each bin's values in input order
         keys = (np.arange(n)[:, None] * 7 + weekday) * slots + slot
         size = n * 7 * slots
@@ -241,10 +239,6 @@ class WeekdayHourlyBaseline:
         """(weekday, slot of day) of epoch seconds; 1970-01-01 was a Thursday."""
         return ((seconds // 86400) + 3) % 7, (seconds % 86400) // self.step_seconds
 
-    def predict_step(self, sensor: int, timestamp: np.datetime64) -> float:
-        weekday, slot = self._key(int(np.datetime64(timestamp, "s").astype(np.int64)))
-        return float(self.table[sensor, weekday, slot])
-
     def predict(self, panel: Panel, t_indices: np.ndarray, horizon: int) -> np.ndarray:
         steps = np.asarray(t_indices)[:, None] + np.arange(1, horizon + 1)
         weekday, slot = self._key(
@@ -253,8 +247,8 @@ class WeekdayHourlyBaseline:
         return self.table[sensors, weekday[:, None, :], slot[:, None, :]]  # (N, s, h)
 
 
-def baseline_weekday_hourly(train_panel: Panel, feature: int = 0) -> WeekdayHourlyBaseline:
-    return WeekdayHourlyBaseline(train_panel, feature)
+def baseline_weekday_hourly(train_panel: Panel) -> WeekdayHourlyBaseline:
+    return WeekdayHourlyBaseline(train_panel)
 
 
 # -- denoising autoencoder heads ---------------------------------------------------
@@ -368,36 +362,28 @@ class Forecaster(nn.Layer):
 
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         super().__init__()
-        self.layers: list[tuple[str, dict]] = []
 
         self.mkconv = self._adopt("mk", nn.MultiKernelConv(
             rng, self.clusters, cfg.conv_time_kernel, n_features, f1))
-        self.layers.append(("multikernel_conv", {"clusters": len(clusters),
-                                                 "filters": f1,
-                                                 "time_kernel": cfg.conv_time_kernel}))
         self.cluster_conv2 = [
-            self._adopt(f"conv2.{j}", nn.Conv2d(rng, 1, conv2_kernel, f1, f2, activation="relu"))
+            self._adopt(f"conv2.{j}", nn.Conv2d(rng, 1, conv2_kernel, f1, f2))
             for j in range(len(clusters))]
-        self.layers.append(("cluster_conv2", {"filters": f2, "time_kernel": conv2_kernel}))
 
         concat_dim = len(clusters) * t2 * f2
         self.proj = self._adopt("proj", nn.Dense(rng, concat_dim, w * n_sensors * v,
                                                  activation="relu"))
         self.trend_proj = self._adopt("trend", nn.Dense(
             rng, n_sensors * w * n_features, w * n_sensors * v, activation="relu"))
-        self.layers.append(("grid_projection", {"grid": (w, n_sensors, v, 2)}))
 
         self.lstm1 = self._adopt("lstm1", nn.ConvLSTMCell(rng, (n_sensors, v), 2, l1,
                                                           cfg.convlstm_kernel))
         self.lstm2 = self._adopt("lstm2", nn.ConvLSTMCell(rng, (n_sensors, v), l1, l2,
                                                           cfg.convlstm_kernel))
-        self.layers.append(("convlstm", {"filters": (l1, l2), "kernel": cfg.convlstm_kernel}))
 
         self.post = self._adopt("post", nn.Dense(rng, n_sensors * v * l2, cfg.post_units,
                                                  activation="relu"))
         head_in = cfg.post_units + n_sensors * (w + h)
         self.head = self._adopt("head", nn.Dense(rng, head_in, n_sensors * h))
-        self.layers.append(("seasonal_head", {"units": cfg.post_units}))
 
         self.use_dae = cfg.use_dae
         self.dae_heads: list[DAEHead] = []
@@ -407,7 +393,6 @@ class Forecaster(nn.Layer):
                     rng, len(members) * h, cfg.dae_widths, cfg.dropout)))
             total = sum(len(m) * h for m in self.clusters)
             self.fct = self._adopt("fct", nn.Dense(rng, total, n_sensors * h))
-            self.layers.append(("dae_target", {"heads": len(clusters)}))
             if pretrained_dae is not None:
                 self.load_dae_weights(pretrained_dae)
 
@@ -435,12 +420,6 @@ class Forecaster(nn.Layer):
         feats = self.mkconv(Tensor(residual))
         return [conv(nn.maxpool2d(f, (1, self.config.conv_pool)))
                 for conv, f in zip(self.cluster_conv2, feats)]
-
-    def cluster_features(self, batch: dict[str, np.ndarray]) -> list[np.ndarray]:
-        """Per-cluster convolution outputs before any cross-cluster mixing."""
-        self._check_batch(batch)
-        with nn.no_grad():
-            return [f.data for f in self._cluster_maps(batch["residual"])]
 
     def forward(self, batch: dict[str, np.ndarray], training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -554,15 +533,22 @@ def evaluate_mse(model: Forecaster, windows: WindowSet) -> float:
     return float(np.mean((pred - windows.target_st) ** 2))
 
 
-def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig, seed: int,
-          val_fraction: float = 0.1, divergence_factor: float = 10.0,
-          divergence_patience: int = 5) -> TrainHistory:
+# The share of training windows, the last ones, held out for the validation
+# curve, and the divergence guard: how many times the reference loss an epoch
+# may reach, and for how many consecutive epochs.
+VAL_FRACTION = 0.1
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 5
+
+
+def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig,
+          seed: int) -> TrainHistory:
     """Minimize forecast MSE with ADAM over stride-1 window batches.
 
-    The last `val_fraction` of the training span is held out for the
+    The last `VAL_FRACTION` of the training windows is held out for the
     validation curve, the one `predict` pass of each epoch.  Training aborts
-    with TrainingDivergence when the epoch loss exceeds `divergence_factor`
-    times the reference loss for `divergence_patience` consecutive epochs, or
+    with TrainingDivergence when the epoch loss exceeds `DIVERGENCE_FACTOR`
+    times the reference loss for `DIVERGENCE_PATIENCE` consecutive epochs, or
     at once when it is not finite.  The reference is the loss of epoch 1's
     first batch, which the untrained model computes before the first ADAM
     step, so a first epoch that blows up cannot inflate it.
@@ -570,7 +556,7 @@ def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig, seed:
     n = len(windows)
     if n == 0:
         raise InsufficientDataError("no training windows")
-    n_val = int(n * val_fraction)
+    n_val = int(n * VAL_FRACTION)
     train_set = windows.subset(np.arange(n - n_val)) if n_val else windows
     val_set = windows.subset(np.arange(n - n_val, n)) if n_val else None
 
@@ -593,9 +579,9 @@ def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig, seed:
         history.val_loss.append(val_loss)
         history.wall_ms.append((time.perf_counter() - started) * 1000.0)
         started = time.perf_counter()
-        if not np.isfinite(train_loss) or train_loss > divergence_factor * reference:
+        if not np.isfinite(train_loss) or train_loss > DIVERGENCE_FACTOR * reference:
             bad_epochs += 1
-            if bad_epochs >= divergence_patience or not np.isfinite(train_loss):
+            if bad_epochs >= DIVERGENCE_PATIENCE or not np.isfinite(train_loss):
                 raise TrainingDivergence(
                     f"epoch {epoch}: loss {train_loss:.4g} vs reference {reference:.4g}")
         else:

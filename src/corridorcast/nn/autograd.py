@@ -14,9 +14,9 @@ Only the operations the forecaster needs are implemented: elementwise
 arithmetic, matmul, the usual activations, 2-D convolution (valid/same
 padding), block max-pooling, inverted dropout, reshape, concatenation and
 integer gathers along the sensor axis.  Every convolution is one banded-row
-matmul (``_Band``): the kernel is expanded once per call into a
-(kh*W*C, Wo*Cout) band holding the column padding and stride, and each output
-row multiplies its kh input rows, laid side by side, by the band.  The
+matmul (``_Band``) at stride 1: the kernel is expanded once per call into a
+(kh*W*C, Wo*Cout) band holding the column padding, and each output row
+multiplies its kh input rows, laid side by side, by the band.  The
 ConvLSTM recurrence is one node of its own (``layers.convlstm_sequence``)
 built on the same band as ``conv2d``.
 
@@ -352,24 +352,23 @@ class _Band:
 
     The (kh, kw, C, G, n) kernel is expanded once into a band of shape
     (kh*W*C, G*Wo*n) for inputs W columns wide: the entry at row (p, col, c)
-    and column (k, j, f) is w[p, q, c, k, f] where col = j*s2 + q - left, and
-    zero where that tap falls outside the W columns.  So column padding and
-    column stride live in the band, and an input is padded along its rows
-    only.  Each output row multiplies its kh input rows, laid side by side,
-    by the band.  Down a band column the nonzero terms keep the (p, q, c)
+    and column (k, j, f) is w[p, q, c, k, f] where col = j + q - left, and
+    zero where that tap falls outside the W columns.  So column padding lives
+    in the band, and an input is padded along its rows only.  The stride is
+    1: each output row multiplies its kh input rows, laid side by side, by
+    the band.  Down a band column the nonzero terms keep the (p, q, c)
     order of a plain receptive-field sum.  G splits the output channels into
     groups laid out (group, column, channel), so one group is a slice with
     runs of Wo*n; `conv2d` uses one group, the ConvLSTM one per gate.
     """
 
-    def __init__(self, w: np.ndarray, width: int, strides=(1, 1), cols=(0, 0)):
+    def __init__(self, w: np.ndarray, width: int, cols=(0, 0)):
         self.kh, kw, self.c, self.groups, self.n = w.shape
-        self.s1, s2 = strides
         self.width = width
-        self.wo = (width + cols[0] + cols[1] - kw) // s2 + 1
+        self.wo = width + cols[0] + cols[1] - kw + 1
         # (q, j, col): kernel column q of output column j reads input column col
-        self.taps = [(q, j, j * s2 + q - cols[0]) for q in range(kw) for j in range(self.wo)
-                     if 0 <= j * s2 + q - cols[0] < width]
+        self.taps = [(q, j, j + q - cols[0]) for q in range(kw) for j in range(self.wo)
+                     if 0 <= j + q - cols[0] < width]
         band = np.zeros((self.kh, width, self.c, self.groups, self.wo, self.n))
         for q, j, col in self.taps:
             band[:, col, :, :, j] = w[:, q]
@@ -377,7 +376,7 @@ class _Band:
         self.matrix = band.reshape(self.kh * width * self.c, -1)
 
     def out_rows(self, height: int) -> int:
-        return (height - self.kh) // self.s1 + 1
+        return height - self.kh + 1
 
     def rows(self, xp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(B, Hp, W, C) row-padded input -> (B*Ho, kh*W*C): each output row's kh input rows.
@@ -389,7 +388,7 @@ class _Band:
         if out is None:
             out = np.empty((B, ho, self.kh) + xp.shape[2:])
         for p in range(self.kh):
-            out[:, :, p] = xp[:, p:p + self.s1 * (ho - 1) + 1:self.s1]
+            out[:, :, p] = xp[:, p:p + ho]
         return out.reshape(B * ho, -1)
 
     def fold(self, dband: np.ndarray) -> np.ndarray:
@@ -407,7 +406,7 @@ class _Band:
         d = drows.reshape((B, ho, self.kh) + tuple(shape[2:]))
         dxp = np.zeros(shape)
         for p in range(self.kh):
-            dxp[:, p:p + self.s1 * (ho - 1) + 1:self.s1] += d[:, :, p]
+            dxp[:, p:p + ho] += d[:, :, p]
         return dxp
 
 
@@ -416,16 +415,16 @@ def _same_pads(kh: int, kw: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2)
 
 
-def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tensor:
-    """Cross-correlate `x` (batch, H, W, Cin) with `w` (kh, kw, Cin, Cout).
+def conv2d(x: Tensor, w: Tensor, padding: str = "valid") -> Tensor:
+    """Cross-correlate `x` (batch, H, W, Cin) with `w` (kh, kw, Cin, Cout) at stride 1.
 
-    `padding` is "valid" (no padding) or "same" (stride must be 1; output
-    keeps the spatial shape).  Bias and activation are applied by callers.
-    The kernel is expanded into a (kh*W*Cin, Wo*Cout) band (`_Band`) that
-    holds the column padding and stride; the input, padded along its rows
-    only, becomes a (B*Ho, kh*W*Cin) matrix of each output row's kh input
-    rows, multiplied once by the band.  Backward folds `rows.T @ g` back onto
-    the kernel and scatters `g @ band.T` with kh row adds.
+    `padding` is "valid" (no padding) or "same" (output keeps the spatial
+    shape).  Bias and activation are applied by callers.  The kernel is
+    expanded into a (kh*W*Cin, Wo*Cout) band (`_Band`) that holds the column
+    padding; the input, padded along its rows only, becomes a
+    (B*Ho, kh*W*Cin) matrix of each output row's kh input rows, multiplied
+    once by the band.  Backward folds `rows.T @ g` back onto the kernel and
+    scatters `g @ band.T` with kh row adds.
     """
     kh, kw, cin, cout = w.data.shape
     if x.data.ndim != 4:
@@ -433,8 +432,6 @@ def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tens
     if x.data.shape[3] != cin:
         raise ShapeError(f"channel mismatch: input {x.data.shape[3]}, kernel {cin}")
     if padding == "same":
-        if tuple(strides) != (1, 1):
-            raise ShapeError("same padding requires stride 1")
         (top, bottom), cols = _same_pads(kh, kw)
     elif padding == "valid":
         (top, bottom), cols = (0, 0), (0, 0)
@@ -444,7 +441,7 @@ def conv2d(x: Tensor, w: Tensor, strides=(1, 1), padding: str = "valid") -> Tens
     if kh > H + top + bottom or kw > W + sum(cols):
         raise ShapeError(f"kernel ({kh},{kw}) larger than input ({H},{W})")
     xd = np.pad(x.data, ((0, 0), (top, bottom), (0, 0), (0, 0))) if top + bottom else x.data
-    band = _Band(w.data[:, :, :, None, :], W, strides, cols)
+    band = _Band(w.data[:, :, :, None, :], W, cols)
     ho = band.out_rows(xd.shape[1])
     out_data = (band.rows(xd) @ band.matrix).reshape(B, ho, band.wo, cout)
 
@@ -510,6 +507,4 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     def backward(g):
         x._accumulate(g * keep)
 
-    out = _make(out_data, (x,), backward)
-    out.dropout_mask = mask
-    return out
+    return _make(out_data, (x,), backward)

@@ -61,21 +61,16 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    """2-D convolution over (batch, H, W, Cin) with valid padding by default."""
+    """Valid 2-D convolution over (batch, H, W, Cin), then ReLU."""
 
-    def __init__(self, rng: np.random.Generator, kh: int, kw: int, cin: int, cout: int,
-                 activation: str = "relu", strides=(1, 1), padding: str = "valid"):
+    def __init__(self, rng: np.random.Generator, kh: int, kw: int, cin: int, cout: int):
         super().__init__()
-        self.strides = tuple(strides)
-        self.padding = padding
-        self.activation = activation
         fan_in, fan_out = kh * kw * cin, kh * kw * cout
         self.w = self._param("w", xavier_uniform(rng, (kh, kw, cin, cout), fan_in, fan_out))
         self.b = self._param("b", np.zeros(cout))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ag.conv2d(x, self.w, strides=self.strides, padding=self.padding) + self.b
-        return ag.ACTIVATIONS[self.activation](out)
+        return ag.relu(ag.conv2d(x, self.w) + self.b)
 
 
 class MultiKernelConv(Layer):
@@ -84,18 +79,17 @@ class MultiKernelConv(Layer):
     Input is (batch, sensors, time, features).  For each cluster the member
     rows are gathered and correlated with a kernel spanning the whole member
     axis, so features never mix across clusters; the kernel moves along the
-    time axis alone.  Returns one (batch, 1, T', filters) map per cluster.
+    time axis alone, and ReLU follows.  Returns one (batch, 1, T', filters)
+    map per cluster.
     """
 
     def __init__(self, rng: np.random.Generator, member_lists: list[list[int]],
-                 time_kernel: int, n_features: int, filters: int,
-                 activation: str = "relu"):
+                 time_kernel: int, n_features: int, filters: int):
         super().__init__()
         if any(len(m) == 0 for m in member_lists):
             raise ValueError("cluster with zero members")
         self.member_lists = [list(m) for m in member_lists]
         self.time_kernel = time_kernel
-        self.activation = activation
         self.kernels: list[Tensor] = []
         self.biases: list[Tensor] = []
         for ci, members in enumerate(self.member_lists):
@@ -106,8 +100,7 @@ class MultiKernelConv(Layer):
             self.biases.append(self._param(f"b{ci}", np.zeros(filters)))
 
     def __call__(self, x: Tensor) -> list[Tensor]:
-        return multikernel_conv_forward(x, self.member_lists, self.kernels, self.biases,
-                                        activation=self.activation)
+        return multikernel_conv_forward(x, self.member_lists, self.kernels, self.biases)
 
 
 def multikernel_conv_forward(x: Tensor, member_lists, kernels, biases,

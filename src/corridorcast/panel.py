@@ -9,6 +9,7 @@ neighborhoods are index-contiguous.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
@@ -95,9 +96,6 @@ class Panel:
         """Per-sensor fraction of observed cells."""
         return self.missing_mask.reshape(self.n_sensors, -1).mean(axis=1)
 
-    def sensor_ids(self) -> list[str]:
-        return [s.id for s in self.sensors]
-
     def copy(self) -> "Panel":
         return self.with_values(self.values.copy())
 
@@ -136,10 +134,21 @@ def _parse_timestamp(text: str) -> np.datetime64:
         raise FormatError(f"bad timestamp {text!r}: {exc}") from None
 
 
+@contextmanager
+def _open_utf8(path: str, what: str, newline: str | None = None):
+    """`path` opened as UTF-8 text; bytes that do not decode, wherever the
+    body reads them, raise FormatError naming `what` and the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} {path} is not UTF-8 text") from None
+
+
 def load_sensor_meta(meta_path: str) -> list[SensorMeta]:
     metas: list[SensorMeta] = []
     seen: set[str] = set()
-    with open(meta_path, newline="") as fh:
+    with _open_utf8(meta_path, "metadata file", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != META_HEADER:
@@ -250,7 +259,7 @@ def _read_rows(path: str, known: dict[str, int]) -> tuple[np.ndarray, np.ndarray
     sensor_index = partial(_sensor_index, known=known)
     count = 0
     # universal newlines: the reader turns each \r\n and \r into \n
-    with open(path) as fh:
+    with _open_utf8(path, "data file") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != DATA_HEADER:
@@ -369,23 +378,6 @@ def apply_scale(p: Panel, s: ScalingParams) -> Panel:
     return p.with_values(np.where(s.degenerate[:, None, :], 0.0, scaled))
 
 
-def invert_scale(p: Panel, s: ScalingParams) -> Panel:
-    span = np.where(s.degenerate, 1.0, s.hi - s.lo)
-    raw = p.values * span[:, None, :] + s.lo[:, None, :]
-    return p.with_values(np.where(s.degenerate[:, None, :], s.lo[:, None, :], raw))
-
-
-def invert_scale_values(values: np.ndarray, s: ScalingParams, feature: int) -> np.ndarray:
-    """Undo scaling for one feature on an arbitrary (n, ...) value block."""
-    lo = s.lo[:, feature]
-    hi = s.hi[:, feature]
-    degen = s.degenerate[:, feature]
-    span = np.where(degen, 1.0, hi - lo)
-    shape = (values.shape[0],) + (1,) * (values.ndim - 1)
-    out = values * span.reshape(shape) + lo.reshape(shape)
-    return np.where(degen.reshape(shape), lo.reshape(shape), out)
-
-
 def impute_forward(p: Panel) -> Panel:
     """Fill unobserved cells with the last observed value of the same series.
 
@@ -405,15 +397,13 @@ def impute_forward(p: Panel) -> Panel:
     return p.with_values(np.take_along_axis(p.values, steps, axis=1))
 
 
-def neighbor_pairs(sensors, radius_miles: float = 2.0,
-                   kinds=(SensorKind.MAINLINE,)) -> list[tuple[int, int]]:
-    """Index pairs of milepost-consecutive sensors within `radius_miles`.
+def neighbor_pairs(sensors, radius_miles: float = 2.0) -> list[tuple[int, int]]:
+    """Index pairs of milepost-consecutive mainline sensors within `radius_miles`.
 
-    Only the listed kinds participate (clustering runs on mainline sensors).
-    Gaps wider than the radius split the corridor, so clusters can never
-    bridge them.
+    Ramps are skipped (clustering runs on mainline sensors).  Gaps wider than
+    the radius split the corridor, so clusters can never bridge them.
     """
-    eligible = [i for i, m in enumerate(sensors) if m.kind in kinds]
+    eligible = [i for i, m in enumerate(sensors) if m.kind == SensorKind.MAINLINE]
     pairs: list[tuple[int, int]] = []
     for a, b in zip(eligible, eligible[1:]):
         if abs(sensors[b].position - sensors[a].position) <= radius_miles:

@@ -34,7 +34,8 @@ from .nn import load_params, restore_params
 class RunConfig:
     """Flat pipeline settings; forecaster and synth settings ride along.
 
-    `cluster_m` must exceed 1 but changes no output (see `cluster.fhc`).
+    `cluster_threshold` is the membership at which a sensor joins a
+    neighbouring cluster's crisp list (see `cluster.fhc`).
     """
 
     completeness_min: float = 0.9
@@ -45,7 +46,6 @@ class RunConfig:
     dtw_normalize: bool = False
     cluster_max_span_miles: float = 10.0
     cluster_threshold: float = 0.1
-    cluster_m: float = 2.0
     peak_occupancy: float = 8.0
     synth_sensors: int = 24
     synth_days: int = 56
@@ -59,8 +59,6 @@ class RunConfig:
                 raise FieldError(name, f"must lie in [0, 1], got {getattr(self, name)}")
         if self.dtw_window_hours <= 0.0:
             raise FieldError("dtw_window_hours", f"must be positive, got {self.dtw_window_hours}")
-        if self.cluster_m <= 1.0:
-            raise FieldError("cluster_m", "must exceed 1")
         if self.synth_sensors < 1 or self.synth_days < 1:
             raise ConfigError("synth_sensors and synth_days must be at least 1")
 
@@ -221,8 +219,7 @@ def cluster(p: pn.Panel, run: RunConfig) -> tuple[dt.DistanceTable, cl.Membershi
     residuals = decomp.residual[:, :end, :]
     table = dt.rolling_dtw_matrix(residuals, neighbors, window_len, window_len,
                                   active_mask=active, normalize=run.dtw_normalize)
-    mm = cl.fhc(table, p.sensors, run.cluster_max_span_miles, run.cluster_threshold,
-                run.cluster_m)
+    mm = cl.fhc(table, p.sensors, run.cluster_max_span_miles, run.cluster_threshold)
     return table, cl.attach_ramps(mm, p.sensors)
 
 

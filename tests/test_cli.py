@@ -277,8 +277,7 @@ BAD_CONFIG_LINES = [
     ("dtw_window_hours=nan", "bad.cfg:1: dtw_window_hours must be finite"),
     ("dtw_window_hours=0", "bad.cfg:1: dtw_window_hours must be positive"),
     ("dtw_window_hours=-2", "bad.cfg:1: dtw_window_hours must be positive"),
-    ("cluster_m=nan", "bad.cfg:1: cluster_m must be finite"),
-    ("cluster_m=0.5", "bad.cfg:1: cluster_m must exceed 1"),
+    ("cluster_m=2", "bad.cfg:1: unknown config key 'cluster_m'"),
     ("neighbor_radius_miles=inf", "bad.cfg:1: neighbor_radius_miles must be finite"),
     ("learning_rate=nan", "bad.cfg:1: learning_rate must be finite"),
     ("dropout=1.5", "bad.cfg:1: dropout must lie in [0, 1)"),
@@ -389,6 +388,51 @@ def test_exit_code_unknown_sensor_in_clusters(synth_dir, tmp_path, monkeypatch):
                "--clusters", str(clusters), "--out", str(tdir),
                "--seed", "7", "--config", cfg) == 3
     assert not (tdir / "checkpoint.txt").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["1,S000,1.0", "1,S001,1.0", "1,S002,1.0", "1,S003,1.0"], "has no rows for cluster id 0"),
+    (["0,S000,1.0", "0,S001,1.0", "0,S002,1.0"], "leaves out sensor 'S003'"),
+    (["0,S000,1.0", "0,S001,1.0", "0,S002,1.0", "0,S003,1.0", "0,S000,1.0"],
+     "line 6 repeats sensor 'S000' in cluster 0"),
+], ids=["cluster-id-skipped", "sensor-left-out", "duplicate-row"])
+def test_exit_code_incomplete_clusters(synth_dir, tmp_path, monkeypatch, capsys, rows,
+                                       message):
+    out, cfg = synth_dir
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,sensor_id,membership\n" + "\n".join(rows) + "\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the cluster file was checked")
+
+    monkeypatch.setattr(md, "pretrain_dae", no_training)
+    monkeypatch.setattr(md, "train", no_training)
+    capsys.readouterr()
+    assert run("train", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--clusters", str(clusters), "--out", str(tmp_path / "t"),
+               "--seed", "7", "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("name", ["data.csv", "meta.csv", "clusters.csv"])
+def test_exit_code_non_utf8_input(synth_dir, tmp_path, capsys, name):
+    out, cfg = synth_dir
+    files = {"data.csv": (out / "data.csv").read_bytes(),
+             "meta.csv": (out / "meta.csv").read_bytes(),
+             "clusters.csv": b"cluster_id,sensor_id,membership\n"
+                             + b"".join(b"0,S00%d,1.0\n" % i for i in range(4))}
+    files[name] += b"S\xff01,1.0\n"  # a byte that starts no UTF-8 sequence
+    for file_name, content in files.items():
+        (tmp_path / file_name).write_bytes(content)
+    capsys.readouterr()
+    # eval reads the data, metadata and cluster files before the checkpoint
+    assert run("eval", "--data", str(tmp_path / "data.csv"), "--meta",
+               str(tmp_path / "meta.csv"), "--clusters", str(tmp_path / "clusters.csv"),
+               "--model", str(tmp_path / "checkpoint.txt"), "--report",
+               str(tmp_path / "report.csv"), "--seed", "7", "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "not UTF-8 text" in err[0] and name in err[0]
 
 
 def test_exit_code_dtw_window_longer_than_training_span(synth_dir, tmp_path, capsys):

@@ -27,42 +27,29 @@ def table(entries):
 
 
 def test_fuzzy_update_nearest_cluster_half():
-    mu, updated = cl.fuzzy_update(2.0, [2.0, 5.0], m=2.0)
-    assert mu == 0.5
-    assert updated == 2.0  # (1 - log2(0.5)) * 2 = 4, clamped back to 2
+    assert cl.fuzzy_update(2.0, [2.0, 5.0]) == 0.5
 
 
 def test_fuzzy_update_far_cluster():
-    mu, updated = cl.fuzzy_update(6.0, [2.0, 6.0], m=2.0)
-    assert mu == 0.25
-    assert updated == 6.0  # factor 3 gives 18, clamp keeps 6
+    assert cl.fuzzy_update(6.0, [2.0, 6.0]) == 0.25
 
 
 def test_fuzzy_update_degenerate_zero():
-    mu, updated = cl.fuzzy_update(0.0, [0.0], m=2.0)
-    assert mu == 1.0 and updated == 0.0
+    assert cl.fuzzy_update(0.0, [0.0]) == 1.0
 
 
 def test_fuzzy_update_zero_nearest_distance():
-    # nearest cluster at distance 0, this one farther: mu -> 0, and the clamp keeps d
-    assert cl.fuzzy_update(5.0, [0.0, 5.0], m=2.0) == (0.0, 5.0)
-
-
-def test_fuzzy_update_rejects_bad_m():
-    with pytest.raises(ConfigError):
-        cl.fuzzy_update(1.0, [1.0], m=1.0)
+    # nearest cluster at distance 0, this one farther: mu = 0
+    assert cl.fuzzy_update(5.0, [0.0, 5.0]) == 0.0
 
 
 def test_fuzzy_update_clamp_property(rng):
-    # the re-clamped distance can never exceed the current distance
+    # memberships stay in the unit interval
     for _ in range(10_000):
         d_min = float(rng.uniform(0, 10))
         d = d_min + float(rng.uniform(0, 10))
-        m = float(rng.uniform(1.01, 5.0))
         extra = [d_min + float(rng.uniform(0, 10)) for _ in range(int(rng.integers(0, 3)))]
-        mu, updated = cl.fuzzy_update(d, [d_min, d] + extra, m)
-        assert updated <= d + 1e-15
-        assert 0.0 <= mu <= 1.0
+        assert 0.0 <= cl.fuzzy_update(d, [d_min, d] + extra) <= 1.0
 
 
 # -- the four-sensor fixture --------------------------------------------------------
@@ -111,11 +98,6 @@ def test_empty_table_gives_singletons():
     assert mm.merge_log == []
 
 
-def test_bad_fuzziness_rejected():
-    with pytest.raises(ConfigError):
-        cl.fhc(FOUR, metas([0.0, 1.0, 2.0, 3.0]), m=1.0)
-
-
 # -- six-sensor fixture with cross memberships ------------------------------------
 
 SIX = table({(0, 1): 1.0, (1, 2): 1.5, (2, 3): 4.0, (3, 4): 1.0, (4, 5): 1.2})
@@ -130,7 +112,7 @@ def test_six_sensor_cross_memberships():
     assert mm.clusters == [[0, 1, 2, 3], [2, 3, 4, 5]]
     assert mm.membership(3, 0) == pytest.approx(0.2)
     assert mm.membership(2, 1) == pytest.approx(1.5 / 5.5)
-    assert mm.clusters_of(2) == [0, 1]
+    assert [c for c, members in enumerate(mm.clusters) if 2 in members] == [0, 1]
 
 
 def test_memberships_in_unit_interval_and_home_one():
@@ -218,7 +200,7 @@ def test_attach_ramp_tie_breaks_to_lower_index():
 
 def test_attach_ramps_requires_mainline():
     meta = metas([0.0], kinds=[SensorKind.ON_RAMP])
-    mm = cl.MembershipMatrix({}, [], 0.1)
+    mm = cl.MembershipMatrix({}, [])
     with pytest.raises(ConfigError):
         cl.attach_ramps(mm, meta)
 
@@ -249,6 +231,7 @@ def test_csv_roundtrip(tmp_path):
     ("1.0,S0,1.0", "integer cluster id"),
     ("0,S0,high", "numeric membership"),
     ("-1,S0,1.0", "negative cluster id"),
+    ("0,S1,0.5", "repeats sensor 'S1' in cluster 0"),
 ])
 def test_clusters_from_csv_rejects_bad_rows(tmp_path, row, fault):
     path = tmp_path / "clusters.csv"
@@ -260,7 +243,7 @@ def test_clusters_from_csv_rejects_bad_rows(tmp_path, row, fault):
 # -- the path agglomeration against a brute-force reference ----------------------------
 
 
-def reference_fhc(distances, meta, max_avg_span_miles=10.0, threshold=0.1, m=2.0):
+def reference_fhc(distances, meta, max_avg_span_miles=10.0, threshold=0.1):
     """Reference FHC: every merge rescans all pairs of free points and clusters.
 
     Slow (cubic in the sensor count) and kept only as the oracle for `cl.fhc`.
@@ -299,7 +282,7 @@ def reference_fhc(distances, meta, max_avg_span_miles=10.0, threshold=0.1, m=2.0
         d = point_cluster(u, c[1])
         if d is not None:
             all_dists = [x for x in (point_cluster(u, o[1]) for o in clusters) if x is not None]
-            fuzzy_mu[(u, c[0])] = cl.fuzzy_update(d, all_dists, m)[0]
+            fuzzy_mu[(u, c[0])] = cl.fuzzy_update(d, all_dists)
 
     while True:
         free = [p for p in points if p not in assigned]
@@ -348,7 +331,7 @@ def reference_fhc(distances, meta, max_avg_span_miles=10.0, threshold=0.1, m=2.0
         if p not in assigned:
             memberships[(p, len(crisp))] = 1.0
             crisp.append([p])
-    return cl.MembershipMatrix(memberships, crisp, threshold, merge_log)
+    return cl.MembershipMatrix(memberships, crisp, merge_log)
 
 
 def random_sparse_case(seed):
@@ -385,9 +368,8 @@ def assert_matches_reference(t, meta, *args):
 @pytest.mark.parametrize("seed", SPARSE_SEEDS)
 def test_fhc_matches_brute_force_reference(seed):
     t, meta, span = random_sparse_case(seed)
-    m = (1.5, 2.0, 3.0)[seed % 3]
     threshold = (0.05, 0.1, 0.3)[seed % 3]
-    assert_matches_reference(t, meta, span, threshold, m)
+    assert_matches_reference(t, meta, span, threshold)
 
 
 def test_reference_covers_skip_edges_ties_and_span_stops():
@@ -429,7 +411,7 @@ def ramp_corridor():
 def test_fhc_matches_reference_on_a_pipeline_table(ramp_corridor, span):
     t, meta = ramp_corridor
     assert any(i + 1 < j for i, j in t.entries)  # edges across the ramps
-    assert_matches_reference(t, meta, span, 0.1, 2.0)
+    assert_matches_reference(t, meta, span, 0.1)
 
 
 class CountingTable(DistanceTable):

@@ -117,14 +117,6 @@ def test_inject_missing_deterministic(rng):
     assert not np.array_equal(mask_a, mask_c)
 
 
-def test_inject_missing_zero_blocks_identity(rng):
-    p = week_panel(rng)
-    out, mask = ev.inject_missing(p, seed=5, blocks_per_sensor_week=0)
-    assert not mask.any()
-    assert np.array_equal(out.values, p.values)
-    assert np.array_equal(out.missing_mask, p.missing_mask)
-
-
 def test_inject_missing_preserves_unmasked_cells(rng):
     p = week_panel(rng)
     out, mask = ev.inject_missing(p, seed=9)

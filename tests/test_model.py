@@ -6,12 +6,14 @@ import pytest
 from corridorcast import decompose as dc
 from corridorcast import evaluation as ev
 from corridorcast import model as md
+from corridorcast import nn
 from corridorcast import panel as pn
 from corridorcast import pipeline as pl
 from corridorcast.errors import ConfigError, InsufficientDataError, TrainingDivergence
 from corridorcast.nn import restore_params
 
-from test_panel import make_panel
+from test_decompose import stationarize_window
+from test_panel import invert_scale_values, make_panel
 
 
 def tiny_config(**over):
@@ -153,7 +155,7 @@ def reference_make_windows(panel, decomp, w, h):
     s_win = spans(decomp.seasonal, w + h)
     t_win = spans(decomp.trend, w + h)
     r_win = spans(decomp.residual, w + h)
-    seasonal_in, trend_in, residual_in, (anchor_s, anchor_t) = dc.stationarize_window(
+    seasonal_in, trend_in, residual_in, (anchor_s, anchor_t) = stationarize_window(
         s_win, t_win, r_win, anchor_index=w - 1, time_axis=2)
     target_scaled = spans(panel.values, w + h)[:, :, w:, 0]
     anchor_s = anchor_s[:, :, 0]
@@ -239,6 +241,12 @@ def weekly_panel(values_fn, weeks=3, step_minutes=60):
     return make_panel(vals, step_s=step_minutes * 60)
 
 
+def table_entry(baseline, sensor, timestamp):
+    """The baseline's forecast for `sensor` at `timestamp`: its table entry."""
+    weekday, slot = baseline._key(int(np.datetime64(timestamp, "s").astype(np.int64)))
+    return float(baseline.table[sensor, weekday, slot])
+
+
 def test_weekday_baseline_zero_error_on_periodic():
     week_len = 7 * 24
     p = weekly_panel(lambda s, t: np.sin(2 * np.pi * (t % week_len) / week_len) + s)
@@ -255,7 +263,7 @@ def test_weekday_baseline_averages_two_weeks():
     week_len = 7 * 24
     p = weekly_panel(lambda s, t: np.where(t < week_len, 3.0, 5.0), weeks=2)
     baseline = md.baseline_weekday_hourly(p)
-    assert baseline.predict_step(0, p.time_index[5]) == pytest.approx(4.0)
+    assert table_entry(baseline, 0, p.time_index[5]) == pytest.approx(4.0)
 
 
 def test_weekday_baseline_constant_panel():
@@ -269,7 +277,7 @@ def test_weekday_baseline_unseen_key_falls_back():
     p = make_panel(vals, step_s=3600)
     baseline = md.baseline_weekday_hourly(p)
     tuesday = p.time_index[0] + np.timedelta64(25, "h")
-    assert baseline.predict_step(0, tuesday) == pytest.approx(4.0)  # global mean
+    assert table_entry(baseline, 0, tuesday) == pytest.approx(4.0)  # global mean
 
 
 def reference_weekday_baseline(train_panel, feature=0):
@@ -330,7 +338,7 @@ def test_weekday_baseline_matches_loop_reference(rng):
     assert np.array_equal(baseline.predict(p, anchors, 4), predict(p, anchors, 4))
     for si in range(3):
         for t in (0, 95, 500):
-            assert baseline.predict_step(si, p.time_index[t]) == predict_step(si, p.time_index[t])
+            assert table_entry(baseline, si, p.time_index[t]) == predict_step(si, p.time_index[t])
 
 
 # -- DAE -----------------------------------------------------------------------------
@@ -489,10 +497,14 @@ def test_cluster_locality_pre_lstm(rng):
     batch = {"residual": rng.normal(size=(2, 4, 6, 3)),
              "trend": rng.normal(size=(2, 4, 6, 3)),
              "seasonal": rng.normal(size=(2, 4, 8, 3))}
-    base = model.cluster_features(batch)
+    def cluster_features(b):  # per-cluster maps before any cross-cluster mixing
+        with nn.no_grad():
+            return [f.data for f in model._cluster_maps(b["residual"])]
+
+    base = cluster_features(batch)
     perturbed = {k: v.copy() for k, v in batch.items()}
     perturbed["residual"][:, [2, 3], :, :] += 5.0  # outside cluster 0
-    mod = model.cluster_features(perturbed)
+    mod = cluster_features(perturbed)
     assert np.array_equal(base[0], mod[0])
     assert not np.array_equal(base[1], mod[1])
 
@@ -608,7 +620,7 @@ def test_eval_consistency_between_code_paths(rng):
     via_helper = md.recover_predictions(pred_st, ws, scaling)
     scaled_pred = dc.recover_forecast(pred_st, (ws.anchor_seasonal, ws.anchor_trend))
     via_primitives = np.stack([
-        pn.invert_scale_values(scaled_pred[:, :, j].T, scaling, feature=0).T
+        invert_scale_values(scaled_pred[:, :, j].T, scaling, feature=0).T
         for j in range(cfg.horizon)], axis=2)
     assert np.max(np.abs(via_helper - via_primitives)) < 1e-9
     truth = md.horizon_truth(p, ws.t_index, cfg.horizon)

@@ -40,7 +40,7 @@ def test_load_complete_file(tmp_path):
     p = pn.load_csv(*write_fixture(tmp_path, COMPLETE_ROWS))
     assert p.values.shape == (2, 3, 3)
     assert p.missing_mask.all()
-    assert p.sensor_ids() == ["A", "B"]
+    assert [s.id for s in p.sensors] == ["A", "B"]
     assert p.values[0, 0, 0] == 10 and p.values[1, 2, 2] == 57
 
 
@@ -61,7 +61,7 @@ def test_sensors_ordered_by_milepost(tmp_path):
     data, meta = write_fixture(tmp_path, COMPLETE_ROWS,
                                meta_rows=["A,5.0,mainline", "B,2.0,mainline"])
     p = pn.load_csv(data, meta)
-    assert p.sensor_ids() == ["B", "A"]
+    assert [s.id for s in p.sensors] == ["B", "A"]
 
 
 def test_unknown_sensor_rejected(tmp_path):
@@ -392,6 +392,24 @@ def test_load_csv_memory_stays_within_the_row_loop(tmp_path, rng):
     assert peak(pn.load_csv) <= 1.1 * peak(load_csv_rows_oracle)
 
 
+def invert_scale(p, s):
+    """Undo `pn.apply_scale` on a whole panel: the oracle for its round trip."""
+    span = np.where(s.degenerate, 1.0, s.hi - s.lo)
+    raw = p.values * span[:, None, :] + s.lo[:, None, :]
+    return p.with_values(np.where(s.degenerate[:, None, :], s.lo[:, None, :], raw))
+
+
+def invert_scale_values(values, s, feature):
+    """Undo scaling for one feature on an arbitrary (n, ...) value block."""
+    lo = s.lo[:, feature]
+    hi = s.hi[:, feature]
+    degen = s.degenerate[:, feature]
+    span = np.where(degen, 1.0, hi - lo)
+    shape = (values.shape[0],) + (1,) * (values.ndim - 1)
+    out = values * span.reshape(shape) + lo.reshape(shape)
+    return np.where(degen.reshape(shape), lo.reshape(shape), out)
+
+
 def make_panel(values, mask=None, positions=None, kinds=None, step_s=300):
     values = np.asarray(values, dtype=np.float64)
     n, t, k = values.shape
@@ -416,7 +434,7 @@ def test_filter_complete_drops_below_threshold(rng):
     mask[1, :2] = False  # sensor 1 at 80% observed
     p = make_panel(vals, mask)
     kept = pn.filter_complete(p, 0.9)
-    assert kept.sensor_ids() == ["S0"]
+    assert [s.id for s in kept.sensors] == ["S0"]
 
 
 def test_filter_complete_is_idempotent(rng):
@@ -425,7 +443,7 @@ def test_filter_complete_is_idempotent(rng):
     p = make_panel(vals, mask)
     once = pn.filter_complete(p, 0.9)
     twice = pn.filter_complete(once, 0.9)
-    assert once.sensor_ids() == twice.sensor_ids()
+    assert [s.id for s in once.sensors] == [s.id for s in twice.sensors]
 
 
 def test_filter_complete_empty_result(rng):
@@ -451,7 +469,7 @@ def test_scale_degenerate_constant():
     assert s.degenerate[0, 0]
     scaled = pn.apply_scale(p, s)
     assert np.all(scaled.values == 0.0)
-    back = pn.invert_scale(scaled, s)
+    back = invert_scale(scaled, s)
     assert np.allclose(back.values, 7.0)
 
 
@@ -460,7 +478,7 @@ def test_scale_roundtrip_identity(rng):
     mask = rng.random(vals.shape) > 0.1
     p = make_panel(vals, mask)
     s = pn.fit_scale(p, (0, 20))
-    back = pn.invert_scale(pn.apply_scale(p, s), s)
+    back = invert_scale(pn.apply_scale(p, s), s)
     assert np.max(np.abs(back.values[mask] - vals[mask])) < 1e-12
 
 
@@ -504,7 +522,7 @@ def test_load_filter_scale_invert_identity(tmp_path, rng):
     p = pn.load_csv(*write_fixture(tmp_path, COMPLETE_ROWS))
     p = pn.filter_complete(p, 0.9)
     s = pn.fit_scale(p, (0, p.n_steps))
-    back = pn.invert_scale(pn.apply_scale(p, s), s)
+    back = invert_scale(pn.apply_scale(p, s), s)
     obs = p.missing_mask
     assert np.max(np.abs(back.values[obs] - p.values[obs])) < 1e-12
 
