@@ -6,8 +6,9 @@ chain itself (panel, scaling, decomposition, clustering, windows, training
 and scoring) and the config codec live in `corridorcast.pipeline`.  Every
 command is a deterministic function of its inputs and the seed; artifacts
 are written atomically (temp file + rename).  Exit codes: 0 ok, 2 config
-error (including a bad value or an unreadable --config file), 3 data error,
-4 training divergence.
+error (including a bad value, an unreadable --config file, and an --out or
+--report that cannot be written), 3 data error (including an input file
+that cannot be read), 4 training divergence.
 
 The run log (run.log: one line per epoch with wall-clock times, then notes
 and the DAE pretraining curves, one line per cluster and epoch) is
@@ -36,12 +37,34 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
+INPUT_FLAGS = ("data", "meta", "clusters", "model")
 
-def _atomic_write(path: str, text: str) -> None:
+
+def _publish(path: str, write, flag: str) -> None:
+    """Write `path` for output flag `flag`: `write(tmp)`, then a rename.  No
+    temp file outlives a failure, and an OSError becomes a ConfigError."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    try:
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.lexists(tmp):
+                os.remove(tmp)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --{flag} {path}: {exc.strerror}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+
+
+def _make_out_dir(out: str) -> None:
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out} as a directory: {exc.strerror}") from None
 
 
 def _require(args, *names) -> None:
@@ -54,7 +77,8 @@ def _emit_config(out_dir: str, cfg: pl.ResolvedConfig, seed: int | None) -> None
     text = cfg.to_text()
     if seed is not None:
         text += f"seed={seed}\n"
-    _atomic_write(os.path.join(out_dir, "config_resolved.txt"), text)
+    _publish(os.path.join(out_dir, "config_resolved.txt"), lambda tmp: _write_text(tmp, text),
+             "out")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -65,11 +89,10 @@ def cmd_decompose(args) -> int:
     cfg = load_config(args.config)
     p = pl.load_panel(args.data, args.meta, cfg.run)
     decomp = pl.decompose(p)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     for si, sensor in enumerate(p.sensors):
-        path = os.path.join(args.out, f"decomp_{sensor.id}.csv")
-        dc.dump_components_csv(path + ".tmp", decomp, si)
-        os.replace(path + ".tmp", path)
+        _publish(os.path.join(args.out, f"decomp_{sensor.id}.csv"),
+                 lambda tmp: dc.dump_components_csv(tmp, decomp, si), "out")
     _emit_config(args.out, cfg, None)
     return EXIT_OK
 
@@ -79,13 +102,11 @@ def cmd_cluster(args) -> int:
     cfg = load_config(args.config)
     p = pl.load_panel(args.data, args.meta, cfg.run)
     table, mm = pl.cluster(p, cfg.run)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     for name, writer in (("distances.csv", lambda q: table.to_csv(q)),
                          ("clusters.csv", lambda q: cl.clusters_to_csv(mm, list(p.sensors), q)),
                          ("merge_log.csv", lambda q: cl.merge_log_to_csv(mm, q))):
-        path = os.path.join(args.out, name)
-        writer(path + ".tmp")
-        os.replace(path + ".tmp", path)
+        _publish(os.path.join(args.out, name), writer, "out")
     _emit_config(args.out, cfg, args.seed)
     return EXIT_OK
 
@@ -94,7 +115,7 @@ def cmd_synth(args) -> int:
     _require(args, "out", "seed")
     cfg = load_config(args.config)
     p = ev.synth_generate(cfg.synth, cfg.run.synth_sensors, cfg.run.synth_days, args.seed)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     data_path = os.path.join(args.out, "data.csv")
     meta_path = os.path.join(args.out, "meta.csv")
     ev.panel_to_csv(p, data_path + ".tmp", meta_path + ".tmp")
@@ -110,7 +131,7 @@ def cmd_train(args) -> int:
     p = pl.load_panel(args.data, args.meta, cfg.run)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
     _, train_w, _ = pl.windows(p, cfg.run, cfg.forecaster, pl.fit_scaling(p, cfg.run))
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     notes: list[str] = []
     model, history, curves = pl.fit(p, mm.clusters, train_w, cfg.forecaster, args.seed,
                                     log=notes.append)
@@ -121,8 +142,7 @@ def cmd_train(args) -> int:
 
 
 def _write_report(report: ev.EvalReport, path: str) -> int:
-    report.to_csv(path + ".tmp")
-    os.replace(path + ".tmp", path)
+    _publish(path, report.to_csv, "report")
     report.print_table()
     return EXIT_OK
 
@@ -206,8 +226,15 @@ def main(argv=None) -> int:
     except TrainingDivergence as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # an input that cannot be opened
+        flag = next((f for f in INPUT_FLAGS if getattr(args, f) == exc.filename), None)
+        if flag is None and not isinstance(exc, FileNotFoundError):
+            raise
+        given = f"--{flag} " if flag else ""
+        print(f"error: cannot read {given}{exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, CorridorcastError) as exc:
         print(f"error: {exc}", file=sys.stderr)

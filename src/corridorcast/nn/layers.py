@@ -50,7 +50,6 @@ class Dense(Layer):
     def __init__(self, rng: np.random.Generator, n_in: int, n_out: int,
                  activation: str = "identity"):
         super().__init__()
-        self.n_in, self.n_out = n_in, n_out
         self.activation = activation
         self.w = self._param("w", xavier_uniform(rng, (n_in, n_out), n_in, n_out))
         self.b = self._param("b", np.zeros(n_out))
@@ -89,7 +88,6 @@ class MultiKernelConv(Layer):
         if any(len(m) == 0 for m in member_lists):
             raise ValueError("cluster with zero members")
         self.member_lists = [list(m) for m in member_lists]
-        self.time_kernel = time_kernel
         self.kernels: list[Tensor] = []
         self.biases: list[Tensor] = []
         for ci, members in enumerate(self.member_lists):
@@ -103,8 +101,7 @@ class MultiKernelConv(Layer):
         return multikernel_conv_forward(x, self.member_lists, self.kernels, self.biases)
 
 
-def multikernel_conv_forward(x: Tensor, member_lists, kernels, biases,
-                             activation: str = "relu") -> list[Tensor]:
+def multikernel_conv_forward(x: Tensor, member_lists, kernels, biases) -> list[Tensor]:
     """Per-cluster gather + time-axis convolution; see MultiKernelConv."""
     outs = []
     for members, w, b in zip(member_lists, kernels, biases):
@@ -114,7 +111,7 @@ def multikernel_conv_forward(x: Tensor, member_lists, kernels, biases,
             raise ag.ShapeError(
                 f"kernel sensor axis {w.data.shape[0]} != cluster size {len(members)}")
         rows = ag.gather_rows(x, members)
-        outs.append(ag.ACTIVATIONS[activation](ag.conv2d(rows, w) + b))
+        outs.append(ag.relu(ag.conv2d(rows, w) + b))
     return outs
 
 

@@ -9,7 +9,11 @@ neighborhoods are index-contiguous.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+import hashlib
+import os
+import tempfile
+import zipfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
@@ -35,6 +39,12 @@ META_HEADER = ["sensor_id", "milepost", "kind"]
 # files); each block runs on to the end of its last line.  A block's lines and
 # field strings take 15 to 20 times its text, so 64 KiB keeps them near 1 MiB.
 BLOCK_CHARS = 1 << 16
+
+# `load_csv` keeps each parsed panel in `<data>` + PANEL_SUFFIX, keyed by the
+# SHA-256 of PANEL_FORMAT and both input files; bump the tag when the parse
+# or the file layout changes, so older files read as misses.
+PANEL_SUFFIX = ".panel.npz"
+PANEL_FORMAT = "corridorcast-panel-v1"
 
 
 class SensorKind(str, Enum):
@@ -236,21 +246,29 @@ def _raise_first_bad_row(lines: list[str], first_line: int, known: dict[str, int
             raise FormatError(f"bad numeric field in row {row!r}: {exc}") from None
 
 
-def _row_capacity(path: str) -> int:
-    """An upper bound on the data rows of `path` that hold five fields each:
-    its commas over four, since every such row holds four."""
+def _scan(path: str, meta_path: str) -> tuple[int, str]:
+    """One byte pass over the data file `path`: an upper bound on its rows
+    that hold five fields each (its commas over four, since every such row
+    holds four), and the hex SHA-256 of PANEL_FORMAT, the metadata file's
+    bytes and the data file's bytes."""
+    with open(meta_path, "rb") as fh:
+        meta = fh.read()
+    digest = hashlib.sha256(f"{PANEL_FORMAT}\n{len(meta)}\n".encode())
+    digest.update(meta)
     commas = 0
     with open(path, "rb") as fh:
         while chunk := fh.read(BLOCK_CHARS):
             commas += chunk.count(b",")
-    return commas // (len(DATA_HEADER) - 1)
+            digest.update(chunk)
+    return commas // (len(DATA_HEADER) - 1), digest.hexdigest()
 
 
-def _read_rows(path: str, known: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_rows(path: str, known: dict[str, int],
+               capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sensor index, epoch seconds and readings of each data row of `path`, in
-    file order, parsed block by block into buffers allocated once.  The last
-    block's strings die on return, before `load_csv` builds the panel."""
-    capacity = _row_capacity(path)
+    file order, parsed block by block into buffers of `capacity` rows,
+    allocated once.  The last block's strings die on return, before `_parse`
+    builds the panel."""
     sensors = np.empty(capacity, dtype=np.int64)
     epochs = np.empty(capacity, dtype=np.int64)
     observed = np.empty((capacity, len(FEATURES)))
@@ -307,17 +325,40 @@ def load_csv(path: str, meta_path: str) -> Panel:
     in file order; a row with the wrong field count, or a quote still open at
     its end, is named by its physical line.
 
-    The file is parsed in blocks of whole lines, about `BLOCK_CHARS`
-    characters each.  A first pass counts the commas, four per row, so the
-    row buffers are allocated once.  Each block is split into one flat field
-    list; each distinct sensor id and timestamp string is unquoted and parsed
-    once, through dicts; each numeric column is parsed by one numpy
-    assignment, which calls `float` on every field.  A block that fails any
-    check is scanned again row by row to raise the first bad row's error.
+    Each file pair is parsed once.  One byte pass over the data counts its
+    commas, four per row, and hashes PANEL_FORMAT and both files' bytes.  If
+    the panel file `path + PANEL_SUFFIX` holds that digest, its values, mask
+    and time index are returned, bit-identical to a parse, and the sensors
+    come from the metadata as always.  Otherwise the file is parsed and the
+    panel file written (temporary name, then rename); a failed write is
+    ignored, and a file that does not parse is never written.  A panel file
+    that is missing, unreadable, truncated or of another format or digest is
+    re-parsed, so it is safe to delete at any time.
+
+    The parse reads blocks of whole lines, about `BLOCK_CHARS` characters
+    each, into row buffers sized once by the comma count.  Each block is split
+    into one flat field list; each distinct sensor id and timestamp string is
+    unquoted and parsed once, through dicts; each numeric column is parsed by
+    one numpy assignment, which calls `float` on every field.  A block that
+    fails any check is scanned again row by row to raise the first bad row's
+    error.
     """
     metas = sorted(load_sensor_meta(meta_path), key=lambda m: (m.position, m.id))
-    known = {m.id: i for i, m in enumerate(metas)}
-    sensor_idx, epoch_s, readings = _read_rows(path, known)
+    capacity, digest = _scan(path, meta_path)
+    panel_file = path + PANEL_SUFFIX
+    arrays = _read_panel_file(panel_file, digest, len(metas))
+    if arrays is None:
+        arrays = _parse(path, metas, capacity)
+        _write_panel_file(panel_file, digest, *arrays)
+    values, mask, time_index = arrays
+    return Panel(values, time_index, FEATURES, mask, tuple(metas))
+
+
+def _parse(path: str, metas: list[SensorMeta],
+           capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, mask and time index of the data file `path`; see `load_csv`."""
+    sensor_idx, epoch_s, readings = _read_rows(path, {m.id: i for i, m in enumerate(metas)},
+                                               capacity)
     order = np.argsort(sensor_idx, kind="stable")  # file order within each sensor
     s_sorted, e_sorted = sensor_idx[order], epoch_s[order]
     regress = (s_sorted[1:] == s_sorted[:-1]) & (e_sorted[1:] <= e_sorted[:-1])
@@ -335,24 +376,73 @@ def load_csv(path: str, meta_path: str) -> Panel:
             raise FormatError("timestamps do not sit on a fixed-step grid")
     time_index = (lo + step * np.arange((int(times[-1]) - lo) // step + 1)).astype("datetime64[s]")
 
-    n, t, k = len(metas), len(time_index), len(FEATURES)
-    values = np.zeros((n, t, k))
-    mask = np.zeros((n, t, k), dtype=bool)
+    shape = (len(metas), len(time_index), len(FEATURES))
+    values = np.zeros(shape)
+    mask = np.zeros(shape, dtype=bool)
     slots = (epoch_s - lo) // step
     values[sensor_idx, slots] = readings
     mask[sensor_idx, slots] = True
     if not np.all(np.isfinite(readings)):
         raise FormatError("observed values must be finite")
-    return Panel(values, time_index, FEATURES, mask, tuple(metas))
+    return values, mask, time_index
+
+
+def _read_panel_file(path: str, digest: str,
+                     n_sensors: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Values, mask and time index kept in the panel file `path` if it holds
+    `digest` and arrays of the panel's dtypes and shapes, else None.  The
+    zip's CRC-32 of each array catches truncation and bit rot."""
+    try:
+        with np.load(path, allow_pickle=False) as kept:
+            if str(kept["format"]) != PANEL_FORMAT or str(kept["digest"]) != digest:
+                return None
+            values, mask, time_index = kept["values"], kept["mask"], kept["time_index"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    shape = (n_sensors, time_index.size, len(FEATURES))
+    if ((values.dtype, mask.dtype, time_index.dtype) != (np.float64, bool, "datetime64[s]")
+            or (values.shape, mask.shape, time_index.shape) != (shape, shape, shape[1:2])):
+        return None
+    return values, mask, time_index
+
+
+def _write_panel_file(path: str, digest: str, values: np.ndarray, mask: np.ndarray,
+                      time_index: np.ndarray) -> None:
+    """Keep a parsed panel in `path` under `digest`: an uncompressed `.npz`
+    archive, written to a unique temporary name, then renamed into place.
+    Each C-contiguous array is written from its own buffer, where `np.savez`
+    would copy it first.  The file only saves later parses, so an OSError is
+    ignored and leaves no temporary file."""
+    arrays = {"format": np.array(PANEL_FORMAT), "digest": np.array(digest),
+              "values": values, "mask": mask, "time_index": time_index}
+    folder, name = os.path.split(path)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=folder or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+            for key, array in arrays.items():
+                with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(
+                        member, np.lib.format.header_data_from_array_1_0(array))
+                    member.write(array.reshape(-1).view(np.uint8))
+        os.replace(tmp, path)
+    except OSError:
+        with suppress(OSError):
+            os.remove(tmp)
 
 
 def filter_complete(p: Panel, min_fraction: float) -> Panel:
-    """Keep exactly the sensors whose observed fraction exceeds `min_fraction`."""
+    """Keep exactly the sensors whose observed fraction exceeds `min_fraction`;
+    a panel that keeps them all is returned as it is, not copied."""
     if not 0.0 <= min_fraction <= 1.0:
         raise ValueError(f"min_fraction must lie in [0, 1], got {min_fraction}")
     keep = np.flatnonzero(p.observed_fraction() > min_fraction)
     if keep.size == 0:
         raise EmptyPanelError(f"no sensor exceeds completeness {min_fraction}")
+    if keep.size == p.n_sensors:
+        return p
     return Panel(p.values[keep], p.time_index, p.features, p.missing_mask[keep],
                  tuple(p.sensors[i] for i in keep))
 
@@ -382,8 +472,9 @@ def impute_forward(p: Panel) -> Panel:
     """Fill unobserved cells with the last observed value of the same series.
 
     Leading gaps take the first observed value.  A series with no observed
-    value at all is an error.  Every series is filled by one gather: each
-    step reads the latest observed step up to it, or the first observed one.
+    value at all is an error.  The whole panel is filled by one gather over
+    the flat index `(sensor * steps + step) * features + feature`: each cell
+    reads the latest observed cell of its series up to it, or the first one.
     """
     observed = p.missing_mask
     empty = ~observed.any(axis=1)
@@ -391,10 +482,13 @@ def impute_forward(p: Panel) -> Panel:
         si, fi = np.argwhere(empty)[0]
         raise EmptySeriesError(
             f"sensor {p.sensors[si].id!r} feature {p.features[fi]!r} has no observations")
-    steps = np.where(observed, np.arange(p.n_steps)[:, None], -1)
-    np.maximum.accumulate(steps, axis=1, out=steps)
-    np.maximum(steps, observed.argmax(axis=1)[:, None, :], out=steps)
-    return p.with_values(np.take_along_axis(p.values, steps, axis=1))
+    n, t, k = p.values.shape
+    flat = (np.arange(n)[:, None, None] * t + np.arange(t)[:, None]) * k + np.arange(k)
+    first = (np.arange(n)[:, None] * t + observed.argmax(axis=1)) * k + np.arange(k)
+    np.copyto(flat, -1, where=~observed)
+    np.maximum.accumulate(flat, axis=1, out=flat)
+    np.maximum(flat, first[:, None, :], out=flat)
+    return p.with_values(np.take(p.values, flat))
 
 
 def neighbor_pairs(sensors, radius_miles: float = 2.0) -> list[tuple[int, int]]:

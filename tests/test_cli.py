@@ -506,3 +506,43 @@ def test_exit_code_non_utf8_checkpoint(trained, tmp_path, capsys):
                "--config", cfg) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "not UTF-8 text" in err[0]
+
+
+@pytest.mark.parametrize("flag", ["data", "meta", "clusters", "model"])
+def test_exit_code_input_names_a_directory(trained, tmp_path, capsys, flag):
+    out, cfg, cdir, tdir = trained
+    inputs = {"data": out / "data.csv", "meta": out / "meta.csv",
+              "clusters": cdir / "clusters.csv", "model": tdir / "checkpoint.txt"}
+    inputs[flag] = tmp_path / "a_directory"
+    inputs[flag].mkdir()
+    capsys.readouterr()
+    assert run("eval", *(f"--{name}={path}" for name, path in inputs.items()),
+               "--report", str(tmp_path / "report.csv"), "--seed", "7", "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"--{flag} {inputs[flag]}: Is a directory" in err[0]
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["out", "report"])
+def test_exit_code_unusable_output(trained, tmp_path, capsys, flag):
+    out, cfg, cdir, tdir = trained
+    common = ["--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+              "--seed", "7", "--config", cfg]
+    place = tmp_path / "taken"
+    if flag == "out":  # a file where the output directory should go
+        place.write_text("keep me\n")
+        argv = ["cluster", *common, "--out", str(place)]
+    else:  # a directory where the report file should go
+        place.mkdir()
+        argv = ["eval", *common, "--clusters", str(cdir / "clusters.csv"),
+                "--model", str(tdir / "checkpoint.txt"), "--report", str(place)]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"--{flag} {place}" in err[0]
+    assert sorted(os.listdir(tmp_path)) == before
+    if flag == "out":
+        assert place.read_text() == "keep me\n"
+    else:
+        assert not os.listdir(place)

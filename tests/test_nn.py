@@ -192,9 +192,9 @@ def test_multikernel_full_window_is_dense(rng):
     x = rng.normal(size=(2, 3, 5, 2))
     w = rng.normal(size=(3, 5, 2, 4))
     outs = nn.multikernel_conv_forward(
-        Tensor(x), [[0, 1, 2]], [Tensor(w)], [Tensor(np.zeros(4))], activation="identity")
+        Tensor(x), [[0, 1, 2]], [Tensor(w)], [Tensor(np.zeros(4))])
     assert len(outs) == 1 and outs[0].data.shape == (2, 1, 1, 4)
-    dense = x.reshape(2, -1) @ w.reshape(-1, 4)
+    dense = np.maximum(x.reshape(2, -1) @ w.reshape(-1, 4), 0.0)
     assert np.allclose(outs[0].data.reshape(2, 4), dense, atol=1e-12)
 
 
@@ -212,10 +212,9 @@ def test_multikernel_matches_gather_oracle(rng):
     members = [[0, 1], [1, 2, 3]]
     kernels = [Tensor(rng.normal(size=(len(m), 3, 3, 2))) for m in members]
     biases = [Tensor(rng.normal(size=2)) for _ in members]
-    outs = nn.multikernel_conv_forward(Tensor(x), members, kernels, biases,
-                                       activation="identity")
+    outs = nn.multikernel_conv_forward(Tensor(x), members, kernels, biases)
     for m, w, b, out in zip(members, kernels, biases, outs):
-        expected = conv2d_loop(x[:, m, :, :], w.data) + b.data
+        expected = np.maximum(conv2d_loop(x[:, m, :, :], w.data) + b.data, 0.0)
         assert np.allclose(out.data, expected, atol=1e-12)
 
 

@@ -1,4 +1,5 @@
 import csv
+import os
 import tracemalloc
 from array import array
 
@@ -300,6 +301,7 @@ def test_load_csv_equals_row_oracle_on_a_synthetic_corridor(tmp_path, monkeypatc
     reference = load_csv_rows_oracle(data, meta)
     for block in (97, 4096, pn.BLOCK_CHARS):
         monkeypatch.setattr(pn, "BLOCK_CHARS", block)
+        remove_panel_file(data)  # parse at this block size, not read the last one's file
         assert_same_panel(pn.load_csv(data, meta), reference)
 
 
@@ -389,7 +391,121 @@ def test_load_csv_memory_stays_within_the_row_loop(tmp_path, rng):
             tracemalloc.stop()
 
     pn.load_csv(data, meta)  # the first load imports modules; count neither loader's share
+    remove_panel_file(data)  # measure a parse, not a read of the first load's panel file
     assert peak(pn.load_csv) <= 1.1 * peak(load_csv_rows_oracle)
+
+
+# -- the panel file ---------------------------------------------------------------
+
+
+def remove_panel_file(data):
+    if os.path.exists(data + pn.PANEL_SUFFIX):
+        os.remove(data + pn.PANEL_SUFFIX)
+
+
+def forbid_parse(monkeypatch):
+    """Make any parse of a data file fail the test, so a load must read the panel file."""
+    def parse(*args):
+        raise AssertionError("load_csv parsed the data file")
+    monkeypatch.setattr(pn, "_read_rows", parse)
+
+
+def corridor_files(tmp_path):
+    from corridorcast import evaluation as ev
+    data, meta = str(tmp_path / "data.csv"), str(tmp_path / "meta.csv")
+    p = ev.synth_generate(ev.SynthConfig(), sensors=4, days=2, seed=5)
+    p.missing_mask[2, 7:19] = False
+    ev.panel_to_csv(p, data, meta)
+    return data, meta
+
+
+def test_panel_file_read_equals_parse(tmp_path, monkeypatch):
+    data, meta = corridor_files(tmp_path)
+    parsed = pn.load_csv(data, meta)
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.panel.npz", "meta.csv"]
+    forbid_parse(monkeypatch)
+    assert_same_panel(pn.load_csv(data, meta), parsed)
+    assert_same_panel(parsed, load_csv_rows_oracle(data, meta))
+
+
+def edit_in_place(path, old: bytes, new: bytes):
+    """Replace the first `old` in `path` by `new` of the same length, keeping
+    the size and the modification time."""
+    before = os.stat(path)
+    with open(path, "r+b") as fh:
+        body = fh.read()
+        assert len(old) == len(new) and old in body
+        fh.seek(body.index(old))
+        fh.write(new)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+@pytest.mark.parametrize("edited", ["data", "meta"])
+def test_one_byte_edit_is_parsed_again(tmp_path, edited):
+    data, meta = corridor_files(tmp_path)
+    before = pn.load_csv(data, meta)
+    if edited == "data":  # the first flow reading changes its leading digit
+        row = open(data, "rb").read().split(b"\n")[1]
+        field = row.split(b",")[2]
+        digit = b"%d" % ((int(field[:1]) + 1) % 10)
+        edit_in_place(data, row, row.replace(b"," + field + b",", b"," + digit + field[1:] + b","))
+    else:  # the first sensor moves to the far end of the corridor
+        edit_in_place(meta, b"\nS000,0.0,", b"\nS000,9.0,")
+    after = pn.load_csv(data, meta)
+    assert_same_panel(after, load_csv_rows_oracle(data, meta))
+    assert after.values.tobytes() != before.values.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "other-tag", "other-shape"])
+def test_damaged_panel_file_is_parsed_and_rewritten(tmp_path, monkeypatch, damage):
+    data, meta = corridor_files(tmp_path)
+    parsed = pn.load_csv(data, meta)
+    kept = data + pn.PANEL_SUFFIX
+    body = open(kept, "rb").read()
+    if damage == "truncated":
+        open(kept, "wb").write(body[:len(body) // 2])
+    elif damage == "garbage":
+        open(kept, "wb").write(b"not a panel file\n" * 64)
+    else:  # right digest, but another format tag or a sensor short
+        with np.load(kept) as z:
+            arrays = {name: z[name] for name in z.files}
+        if damage == "other-tag":
+            arrays["format"] = "corridorcast-panel-v0"
+        else:
+            arrays["values"], arrays["mask"] = arrays["values"][1:], arrays["mask"][1:]
+        with open(kept, "wb") as fh:
+            np.savez(fh, **arrays)
+    assert_same_panel(pn.load_csv(data, meta), parsed)
+    assert open(kept, "rb").read() == body
+    forbid_parse(monkeypatch)
+    assert_same_panel(pn.load_csv(data, meta), parsed)
+
+
+@pytest.mark.parametrize("failing", ["mkstemp", "write_array_header_1_0", "replace"])
+def test_failed_panel_file_write_is_ignored(tmp_path, monkeypatch, failing):
+    data, meta = corridor_files(tmp_path)
+    reference = load_csv_rows_oracle(data, meta)
+
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+    owner = {"mkstemp": pn.tempfile, "write_array_header_1_0": pn.np.lib.format,
+             "replace": pn.os}[failing]
+    monkeypatch.setattr(owner, failing, fail)
+    assert_same_panel(pn.load_csv(data, meta), reference)
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "meta.csv"]
+
+
+def test_bad_data_file_raises_every_time_and_is_not_kept(tmp_path):
+    data, meta = write_raw(tmp_path, BAD_BODIES["off-grid"])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(FormatError) as err:
+            pn.load_csv(data, meta)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "timestamps do not sit on a fixed-step grid"
+    assert sorted(os.listdir(tmp_path)) == ["raw.csv", "raw_meta.csv"]
 
 
 def invert_scale(p, s):
@@ -426,6 +542,11 @@ def make_panel(values, mask=None, positions=None, kinds=None, step_s=300):
 def test_filter_complete_keeps_all_when_observed(rng):
     p = make_panel(rng.random((3, 10, 3)))
     assert pn.filter_complete(p, 0.9).n_sensors == 3
+
+
+def test_filter_complete_keeping_every_sensor_returns_the_panel(rng):
+    p = make_panel(rng.random((3, 10, 3)))
+    assert pn.filter_complete(p, 0.9) is p
 
 
 def test_filter_complete_drops_below_threshold(rng):
@@ -516,6 +637,21 @@ def test_impute_forward_empty_series():
     mask = np.zeros_like(vals, dtype=bool)
     with pytest.raises(EmptySeriesError):
         pn.impute_forward(make_panel(vals, mask))
+
+
+def test_impute_forward_equals_per_axis_gather(rng):
+    vals = rng.normal(size=(3, 12, 3))
+    mask = rng.random(vals.shape) > 0.4
+    mask[0, :5, 1] = False  # leading gap
+    mask[1, 3:9, :] = False  # inner gap across every feature
+    mask[2, :, 2] = False
+    mask[2, 11, 2] = True  # observed at the last step only
+    p = make_panel(vals, mask)
+    steps = np.where(mask, np.arange(12)[:, None], -1)
+    np.maximum.accumulate(steps, axis=1, out=steps)
+    np.maximum(steps, mask.argmax(axis=1)[:, None, :], out=steps)
+    expected = np.take_along_axis(vals, steps, axis=1)
+    assert pn.impute_forward(p).values.tobytes() == expected.tobytes()
 
 
 def test_load_filter_scale_invert_identity(tmp_path, rng):
