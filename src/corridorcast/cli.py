@@ -1,19 +1,18 @@
 """Command-line entry point binding the pipeline into reproducible runs.
 
 Subcommands: decompose, cluster, synth, train, eval, missing-eval.  This
-module parses arguments, maps errors to exit codes and writes artifacts; the
-chain itself (panel, scaling, decomposition, clustering, windows, training
-and scoring) and the config codec live in `corridorcast.pipeline`.  Every
-command is a deterministic function of its inputs and the seed; artifacts
-are written atomically (temp file + rename).  Exit codes: 0 ok, 2 config
-error (including a bad value, an unreadable --config file, and an --out or
---report that cannot be written), 3 data error (including an input file
-that cannot be read), 4 training divergence.
+module parses arguments, writes artifacts and maps errors to exit codes, the
+OSErrors in one place by the flag whose path failed; the chain itself and the
+config codec live in `corridorcast.pipeline`.  Every command is a
+deterministic function of its inputs and the seed, and every file goes
+through `files.publish` (UTF-8, temp file + rename).  Exit codes: 0 ok, 2
+config error (a bad value, a negative --seed, an unreadable --config, an
+--out or --report that cannot be written), 3 data error (an input that
+cannot be read, a step that does not divide a day), 4 training divergence.
 
 The run log (run.log: one line per epoch with wall-clock times, then notes
-and the DAE pretraining curves, one line per cluster and epoch) is
-diagnostic output, not an artifact: repeated runs reproduce every other
-output byte for byte.
+and the DAE pretraining curves) is diagnostic output, not an artifact:
+repeated runs reproduce every other output byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from . import decompose as dc
 from . import evaluation as ev
 from . import pipeline as pl
 from .errors import ConfigError, CorridorcastError, DataError, TrainingDivergence
+from .files import publish
 from .nn import save_params
 from .pipeline import load_config
 
@@ -38,33 +38,7 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 INPUT_FLAGS = ("data", "meta", "clusters", "model")
-
-
-def _publish(path: str, write, flag: str) -> None:
-    """Write `path` for output flag `flag`: `write(tmp)`, then a rename.  No
-    temp file outlives a failure, and an OSError becomes a ConfigError."""
-    tmp = path + ".tmp"
-    try:
-        try:
-            write(tmp)
-            os.replace(tmp, path)
-        finally:
-            if os.path.lexists(tmp):
-                os.remove(tmp)
-    except OSError as exc:
-        raise ConfigError(f"cannot write --{flag} {path}: {exc.strerror}") from None
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _make_out_dir(out: str) -> None:
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use --out {out} as a directory: {exc.strerror}") from None
+OUTPUT_FLAGS = ("out", "report")
 
 
 def _require(args, *names) -> None:
@@ -74,11 +48,10 @@ def _require(args, *names) -> None:
 
 
 def _emit_config(out_dir: str, cfg: pl.ResolvedConfig, seed: int | None) -> None:
-    text = cfg.to_text()
-    if seed is not None:
-        text += f"seed={seed}\n"
-    _publish(os.path.join(out_dir, "config_resolved.txt"), lambda tmp: _write_text(tmp, text),
-             "out")
+    with publish(os.path.join(out_dir, "config_resolved.txt")) as fh:
+        fh.write(cfg.to_text())
+        if seed is not None:
+            fh.write(f"seed={seed}\n")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -89,10 +62,9 @@ def cmd_decompose(args) -> int:
     cfg = load_config(args.config)
     p = pl.load_panel(args.data, args.meta, cfg.run)
     decomp = pl.decompose(p)
-    _make_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     for si, sensor in enumerate(p.sensors):
-        _publish(os.path.join(args.out, f"decomp_{sensor.id}.csv"),
-                 lambda tmp: dc.dump_components_csv(tmp, decomp, si), "out")
+        dc.dump_components_csv(os.path.join(args.out, f"decomp_{sensor.id}.csv"), decomp, si)
     _emit_config(args.out, cfg, None)
     return EXIT_OK
 
@@ -102,11 +74,10 @@ def cmd_cluster(args) -> int:
     cfg = load_config(args.config)
     p = pl.load_panel(args.data, args.meta, cfg.run)
     table, mm = pl.cluster(p, cfg.run)
-    _make_out_dir(args.out)
-    for name, writer in (("distances.csv", lambda q: table.to_csv(q)),
-                         ("clusters.csv", lambda q: cl.clusters_to_csv(mm, list(p.sensors), q)),
-                         ("merge_log.csv", lambda q: cl.merge_log_to_csv(mm, q))):
-        _publish(os.path.join(args.out, name), writer, "out")
+    os.makedirs(args.out, exist_ok=True)
+    table.to_csv(os.path.join(args.out, "distances.csv"))
+    cl.clusters_to_csv(mm, list(p.sensors), os.path.join(args.out, "clusters.csv"))
+    cl.merge_log_to_csv(mm, os.path.join(args.out, "merge_log.csv"))
     _emit_config(args.out, cfg, args.seed)
     return EXIT_OK
 
@@ -115,12 +86,8 @@ def cmd_synth(args) -> int:
     _require(args, "out", "seed")
     cfg = load_config(args.config)
     p = ev.synth_generate(cfg.synth, cfg.run.synth_sensors, cfg.run.synth_days, args.seed)
-    _make_out_dir(args.out)
-    data_path = os.path.join(args.out, "data.csv")
-    meta_path = os.path.join(args.out, "meta.csv")
-    ev.panel_to_csv(p, data_path + ".tmp", meta_path + ".tmp")
-    os.replace(data_path + ".tmp", data_path)
-    os.replace(meta_path + ".tmp", meta_path)
+    os.makedirs(args.out, exist_ok=True)
+    ev.panel_to_csv(p, os.path.join(args.out, "data.csv"), os.path.join(args.out, "meta.csv"))
     _emit_config(args.out, cfg, args.seed)
     return EXIT_OK
 
@@ -131,7 +98,7 @@ def cmd_train(args) -> int:
     p = pl.load_panel(args.data, args.meta, cfg.run)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
     _, train_w, _ = pl.windows(p, cfg.run, cfg.forecaster, pl.fit_scaling(p, cfg.run))
-    _make_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     notes: list[str] = []
     model, history, curves = pl.fit(p, mm.clusters, train_w, cfg.forecaster, args.seed,
                                     log=notes.append)
@@ -142,7 +109,7 @@ def cmd_train(args) -> int:
 
 
 def _write_report(report: ev.EvalReport, path: str) -> int:
-    _publish(path, report.to_csv, "report")
+    report.to_csv(path)
     report.print_table()
     return EXIT_OK
 
@@ -201,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = dict(data="input data CSV (sensor_id,timestamp,flow,occupancy,speed)",
                   meta="sensor metadata CSV (sensor_id,milepost,kind)",
                   config="flat key=value config file",
-                  seed="run seed (mandatory for train/synth/missing-eval)",
+                  seed="run seed, a non-negative integer (mandatory for all but decompose)",
                   out="output directory",
                   clusters="clusters CSV from the cluster command",
                   model="checkpoint file from the train command",
@@ -211,17 +178,27 @@ def build_parser() -> argparse.ArgumentParser:
                      ("missing-eval", cmd_missing_eval)):
         sp = sub.add_parser(name)
         for flag, help_text in common.items():
-            if flag == "seed":
-                sp.add_argument("--seed", type=int, help=help_text)
-            else:
-                sp.add_argument(f"--{flag}", help=help_text)
+            sp.add_argument(f"--{flag}", type=int if flag == "seed" else str, help=help_text)
         sp.set_defaults(fn=fn)
     return parser
+
+
+def _flag_of(args, filename) -> str | None:
+    """The flag whose path is `filename`, or "out" for a path inside --out."""
+    if not isinstance(filename, str):
+        return None
+    flags = {os.path.abspath(getattr(args, f)): f
+             for f in (*INPUT_FLAGS, *OUTPUT_FLAGS) if getattr(args, f) is not None}
+    path = os.path.abspath(filename)
+    inside = args.out is not None and path.startswith(os.path.join(os.path.abspath(args.out), ""))
+    return flags.get(path, "out" if inside else None)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.fn(args)
     except TrainingDivergence as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
@@ -229,13 +206,14 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:  # an input that cannot be opened
-        flag = next((f for f in INPUT_FLAGS if getattr(args, f) == exc.filename), None)
+    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+        flag = _flag_of(args, exc.filename)
         if flag is None and not isinstance(exc, FileNotFoundError):
             raise
         given = f"--{flag} " if flag else ""
-        print(f"error: cannot read {given}{exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_DATA
+        verb = "write" if flag in OUTPUT_FLAGS else "read"
+        print(f"error: cannot {verb} {given}{exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG if flag in OUTPUT_FLAGS else EXIT_DATA
     except (ConfigError, CorridorcastError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,7 +34,8 @@ import numpy as np
 
 from .dtw import DistanceTable
 from .errors import ConfigError, FormatError, UnknownSensorError
-from .panel import SensorKind, SensorMeta, _open_utf8, _short_row
+from .files import open_utf8, publish
+from .panel import SensorKind, SensorMeta, _short_row
 
 
 @dataclass
@@ -182,7 +183,7 @@ CLUSTER_HEADER = ["cluster_id", "sensor_id", "membership"]
 
 
 def clusters_to_csv(mm: MembershipMatrix, sensors: list[SensorMeta], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with publish(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CLUSTER_HEADER)
         for c, members in enumerate(mm.clusters):
@@ -191,7 +192,7 @@ def clusters_to_csv(mm: MembershipMatrix, sensors: list[SensorMeta], path: str) 
 
 
 def merge_log_to_csv(mm: MembershipMatrix, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with publish(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "a", "b", "distance"])
         for step, a, b, d in mm.merge_log:
@@ -210,7 +211,7 @@ def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:
     by_id = {s.id: i for i, s in enumerate(sensors)}
     clusters: list[list[int]] = []
     memberships: dict[tuple[int, int], float] = {}
-    with _open_utf8(path, "cluster file", newline="") as fh:
+    with open_utf8(path, "cluster file", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CLUSTER_HEADER:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
+from .files import publish
 from .panel import Panel
 
 
@@ -146,11 +147,8 @@ def recover_forecast(pred: np.ndarray, anchors) -> np.ndarray:
 
 def dump_components_csv(path: str, d: Decomposition, sensor_index: int) -> None:
     """Write one sensor's (t, S, T, R) columns of feature 0 for inspection."""
-    s = d.seasonal[sensor_index, :, 0]
-    t = d.trend[sensor_index, :, 0]
-    r = d.residual[sensor_index, :, 0]
-    with open(path, "w", newline="") as fh:
+    columns = (c[sensor_index, :, 0].tolist() for c in (d.seasonal, d.trend, d.residual))
+    with publish(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "S", "T", "R"])
-        for i in range(len(s)):
-            writer.writerow([i, repr(float(s[i])), repr(float(t[i])), repr(float(r[i]))])
+        writer.writerows([i, *map(repr, row)] for i, row in enumerate(zip(*columns)))

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .files import publish
 
 # Byte budget of one chunk's (pairs, windows, n, m) cost block in
 # `rolling_dtw_matrix`; the chunk holds as many pairs as fit, and at least one.
@@ -118,7 +119,7 @@ class DistanceTable:
         return sorted(self.entries)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
+        with publish(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "j", "distance"])
             for (i, j) in self.pairs():

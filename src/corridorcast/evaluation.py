@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FieldError, require_finite
+from .files import publish
 from .panel import FEATURES, Panel, SensorKind, SensorMeta
 
 
@@ -162,6 +163,8 @@ class SynthConfig:
             raise ConfigError("physical parameters must be positive")
         if len(self.weekday_factors) != 7:
             raise FieldError("weekday_factors", "needs seven entries, Monday to Sunday")
+        if not self.step_minutes > 0 or 86400 % (self.step_minutes * 60):
+            raise FieldError("step_minutes", f"must divide a day, got {self.step_minutes}")
 
 
 def fundamental_flow(occupancy, free_speed, wave_speed, max_density):
@@ -245,12 +248,12 @@ def synth_generate(cfg: SynthConfig, sensors: int, days: int, seed: int) -> Pane
 
 def panel_to_csv(p: Panel, data_path: str, meta_path: str) -> None:
     """Write a panel back out in the ingestion CSV formats."""
-    with open(meta_path, "w", newline="") as fh:
+    with publish(meta_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sensor_id", "milepost", "kind"])
         for s in p.sensors:
             writer.writerow([s.id, repr(s.position), s.kind.value])
-    with open(data_path, "w", newline="") as fh:
+    with publish(data_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sensor_id", "timestamp", "flow", "occupancy", "speed"])
         stamps = [str(ts.astype("datetime64[s]")) for ts in p.time_index]
@@ -301,7 +304,7 @@ class EvalReport:
         return out
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
+        with publish(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["model_id", "seed", "config_hash"])
             writer.writerow([self.model_id, self.seed, self.config_hash])

@@ -27,6 +27,7 @@ from . import nn
 from .decompose import Decomposition, recover_forecast
 from .errors import (ConfigError, FieldError, InsufficientDataError, TrainingDivergence,
                      require_finite)
+from .files import publish
 from .nn import Tensor
 from .panel import Panel, ScalingParams
 
@@ -516,7 +517,7 @@ class TrainHistory:
 
     def write_log(self, path: str, notes: list[str], dae_curves: list[list[float]]) -> None:
         """The run log: one line per epoch, then the notes, then the DAE curves."""
-        with open(path, "w") as fh:
+        with publish(path) as fh:
             for e, tr, vl, ms in zip(self.epochs, self.train_loss, self.val_loss,
                                      self.wall_ms):
                 fh.write(f"epoch={e} train_loss={tr:.9g} val_loss={vl:.9g} "

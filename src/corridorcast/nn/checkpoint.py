@@ -13,13 +13,13 @@ values, so neither side ever holds a whole line.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 
 import numpy as np
 
 from ..errors import DataError
+from ..files import open_utf8, publish
 from .autograd import Tensor
 
 _HEADER = "corridorcast-ckpt-v1"
@@ -32,29 +32,23 @@ class CheckpointError(DataError, ValueError):
 
 
 def save_params(path: str, params: dict[str, Tensor]) -> None:
-    """Write parameters atomically (temp file + rename), a chunk of values at a time."""
+    """Write parameters to `path` through `files.publish`, a chunk of values at
+    a time: atomically, as UTF-8, and leaving no temporary file on failure."""
     for name in params:
         if " " in name or ":" in name:
             raise CheckpointError(f"parameter name {name!r} contains reserved characters")
     step = _CHUNK // (_TOKEN_MAX + 1)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(_HEADER + "\n")
-            for name, p in params.items():
-                dims = "".join(f" {d}" for d in p.data.shape)
-                fh.write(f"{name} {p.data.ndim}{dims} : ")
-                flat = p.data.reshape(-1)
-                for lo in range(0, flat.size, step):
-                    if lo:
-                        fh.write(" ")
-                    fh.write(" ".join(map(float.hex, flat[lo:lo + step].tolist())))
-                fh.write("\n")
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
+    with publish(path) as fh:
+        fh.write(_HEADER + "\n")
+        for name, p in params.items():
+            dims = "".join(f" {d}" for d in p.data.shape)
+            fh.write(f"{name} {p.data.ndim}{dims} : ")
+            flat = p.data.reshape(-1)
+            for lo in range(0, flat.size, step):
+                if lo:
+                    fh.write(" ")
+                fh.write(" ".join(map(float.hex, flat[lo:lo + step].tolist())))
+            fh.write("\n")
 
 
 def _read_values(fh, text: str, out: np.ndarray, name: str, lineno: int) -> None:
@@ -91,39 +85,32 @@ def _read_values(fh, text: str, out: np.ndarray, name: str, lineno: int) -> None
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _read_params(fh)
-    except UnicodeDecodeError:
-        raise CheckpointError(f"checkpoint {path} is not UTF-8 text") from None
-
-
-def _read_params(fh) -> dict[str, np.ndarray]:
-    header = fh.readline(_CHUNK).rstrip("\n")
-    if header != _HEADER:
-        raise CheckpointError(f"unrecognized checkpoint header {header!r}")
-    # no line can hold more values than the file has characters
-    most = os.fstat(fh.fileno()).st_size
-    out: dict[str, np.ndarray] = {}
-    lineno = 1
-    while text := fh.readline(_CHUNK):
-        lineno += 1
-        if text.isspace():
-            continue
-        # the head "<name> <ndim> <dims> : " sits in the line's first chunk
-        sep = text.find(" : ")
-        fields = text[:sep].split() if sep >= 0 else []
-        try:
-            name, ndim = fields[0], int(fields[1])
-            shape = tuple(int(d) for d in fields[2:])
-            if len(shape) != ndim or math.prod(shape) > most:
-                raise ValueError
-            vals = np.empty(shape)
-        except (IndexError, ValueError):
-            raise CheckpointError(f"malformed checkpoint line {lineno}") from None
-        _read_values(fh, text[sep + 3:], vals.reshape(-1), name, lineno)
-        out[name] = vals
-    return out
+    with open_utf8(path, "checkpoint") as fh:
+        header = fh.readline(_CHUNK).rstrip("\n")
+        if header != _HEADER:
+            raise CheckpointError(f"unrecognized checkpoint header {header!r}")
+        # no line can hold more values than the file has characters
+        most = os.fstat(fh.fileno()).st_size
+        out: dict[str, np.ndarray] = {}
+        lineno = 1
+        while text := fh.readline(_CHUNK):
+            lineno += 1
+            if text.isspace():
+                continue
+            # the head "<name> <ndim> <dims> : " sits in the line's first chunk
+            sep = text.find(" : ")
+            fields = text[:sep].split() if sep >= 0 else []
+            try:
+                name, ndim = fields[0], int(fields[1])
+                shape = tuple(int(d) for d in fields[2:])
+                if len(shape) != ndim or math.prod(shape) > most:
+                    raise ValueError
+                vals = np.empty(shape)
+            except (IndexError, ValueError):
+                raise CheckpointError(f"malformed checkpoint line {lineno}") from None
+            _read_values(fh, text[sep + 3:], vals.reshape(-1), name, lineno)
+            out[name] = vals
+        return out
 
 
 def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:

@@ -1,7 +1,7 @@
 """Data model and ingestion for corridor sensor panels.
 
-A panel is a dense (sensors, steps, features) block on a fixed-step time
-grid, with a boolean mask marking which cells were actually observed.
+A panel is a dense (sensors, steps, features) block on a time grid whose
+fixed step divides a day, with a mask marking which cells were observed.
 Sensors live on a 1-D corridor and are ordered by milepost, so geographic
 neighborhoods are index-contiguous.
 """
@@ -13,7 +13,7 @@ import hashlib
 import os
 import tempfile
 import zipfile
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
@@ -29,6 +29,7 @@ from .errors import (
     FormatError,
     UnknownSensorError,
 )
+from .files import open_utf8
 
 FEATURES = ("flow", "occupancy", "speed")
 
@@ -86,6 +87,8 @@ class Panel:
             deltas = np.diff(self.time_index.astype("datetime64[s]").astype(np.int64))
             if np.any(deltas <= 0) or np.any(deltas != deltas[0]):
                 raise FormatError("time index must be strictly increasing at a fixed step")
+            if 86400 % deltas[0]:
+                raise FormatError(f"a step of {deltas[0] / 60:g} minutes does not divide a day")
 
     @property
     def n_sensors(self) -> int:
@@ -144,21 +147,10 @@ def _parse_timestamp(text: str) -> np.datetime64:
         raise FormatError(f"bad timestamp {text!r}: {exc}") from None
 
 
-@contextmanager
-def _open_utf8(path: str, what: str, newline: str | None = None):
-    """`path` opened as UTF-8 text; bytes that do not decode, wherever the
-    body reads them, raise FormatError naming `what` and the file."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            raise FormatError(f"{what} {path} is not UTF-8 text") from None
-
-
 def load_sensor_meta(meta_path: str) -> list[SensorMeta]:
     metas: list[SensorMeta] = []
     seen: set[str] = set()
-    with _open_utf8(meta_path, "metadata file", newline="") as fh:
+    with open_utf8(meta_path, "metadata file", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != META_HEADER:
@@ -277,7 +269,7 @@ def _read_rows(path: str, known: dict[str, int],
     sensor_index = partial(_sensor_index, known=known)
     count = 0
     # universal newlines: the reader turns each \r\n and \r into \n
-    with _open_utf8(path, "data file") as fh:
+    with open_utf8(path, "data file") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != DATA_HEADER:

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -285,6 +287,8 @@ BAD_CONFIG_LINES = [
     ("synth_noise_sd=nan", "bad.cfg:1: synth_noise_sd must be finite, got nan"),
     ("synth_free_speed=inf", "bad.cfg:1: synth_free_speed must be finite"),
     ("synth_weekday_factors=1,1,1,1,1,nan,1", "bad.cfg:1: synth_weekday_factors must be finite"),
+    ("synth_step_minutes=7", "bad.cfg:1: synth_step_minutes must divide a day, got 7.0"),
+    ("synth_step_minutes=0", "bad.cfg:1: synth_step_minutes must divide a day, got 0.0"),
 ]
 
 
@@ -523,26 +527,118 @@ def test_exit_code_input_names_a_directory(trained, tmp_path, capsys, flag):
     assert not (tmp_path / "report.csv").exists()
 
 
-@pytest.mark.parametrize("flag", ["out", "report"])
-def test_exit_code_unusable_output(trained, tmp_path, capsys, flag):
+# case -> the command, the file of its --out directory that is a directory,
+# and whether --out is given with a trailing slash
+UNUSABLE_OUT_FILES = {
+    "synth-data.csv": ("synth", "data.csv", False),
+    "synth-meta.csv": ("synth", "meta.csv", False),
+    "train-checkpoint.txt": ("train", "checkpoint.txt", False),
+    "train-run.log": ("train", "run.log", False),
+    "out-with-trailing-slash": ("train", "checkpoint.txt", True),
+}
+
+
+@pytest.mark.parametrize("case", ["out", "report", *UNUSABLE_OUT_FILES])
+def test_exit_code_unusable_output(trained, tmp_path, capsys, case):
     out, cfg, cdir, tdir = trained
     common = ["--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
               "--seed", "7", "--config", cfg]
     place = tmp_path / "taken"
-    if flag == "out":  # a file where the output directory should go
+    flag, named = "out", str(place)
+    if case == "out":  # a file where the output directory should go
         place.write_text("keep me\n")
         argv = ["cluster", *common, "--out", str(place)]
-    else:  # a directory where the report file should go
+    elif case == "report":  # a directory where the report file should go
+        flag = "report"
         place.mkdir()
         argv = ["eval", *common, "--clusters", str(cdir / "clusters.csv"),
                 "--model", str(tdir / "checkpoint.txt"), "--report", str(place)]
+    else:  # a directory where one file of the output directory should go
+        command, name, slash = UNUSABLE_OUT_FILES[case]
+        named = str(place / name)
+        (place / name).mkdir(parents=True)
+        argv = [command, *common, "--clusters", str(cdir / "clusters.csv"),
+                "--out", str(place) + "/" * slash]
     before = sorted(os.listdir(tmp_path))
     capsys.readouterr()
     assert run(*argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and f"--{flag} {place}" in err[0]
+    assert len(err) == 1 and f"cannot write --{flag} {named}" in err[0]
     assert sorted(os.listdir(tmp_path)) == before
-    if flag == "out":
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+    if case == "out":
         assert place.read_text() == "keep me\n"
-    else:
+    elif case == "report":
         assert not os.listdir(place)
+    else:
+        assert not os.listdir(place / name)
+
+
+def test_exit_code_unwritable_file_below_out(tmp_path, capsys):
+    # decompose names its files after the sensors, so this one would need a
+    # directory decomp_a below --out
+    start = np.datetime64("2016-01-04T00:00:00", "s")
+    rows = [f"{sid},{start + np.timedelta64(15 * i, 'm')},{100 + i % 7}.0,5.0,60.0"
+            for sid in ("a/b", "C") for i in range(96 * 3)]
+    (tmp_path / "data.csv").write_text("sensor_id,timestamp,flow,occupancy,speed\n"
+                                       + "\n".join(rows) + "\n")
+    (tmp_path / "meta.csv").write_text("sensor_id,milepost,kind\na/b,0.0,mainline\n"
+                                       "C,0.5,mainline\n")
+    capsys.readouterr()
+    assert run("decompose", "--data", str(tmp_path / "data.csv"), "--meta",
+               str(tmp_path / "meta.csv"), "--out", str(tmp_path / "o") + "/") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"cannot write --out {tmp_path}/o/decomp_a/b.csv" in err[0]
+    assert not os.listdir(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command", ["cluster", "synth", "train", "eval", "missing-eval"])
+def test_exit_code_negative_seed(trained, tmp_path, capsys, command):
+    out, cfg, cdir, tdir = trained
+    capsys.readouterr()
+    assert run(command, "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--clusters", str(cdir / "clusters.csv"), "--model",
+               str(tdir / "checkpoint.txt"), "--out", str(tmp_path / "o"),
+               "--report", str(tmp_path / "report.csv"), "--seed=-1", "--config", cfg) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--seed must be a non-negative integer, got -1" in err[0]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "cluster"])
+def test_exit_code_step_that_does_not_divide_a_day(tmp_path, capsys, command):
+    stamps = np.datetime64("2016-01-04T00:00:00", "s") + np.arange(600) * np.timedelta64(7, "m")
+    rows = [f"{sid},{ts},{100 + i % 9}.0,5.0,60.0" for sid in ("A", "B")
+            for i, ts in enumerate(stamps)]
+    (tmp_path / "data.csv").write_text("sensor_id,timestamp,flow,occupancy,speed\n"
+                                       + "\n".join(rows) + "\n")
+    (tmp_path / "meta.csv").write_text("sensor_id,milepost,kind\nA,0.0,mainline\n"
+                                       "B,0.5,mainline\n")
+    capsys.readouterr()
+    assert run(command, "--data", str(tmp_path / "data.csv"), "--meta",
+               str(tmp_path / "meta.csv"), "--out", str(tmp_path / "o"), "--seed", "1") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "a step of 7 minutes does not divide a day" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_ascii_sensor_id_under_an_ascii_locale(synth_dir, tmp_path):
+    # outputs are UTF-8 whatever the locale, as the inputs must be
+    out, cfg = synth_dir
+    for name in ("data.csv", "meta.csv"):
+        text = (out / name).read_text(encoding="utf-8").replace("S000", "S\u00fcd0")
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": src}
+    env.pop("PYTHONUTF8", None)
+    common = ["--data", str(tmp_path / "data.csv"), "--meta", str(tmp_path / "meta.csv"),
+              "--seed", "7", "--config", cfg]
+    for argv in (["cluster", *common, "--out", str(tmp_path / "c")],
+                 ["train", *common, "--clusters", str(tmp_path / "c" / "clusters.csv"),
+                  "--out", str(tmp_path / "t")]):
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "corridorcast.cli",
+                               *argv], env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+    clusters = (tmp_path / "c" / "clusters.csv").read_bytes().decode("utf-8")
+    assert ",S\u00fcd0," in clusters
+    assert (tmp_path / "t" / "checkpoint.txt").exists()
