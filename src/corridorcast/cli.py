@@ -102,9 +102,11 @@ def cmd_train(args) -> int:
     notes: list[str] = []
     model, history, curves = pl.fit(p, mm.clusters, train_w, cfg.forecaster, args.seed,
                                     log=notes.append)
-    save_params(os.path.join(args.out, "checkpoint.txt"), model.parameters())
+    # the checkpoint goes last, so that a failed write leaves no checkpoint
+    # that `eval` would load without its log and config
     history.write_log(os.path.join(args.out, "run.log"), notes, curves)
     _emit_config(args.out, cfg, args.seed)
+    save_params(os.path.join(args.out, "checkpoint.txt"), model.parameters())
     return EXIT_OK
 
 

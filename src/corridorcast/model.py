@@ -13,6 +13,11 @@ clusters receive a combined forecast).
 Inputs are stationarized: seasonal and trend windows have their value at
 the last input step subtracted, residuals pass through, and forecasts are
 recovered by adding the anchors back before inverting the scaling.
+
+The networks train and predict in `PRECISION` (float32): weights are drawn
+in float64 and cast once, and each batch is cast to the parameters' dtype
+on its way in.  Panels, decomposition, scaling, recovery and scoring stay
+float64.  A model whose parameters are set to float64 runs in float64.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from .errors import (ConfigError, FieldError, InsufficientDataError, TrainingDiv
 from .files import publish
 from .nn import Tensor
 from .panel import Panel, ScalingParams
+
+# The floating dtype of every network's parameters, activations and gradients.
+PRECISION = np.float32
 
 
 @dataclass(frozen=True)
@@ -312,6 +320,8 @@ def pretrain_dae(cluster_blocks: list[np.ndarray], config: ForecasterConfig, see
         rng = np.random.default_rng(np.random.SeedSequence((seed, j)))
         n, dim = block.shape
         head = DAEHead(rng, dim, config.dae_widths, config.dropout)
+        head.cast(PRECISION)
+        block = block.astype(PRECISION)
         if head.widths != tuple(config.dae_widths) and log is not None:
             log(f"cluster {j}: dae widths scaled to {head.widths} for dim {dim}")
 
@@ -394,8 +404,14 @@ class Forecaster(nn.Layer):
                     rng, len(members) * h, cfg.dae_widths, cfg.dropout)))
             total = sum(len(m) * h for m in self.clusters)
             self.fct = self._adopt("fct", nn.Dense(rng, total, n_sensors * h))
-            if pretrained_dae is not None:
-                self.load_dae_weights(pretrained_dae)
+        self.cast(PRECISION)
+        if self.use_dae and pretrained_dae is not None:
+            self.load_dae_weights(pretrained_dae)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, in which `forward` runs."""
+        return self.head.w.data.dtype
 
     def load_dae_weights(self, pretrained: list[dict[str, np.ndarray]]) -> None:
         if len(pretrained) != len(self.dae_heads):
@@ -425,6 +441,7 @@ class Forecaster(nn.Layer):
     def forward(self, batch: dict[str, np.ndarray], training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         self._check_batch(batch)
+        batch = {k: a.astype(self.dtype, copy=False) for k, a in batch.items()}
         cfg = self.config
         s, w, h = self.n_sensors, cfg.window, cfg.horizon
         v = cfg.proj_channels
@@ -562,10 +579,11 @@ def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig,
     val_set = windows.subset(np.arange(n - n_val, n)) if n_val else None
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    target = train_set.target_st.astype(model.dtype)
 
     def batch_loss(idx):
         out = model.forward(train_set.batch_dict(idx), training=True, rng=rng)
-        return nn.mean(nn.square(out - Tensor(train_set.target_st[idx])))
+        return nn.mean(nn.square(out - Tensor(target[idx])))
 
     history = TrainHistory([], [], [], [])
     bad_epochs = 0

@@ -20,7 +20,13 @@ multiplies its kh input rows, laid side by side, by the band.  The
 ConvLSTM recurrence is one node of its own (``layers.convlstm_sequence``)
 built on the same band as ``conv2d``.
 
-Everything is float64 so that central-difference gradient checks are
+A ``Tensor`` keeps the floating dtype of the array it wraps; ints, bools,
+lists and Python scalars become float64.  A constant operand of a binary
+operation (``x * 2.0``, ``-x``) takes the tensor's dtype, and every buffer an
+operation allocates, gradients included, takes the dtype of its operands.  So
+a graph built from float32 arrays runs in float32 end to end, which is how
+the forecaster trains and predicts, and one built from float64 arrays runs
+in float64, which is how the central-difference gradient checks stay
 meaningful at tight tolerances.
 """
 
@@ -71,7 +77,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class Tensor:
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents)
@@ -94,7 +101,7 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # a private copy: `g` may be the upstream buffer or shared with a sibling
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -141,32 +148,40 @@ class Tensor:
     # -- operator sugar ----------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _operand(other, self))
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(_operand(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return sub(self, _operand(other, self))
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(_operand(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+        return mul(self, _operand(other, self))
 
     def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(_operand(other, self), self)
 
     def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
+        return mul(self, _operand(-1.0, self))
 
     def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+        return matmul(self, _operand(other, self))
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operand(x, like: Tensor) -> Tensor:
+    """The other operand of a binary op on `like`: a constant takes `like`'s dtype.
+
+    Under NumPy 2 a float64 constant would otherwise upcast a float32 tensor.
+    """
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -369,7 +384,7 @@ class _Band:
         # (q, j, col): kernel column q of output column j reads input column col
         self.taps = [(q, j, j + q - cols[0]) for q in range(kw) for j in range(self.wo)
                      if 0 <= j + q - cols[0] < width]
-        band = np.zeros((self.kh, width, self.c, self.groups, self.wo, self.n))
+        band = np.zeros((self.kh, width, self.c, self.groups, self.wo, self.n), dtype=w.dtype)
         for q, j, col in self.taps:
             band[:, col, :, :, j] = w[:, q]
         self.kernel_shape = w.shape
@@ -386,7 +401,7 @@ class _Band:
         B = xp.shape[0]
         ho = self.out_rows(xp.shape[1])
         if out is None:
-            out = np.empty((B, ho, self.kh) + xp.shape[2:])
+            out = np.empty((B, ho, self.kh) + xp.shape[2:], dtype=xp.dtype)
         for p in range(self.kh):
             out[:, :, p] = xp[:, p:p + ho]
         return out.reshape(B * ho, -1)
@@ -394,7 +409,7 @@ class _Band:
     def fold(self, dband: np.ndarray) -> np.ndarray:
         """Adjoint of the expansion: sum a band gradient along its diagonals into the kernel's."""
         d = dband.reshape(self.kh, self.width, self.c, self.groups, self.wo, self.n)
-        dw = np.zeros(self.kernel_shape)
+        dw = np.zeros(self.kernel_shape, dtype=dband.dtype)
         for q, j, col in self.taps:
             dw[:, q] += d[:, col, :, :, j]
         return dw
@@ -404,7 +419,7 @@ class _Band:
         B, hp = shape[:2]
         ho = self.out_rows(hp)
         d = drows.reshape((B, ho, self.kh) + tuple(shape[2:]))
-        dxp = np.zeros(shape)
+        dxp = np.zeros(shape, dtype=drows.dtype)
         for p in range(self.kh):
             dxp[:, p:p + ho] += d[:, :, p]
         return dxp
@@ -501,7 +516,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
             raise ValueError("training-mode dropout needs an rng or an explicit mask")
         mask = rng.random(x.data.shape) >= rate
     scale = 1.0 / (1.0 - rate)
-    keep = mask.astype(np.float64) * scale
+    keep = mask.astype(x.data.dtype) * scale
     out_data = x.data * keep
 
     def backward(g):

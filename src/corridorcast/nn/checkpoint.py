@@ -5,8 +5,12 @@ Format (one parameter per line, after a fixed header line):
     corridorcast-ckpt-v1
     <name> <ndim> <dim0> ... <dimN-1> : <v0> <v1> ... <vK-1>
 
-Values are row-major C-order float64 written as ``float.hex()`` so the file
-round-trips exactly and identical parameters always produce identical bytes.
+Values are row-major C-order, each written as the ``float.hex()`` of its
+float64 value, so the file round-trips exactly and identical parameters
+always produce identical bytes.  That holds for float32 parameters too: they
+are widened exactly, and `restore_params` copies the float64 values read
+back into each parameter's own dtype, rounding only values that a float32
+cannot hold (a checkpoint of float64 parameters read into a float32 model).
 Both directions stream: one parameter line can hold hundreds of thousands of
 values, so neither side ever holds a whole line.
 """
@@ -114,7 +118,8 @@ def load_params(path: str) -> dict[str, np.ndarray]:
 
 
 def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into the existing parameter arrays; names and shapes must match."""
+    """Copy loaded arrays into the existing parameter arrays, in their dtype;
+    names and shapes must match."""
     missing = set(params) - set(loaded)
     if missing:
         raise CheckpointError(f"checkpoint is missing parameters: {sorted(missing)}")

@@ -45,6 +45,11 @@ class Layer:
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self._params.values())
 
+    def cast(self, dtype) -> None:
+        """Replace every parameter's array with a copy in `dtype`."""
+        for p in self._params.values():
+            p.data = p.data.astype(dtype)
+
 
 class Dense(Layer):
     def __init__(self, rng: np.random.Generator, n_in: int, n_out: int,
@@ -154,7 +159,8 @@ class ConvLSTMCell(Layer):
 
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
         shape = (batch,) + self.spatial + (self.filters,)
-        return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
+        dtype = self._params["bi"].data.dtype
+        return Tensor(np.zeros(shape, dtype)), Tensor(np.zeros(shape, dtype))
 
     def __call__(self, x: Tensor, h0: Tensor | None = None, c0: Tensor | None = None,
                  sequence: bool = False) -> tuple[Tensor | None, Tensor, Tensor]:
@@ -209,7 +215,7 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
     gates, c and tanh(c); backward rebuilds the rows, adds `rows.T @ dz` into
     one band gradient that is folded onto the kernel once, and scatters
     `dz @ band.T` back with kh row adds.  Under `no_grad` nothing per step is
-    kept.
+    kept.  Every buffer takes the dtype of `x` and the kernel.
     """
     B, T, H, W, cin = x.data.shape
     kh, kw, _, n = params["wxi"].data.shape
@@ -217,6 +223,7 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
     p = {name: t.data for name, t in params.items()}
     kernel = np.concatenate([np.stack([p[f"wx{g}"] for g in gates], axis=3),
                              np.stack([p[f"wh{g}"] for g in gates], axis=3)], axis=2)
+    dtype = np.result_type(x.data, kernel)
     (top, bottom), cols = ag._same_pads(kh, kw)
     band = ag._Band(kernel, W, cols=cols)
     rows = slice(top, top + H)
@@ -226,14 +233,14 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
     # per-step buffers for backward when recording, otherwise one reused slot
     # (two for c, which a step reads and writes)
     slots = T if record else 1
-    xh = np.zeros((slots, B, H + top + bottom, W, cin + n))
-    act = np.empty((slots, 4, B, H, W, n))  # i, f, tanh candidate g, o
-    tcs = np.empty((slots, B, H, W, n))
-    cs = np.empty((T + 1 if record else 2, B, H, W, n))
+    xh = np.zeros((slots, B, H + top + bottom, W, cin + n), dtype)
+    act = np.empty((slots, 4, B, H, W, n), dtype)  # i, f, tanh candidate g, o
+    tcs = np.empty((slots, B, H, W, n), dtype)
+    cs = np.empty((T + 1 if record else 2, B, H, W, n), dtype)
     cs[0] = 0.0 if c0 is None else c0.data
-    hs = np.empty((B, T, H, W, n)) if sequence else None
-    z = np.empty((B, H, 4, W, n))  # gate pre-activations, rewritten each step
-    block_rows = np.empty((min(B, _ROW_BLOCK), H, kh, W, cin + n))
+    hs = np.empty((B, T, H, W, n), dtype) if sequence else None
+    z = np.empty((B, H, 4, W, n), dtype)  # gate pre-activations, rewritten each step
+    block_rows = np.empty((min(B, _ROW_BLOCK), H, kh, W, cin + n), dtype)
     h = None
     if h0 is not None:
         xh[0, :, rows, :, cin:] = h0.data
@@ -272,15 +279,15 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
     def backward(_):
         ghs = out_grads.get("hs")
         dband = np.zeros_like(band.matrix)
-        db = np.zeros(4 * W * n)
-        dpeep = {gate: np.zeros((H, W, n)) for gate in ("i", "f", "o")}
+        db = np.zeros(4 * W * n, dtype)
+        dpeep = {gate: np.zeros((H, W, n), dtype) for gate in ("i", "f", "o")}
         dx = np.empty_like(x.data) if x.requires_grad else None
-        dh = np.zeros((B, H, W, n)) + out_grads.get("h", 0.0)
-        dc = np.zeros((B, H, W, n)) + out_grads.get("c", 0.0)
-        dz = np.empty((B, H, 4, W, n))  # the band's output layout
+        dh = np.zeros((B, H, W, n), dtype) + out_grads.get("h", 0.0)
+        dc = np.zeros((B, H, W, n), dtype) + out_grads.get("c", 0.0)
+        dz = np.empty((B, H, 4, W, n), dtype)  # the band's output layout
         dzf = dz.reshape(B * H, -1)
         dai, daf, dag, dao = (dz[:, :, k] for k in range(4))
-        batch_rows = np.empty((B, H, kh, W, cin + n))
+        batch_rows = np.empty((B, H, kh, W, cin + n), dtype)
         for t in reversed(range(T)):
             i, f, g, o = act[t]
             c_prev, c, tc = cs[t], cs[t + 1], tcs[t]
@@ -321,13 +328,13 @@ def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = 
             if t.requires_grad:
                 t._accumulate(grads[name])
 
-    node = ag._make(np.empty(0), parents, backward)
+    node = ag._make(np.empty(0, dtype), parents, backward)
 
     def output(data: np.ndarray, key: str) -> Tensor:
         def collect(g):
             out_grads[key] = g
             if node.grad is None:  # so that the recurrence's backward runs
-                node.grad = np.empty(0)
+                node.grad = np.empty(0, dtype)
         return ag._make(data, (node,), collect)
 
     return (None if hs is None else output(hs, "hs")), output(h, "h"), output(c, "c")

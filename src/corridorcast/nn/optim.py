@@ -12,6 +12,9 @@ class Adam:
 
     Moments are kept per parameter and shaped like it; `step` counts
     completed updates.  Parameters with no accumulated gradient are skipped.
+    Moments and parameters are updated in place, through two scratch arrays
+    per parameter, with the operations of the textbook formula in its order,
+    so the result is bit-identical to it.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
@@ -35,10 +38,22 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[name] / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            # m = beta1 * m + (1 - beta1) * g
+            scratch = np.multiply(1.0 - self.beta1, g)
+            m *= self.beta1
+            m += scratch
+            # v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(1.0 - self.beta2, g, out=scratch)
+            scratch *= g
+            v *= self.beta2
+            v += scratch
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            denom = np.divide(v, 1.0 - self.beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, 1.0 - self.beta1 ** t, out=scratch)
+            scratch *= self.lr
+            scratch /= denom
+            p.data -= scratch
 

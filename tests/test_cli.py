@@ -572,6 +572,8 @@ def test_exit_code_unusable_output(trained, tmp_path, capsys, case):
         assert not os.listdir(place)
     else:
         assert not os.listdir(place / name)
+    if case == "train-run.log":  # the checkpoint is written last, so there is none
+        assert not (place / "checkpoint.txt").exists()
 
 
 def test_exit_code_unwritable_file_below_out(tmp_path, capsys):

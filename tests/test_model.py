@@ -548,6 +548,83 @@ def test_pretrained_dae_weights_are_loaded(rng):
     assert np.array_equal(got, weights[0]["l0.w"])
 
 
+# -- precision -------------------------------------------------------------------
+
+
+@pytest.fixture
+def dtypes_seen(monkeypatch):
+    """Record the dtype of every Tensor built, of every gradient written and
+    the Adam optimizers created while the test runs.
+
+    A new parameter (a leaf that requires grad) is left out: its weights are
+    drawn in float64 and cast afterwards, so callers check parameters after
+    the cast.
+    """
+    seen = {"tensors": set(), "grads": set(), "adams": []}
+    init, accumulate = nn.Tensor.__init__, nn.Tensor._accumulate
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._parents or not self.requires_grad:
+            seen["tensors"].add(self.data.dtype)
+
+    def recording_accumulate(self, g):
+        seen["grads"].add(np.asarray(g).dtype)
+        accumulate(self, g)
+
+    class RecordingAdam(nn.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen["adams"].append(self)
+
+    monkeypatch.setattr(nn.Tensor, "__init__", recording_init)
+    monkeypatch.setattr(nn.Tensor, "_accumulate", recording_accumulate)
+    monkeypatch.setattr(nn, "Adam", RecordingAdam)
+    return seen
+
+
+def precision_corridor():
+    """A desk config for one training step and one DAE pretraining step, 40
+    training windows of an 8-sensor corridor and 10 windows to predict."""
+    p, boundary, _, scaled, decomp = scaled_decomposed(None, sensors=8, days=6)
+    cfg = md.ForecasterConfig.desk(epochs=1, pretrain_epochs=1)
+    ws = md.make_windows(scaled, decomp, cfg.window, cfg.horizon)
+    train_w, test_w = md.split_by_time(ws, boundary, cfg.horizon)
+    return p, cfg, train_w.subset(np.arange(40)), test_w.subset(np.arange(10))
+
+
+def assert_runs_in(dtype, seen, model, pred):
+    assert seen["tensors"] == {np.dtype(dtype)}
+    assert seen["grads"] == {np.dtype(dtype)}
+    for p in model.parameters().values():
+        assert p.data.dtype == dtype and p.grad.dtype == dtype
+    assert seen["adams"]
+    for adam in seen["adams"]:
+        assert adam.step_count >= 1
+        assert {a.dtype for a in (*adam.m.values(), *adam.v.values())} == {np.dtype(dtype)}
+    assert pred.dtype == dtype
+
+
+def test_training_and_predict_run_in_float32(dtypes_seen):
+    # a silent upcast would keep the results right and lose the float32 speed
+    p, cfg, train_w, test_w = precision_corridor()
+    clusters = [[0, 1, 2, 3], [3, 4, 5, 6, 7]]
+    model, history, curves = pl.fit(p, clusters, train_w, cfg, seed=3)
+    pred = model.predict(test_w)
+    assert model.use_dae and model.dtype == md.PRECISION == np.float32
+    assert len(dtypes_seen["adams"]) == len(clusters) + 1  # a DAE head each, then the model
+    assert_runs_in(np.float32, dtypes_seen, model, pred)
+    assert np.isfinite(history.train_loss[0]) and all(len(c) == 1 for c in curves)
+
+
+def test_a_float64_model_stays_float64(dtypes_seen):
+    p, cfg, train_w, test_w = precision_corridor()
+    model = md.build_forecaster([[0, 1, 2, 3], [3, 4, 5, 6, 7]], 8, 3, cfg, seed=3)
+    model.cast(np.float64)
+    md.train(model, train_w, cfg, seed=3)
+    assert_runs_in(np.float64, dtypes_seen, model, model.predict(test_w))
+
+
 # -- training --------------------------------------------------------------------
 
 

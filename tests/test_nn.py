@@ -607,6 +607,56 @@ def test_adam_training_is_deterministic(rng):
         assert np.array_equal(a[k], b[k])
 
 
+def test_adam_in_place_matches_the_out_of_place_formula(rng):
+    # parameters as small as one update, so that a last-bit difference in the
+    # update survives the subtraction
+    params = {f"p{i}": Tensor(1e-3 * rng.normal(size=shape), requires_grad=True)
+              for i, shape in enumerate([(7, 5), (3,), (2, 3, 4)])}
+    adam = nn.Adam(params, lr=1e-3)
+    b1, b2, lr, eps = adam.beta1, adam.beta2, adam.lr, adam.eps
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    buffers = [adam.m[k] for k in params] + [adam.v[k] for k in params]
+    data = [p.data for p in params.values()]
+    for t in range(1, 6):
+        for k, p in params.items():
+            g = p.grad = rng.normal(size=p.data.shape) * np.exp(rng.normal(size=p.data.shape))
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1 ** t)
+            v_hat = v[k] / (1.0 - b2 ** t)
+            ref[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam.step()
+    for k, p in params.items():
+        assert p.data.dtype == np.float64
+        assert np.array_equal(p.data, ref[k]), k
+        assert np.array_equal(adam.m[k], m[k]) and np.array_equal(adam.v[k], v[k]), k
+    # updated in place: the same arrays as before the first step
+    assert all(a is b for a, b in zip(buffers, [adam.m[k] for k in params]
+                                      + [adam.v[k] for k in params]))
+    assert all(a is p.data for a, p in zip(data, params.values()))
+
+
+def test_tensor_dtype_rule(rng):
+    assert Tensor(np.arange(3)).data.dtype == np.float64
+    assert Tensor([1, 2]).data.dtype == np.float64
+    assert Tensor(True).data.dtype == np.float64
+    assert Tensor(2.5).data.dtype == np.float64
+    x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    assert x.data.dtype == np.float32
+    # a scalar constant, -x included, takes the tensor's dtype: a float64 0-d
+    # array would upcast float32 under NumPy 2
+    outs = [-x, x * 2.0, 2.0 * x, x + 1, 1.0 - x, x - np.float64(0.5)]
+    assert all(o.data.dtype == np.float32 for o in outs)
+    loss = nn.mean(nn.square(nn.sigmoid(outs[1]) - nn.tanh(outs[0])))
+    assert loss.data.dtype == np.float32
+    loss.backward()
+    assert x.grad.dtype == np.float32
+    x64 = Tensor(x.data.astype(np.float64))
+    assert (-x64).data.dtype == np.float64
+
+
 def test_backward_requires_scalar(rng):
     w = Tensor(rng.normal(size=(3,)), requires_grad=True)
     with pytest.raises(nn.GraphStateError):
@@ -777,6 +827,35 @@ def test_checkpoint_restore_copies_into_existing_arrays(tmp_path, rng):
     for name, p in other.parameters().items():
         assert p.data is arrays[name]
         assert np.array_equal(p.data, layer.parameters()[name].data)
+
+
+def test_checkpoint_float32_roundtrip_is_byte_identical(tmp_path, rng):
+    layer, other = nn.Dense(rng, 6, 5), nn.Dense(rng, 6, 5)
+    layer.cast(np.float32)
+    other.cast(np.float32)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    nn.save_params(str(first), layer.parameters())
+    nn.restore_params(other.parameters(), nn.load_params(str(first)))
+    nn.save_params(str(second), other.parameters())
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().splitlines()[0] == "corridorcast-ckpt-v1"
+    for name, p in other.parameters().items():
+        assert p.data.dtype == np.float32
+        assert np.array_equal(p.data, layer.parameters()[name].data)
+
+
+def test_checkpoint_float64_into_float32_model_rounds(tmp_path, rng):
+    layer, other = nn.Dense(rng, 6, 5), nn.Dense(rng, 6, 5)
+    other.cast(np.float32)
+    path = str(tmp_path / "ckpt64.txt")
+    nn.save_params(path, layer.parameters())
+    loaded = nn.load_params(path)
+    nn.restore_params(other.parameters(), loaded)
+    for name, p in other.parameters().items():
+        assert p.data.dtype == np.float32
+        assert np.array_equal(p.data, np.float32(loaded[name]))
+    w64 = layer.parameters()["w"].data
+    assert not np.array_equal(other.parameters()["w"].data, w64)  # rounding happened
 
 
 def test_checkpoint_io_memory_stays_bounded(tmp_path, desk_params):
