@@ -24,7 +24,7 @@ print("clusters:", clusters.clusters)
 
 cfg = md.ForecasterConfig.desk(epochs=10, learning_rate=8e-3, batch_size=128)
 scaling = pl.fit_scaling(panel, run)
-_, train_w, test_w = pl.windows(panel, run, cfg, scaling)
+train_w, test_w = pl.windows(panel, run, cfg, scaling)
 print(f"{len(train_w)} training windows, {len(test_w)} test windows")
 
 model, history, curves = pl.fit(panel, clusters.clusters, train_w, cfg, SEED)

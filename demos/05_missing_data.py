@@ -24,7 +24,7 @@ results = {}
 for use_dae in (True, False):
     cfg = md.ForecasterConfig.desk(epochs=8, learning_rate=8e-3, batch_size=128,
                                    use_dae=use_dae)
-    _, train_w, test_w = pl.windows(panel, run, cfg, scaling)
+    train_w, test_w = pl.windows(panel, run, cfg, scaling)
     model, _, _ = pl.fit(panel, clusters, train_w, cfg, SEED)
     pred, truth, _, _ = pl.score(model, panel, scaling, test_w)
     clean_mae = ev.mae(truth, pred)
@@ -32,7 +32,7 @@ for use_dae in (True, False):
     corrupted, injected = ev.inject_missing(panel, seed=SEED + 100)
     print(f"injected {injected[:, :, 0].mean() * 100:.2f}% missing cells"
           if use_dae else "", end="")
-    test_c = pl.windows(corrupted, run, cfg, scaling)[2]
+    test_c = pl.windows(corrupted, run, cfg, scaling)[1]
     pred_c, truth_c, _, _ = pl.score(model, panel, scaling, test_c)
     missing_mae = ev.mae(truth_c, pred_c)
 

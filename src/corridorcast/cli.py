@@ -61,6 +61,10 @@ def cmd_decompose(args) -> int:
     _require(args, "data", "meta", "out")
     cfg = load_config(args.config)
     p = pl.load_panel(args.data, args.meta, cfg.run)
+    for sensor in p.sensors:  # each file is named after its sensor, inside --out
+        if any(sep and sep in sensor.id for sep in (os.sep, os.altsep)):
+            raise DataError(f"sensor id {sensor.id!r} holds a path separator, so it "
+                            "cannot name a decomposition file")
     decomp = pl.decompose(p)
     os.makedirs(args.out, exist_ok=True)
     for si, sensor in enumerate(p.sensors):
@@ -97,7 +101,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     p = pl.load_panel(args.data, args.meta, cfg.run)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    _, train_w, _ = pl.windows(p, cfg.run, cfg.forecaster, pl.fit_scaling(p, cfg.run))
+    train_w, _ = pl.windows(p, cfg.run, cfg.forecaster, pl.fit_scaling(p, cfg.run))
     os.makedirs(args.out, exist_ok=True)
     notes: list[str] = []
     model, history, curves = pl.fit(p, mm.clusters, train_w, cfg.forecaster, args.seed,
@@ -123,10 +127,10 @@ def cmd_eval(args) -> int:
     p = pl.load_panel(args.data, args.meta, cfg.run)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
     scaling = pl.fit_scaling(p, cfg.run)
-    decomp, _, test_w = pl.windows(p, cfg.run, f, scaling)
+    _, test_w = pl.windows(p, cfg.run, f, scaling)
     model = pl.load_model(args.model, p, mm.clusters, f, args.seed)
     pred, truth, mae_h, rmse_h = pl.score(model, p, scaling, test_w)
-    regime = pl.regime_errors(p, decomp, test_w, pred, truth, cfg.run.peak_occupancy)
+    regime = pl.regime_errors(p, test_w, pred, truth, cfg.run.peak_occupancy)
     return _write_report(ev.EvalReport(
         model_id=os.path.basename(args.model), seed=args.seed, config_hash=pl.config_hash(f),
         mae_by_horizon=mae_h, rmse_by_horizon=rmse_h, **regime), args.report)
@@ -142,14 +146,13 @@ def cmd_missing_eval(args) -> int:
     scaling = pl.fit_scaling(p, cfg.run)
     # each pass builds, scores and drops its own test windows, so the clean
     # pass is released before the corrupted one starts
-    _, _, mae_clean, _ = pl.score(model, p, scaling, pl.windows(p, cfg.run, f, scaling)[2])
+    _, _, mae_clean, _ = pl.score(model, p, scaling, pl.windows(p, cfg.run, f, scaling)[1])
     corrupted, _ = ev.inject_missing(p, args.seed)
     _, _, mae_missing, rmse_missing = pl.score(
-        model, p, scaling, pl.windows(corrupted, cfg.run, f, scaling)[2])
+        model, p, scaling, pl.windows(corrupted, cfg.run, f, scaling)[1])
     deltas = {}
     for j in range(f.horizon):
         deltas[f"h{j + 1}_clean"] = mae_clean[j]
-        deltas[f"h{j + 1}_missing"] = mae_missing[j]
         deltas[f"h{j + 1}_increase"] = mae_missing[j] - mae_clean[j]
     deltas["mean_increase"] = float(np.mean([deltas[f"h{j + 1}_increase"]
                                              for j in range(f.horizon)]))

@@ -2,9 +2,11 @@
 
 The distance between two K-feature sequences is the classic dynamic program
 over the L1 point cost delta(a, b) = sum_k |a_k - b_k|, allowing monotone
-non-linear alignment.  Corridor-level similarity is the average of window
-DTW distances over a rolling window, restricted to high-interaction windows
-when a window activity mask is supplied.
+non-linear alignment.  Sequences are compared as given, with no
+normalisation of their own: the pipeline passes the residuals of the min-max
+scaled panel.  Corridor-level similarity is the average of window DTW
+distances over a rolling window, restricted to high-interaction windows when
+a window activity mask is supplied.
 
 One kernel, `_dtw_costs`, solves a block of problems at once: P sensor pairs
 times S windows, each an (n, m) grid of cells.  The point cost accumulates
@@ -47,13 +49,6 @@ def _as_feature_matrix(x) -> np.ndarray:
     return x
 
 
-def _znorm(x: np.ndarray) -> np.ndarray:
-    """Z-normalize each feature along the step axis (-2); constant features map to zero."""
-    mean = x.mean(axis=-2, keepdims=True)
-    sd = x.std(axis=-2, keepdims=True)
-    return np.divide(x - mean, sd, out=np.zeros_like(x), where=sd > 0)
-
-
 def _dtw_costs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """DTW distance of every problem in a block: x (P, S, n, K), y (P, S, m, K) -> (P, S)."""
     cost = np.abs(x[..., :, None, 0] - y[..., None, :, 0])
@@ -79,18 +74,12 @@ def _dtw_costs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return cost[..., n - 1, m - 1].copy()
 
 
-def dtw_distance(x, y, normalize: bool = False) -> float:
-    """Minimum cumulative L1 cost over all monotone alignments of x and y.
-
-    With `normalize`, each feature dimension of each sequence is
-    z-normalized first (constant dimensions map to zero).
-    """
+def dtw_distance(x, y) -> float:
+    """Minimum cumulative L1 cost over all monotone alignments of x and y."""
     x = _as_feature_matrix(x)
     y = _as_feature_matrix(y)
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"feature counts differ: {x.shape[1]} vs {y.shape[1]}")
-    if normalize:
-        x, y = _znorm(x), _znorm(y)
     return float(_dtw_costs(x[None, None], y[None, None])[0, 0])
 
 
@@ -150,8 +139,7 @@ def active_windows_by_occupancy(occupancy: np.ndarray, window_len: int, stride: 
 
 
 def rolling_dtw_matrix(residuals: np.ndarray, neighbors, window_len: int, stride: int,
-                       active_mask: np.ndarray | None = None,
-                       normalize: bool = False) -> DistanceTable:
+                       active_mask: np.ndarray | None = None) -> DistanceTable:
     """Average window DTW distance for every neighboring sensor pair.
 
     `residuals` is (sensors, steps) or (sensors, steps, features).  Inactive
@@ -182,8 +170,6 @@ def rolling_dtw_matrix(residuals: np.ndarray, neighbors, window_len: int, stride
     for lo in range(0, len(pairs), chunk):
         block = pairs[lo:lo + chunk, :, None, None]
         x, y = residuals[block[:, 0], win], residuals[block[:, 1], win]
-        if normalize:
-            x, y = _znorm(x), _znorm(y)
         # windows are the contiguous last axis, so each pair's mean sums them
         # pairwise, as np.mean does the list of that pair's window distances
         means = _dtw_costs(x, y).mean(axis=1)

@@ -45,19 +45,6 @@ def rmse(y, y_hat) -> float:
     return float(np.sqrt(np.mean((y - y_hat) ** 2)))
 
 
-def residual_mae(y, y_hat, seasonal, trend) -> float:
-    """MAE after removing the same seasonal and trend blocks from both sides.
-
-    Algebraically this equals mae(y, y_hat); it is kept as its own entry
-    point because reports quote errors against residual ground truth.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    seasonal = np.asarray(seasonal, dtype=np.float64)
-    trend = np.asarray(trend, dtype=np.float64)
-    return mae(y - seasonal - trend, y_hat - seasonal - trend)
-
-
 def split_peak(p: Panel, occupancy_threshold: float = 8.0) -> tuple[np.ndarray, np.ndarray]:
     """Partition timesteps into peak/off-peak by corridor-mean occupancy."""
     occ_idx = p.features.index("occupancy")
@@ -233,7 +220,7 @@ def synth_generate(cfg: SynthConfig, sensors: int, days: int, seed: int) -> Pane
         noise[:, step] = cfg.noise_ar * noise[:, step - 1] + eps[:, step]
     occ = np.clip(occ + noise, 0.0, 0.95 * dens[:, None])
 
-    flow = np.minimum(free[:, None] * occ, wave[:, None] * (dens[:, None] - occ))
+    flow = fundamental_flow(occ, free[:, None], wave[:, None], dens[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         speed = np.where(occ > 1e-9, flow / np.maximum(occ, 1e-9), free[:, None])
 
@@ -279,8 +266,6 @@ class EvalReport:
     rmse_by_horizon: list[float]
     peak_mae: float | None = None
     offpeak_mae: float | None = None
-    peak_residual_mae: float | None = None
-    offpeak_residual_mae: float | None = None
     missing_deltas: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -293,12 +278,9 @@ class EvalReport:
         for h, (m_val, r_val) in enumerate(zip(self.mae_by_horizon, self.rmse_by_horizon), 1):
             out.append(("mae", str(h), "all", m_val))
             out.append(("rmse", str(h), "all", r_val))
-        for name, regime in (("peak_mae", "peak"), ("offpeak_mae", "offpeak"),
-                             ("peak_residual_mae", "peak"), ("offpeak_residual_mae", "offpeak")):
-            val = getattr(self, name)
+        for regime, val in (("peak", self.peak_mae), ("offpeak", self.offpeak_mae)):
             if val is not None:
-                metric = "residual_mae" if "residual" in name else "mae"
-                out.append((metric, "all", regime, val))
+                out.append(("mae", "all", regime, val))
         for key, val in sorted(self.missing_deltas.items()):
             out.append(("missing_delta", key, "all", val))
         return out

@@ -43,7 +43,6 @@ class RunConfig:
     neighbor_radius_miles: float = 2.0
     dtw_window_hours: float = 2.0
     dtw_quantile: float = 0.75
-    dtw_normalize: bool = False
     cluster_max_span_miles: float = 10.0
     cluster_threshold: float = 0.1
     peak_occupancy: float = 8.0
@@ -181,8 +180,12 @@ def load_panel(data_path: str, meta_path: str, run: RunConfig) -> pn.Panel:
 
 
 def boundary(p: pn.Panel, run: RunConfig) -> int:
-    """First step of the test span."""
-    return int(run.train_fraction * p.n_steps)
+    """First step of the test span; InsufficientDataError if no step precedes it."""
+    end = int(run.train_fraction * p.n_steps)
+    if end < 1:
+        raise InsufficientDataError(f"train_fraction {run.train_fraction} of a "
+                                    f"{p.n_steps}-step panel leaves no training step")
+    return end
 
 
 def fit_scaling(p: pn.Panel, run: RunConfig) -> pn.ScalingParams:
@@ -218,7 +221,7 @@ def cluster(p: pn.Panel, run: RunConfig) -> tuple[dt.DistanceTable, cl.Membershi
     neighbors = pn.neighbor_pairs(p.sensors, run.neighbor_radius_miles)
     residuals = decomp.residual[:, :end, :]
     table = dt.rolling_dtw_matrix(residuals, neighbors, window_len, window_len,
-                                  active_mask=active, normalize=run.dtw_normalize)
+                                  active_mask=active)
     mm = cl.fhc(table, p.sensors, run.cluster_max_span_miles, run.cluster_threshold)
     return table, cl.attach_ramps(mm, p.sensors)
 
@@ -227,16 +230,15 @@ def cluster(p: pn.Panel, run: RunConfig) -> tuple[dt.DistanceTable, cl.Membershi
 
 
 def windows(p: pn.Panel, run: RunConfig, f: md.ForecasterConfig,
-            scaling: pn.ScalingParams):
-    """The decomposition of `p` scaled by `scaling`, and its training and test windows.
+            scaling: pn.ScalingParams) -> tuple[md.WindowSet, md.WindowSet]:
+    """The training and test windows of `p` scaled by `scaling`.
 
     A window set builds its per-window arrays only when it is scored or
     trained on, so a caller pays only for the span it uses.
     """
     scaled = pn.apply_scale(p, scaling)
-    decomp = decompose(scaled)
-    ws = md.make_windows(scaled, decomp, f.window, f.horizon)
-    return (decomp, *md.split_by_time(ws, boundary(p, run), f.horizon))
+    ws = md.make_windows(scaled, decompose(scaled), f.window, f.horizon)
+    return md.split_by_time(ws, boundary(p, run), f.horizon)
 
 
 def fit(p: pn.Panel, clusters: list[list[int]], train_w: md.WindowSet,
@@ -278,27 +280,19 @@ def score(model: md.Forecaster, p: pn.Panel, scaling: pn.ScalingParams, ws: md.W
     return pred, truth, mae_h, rmse_h
 
 
-def regime_errors(p: pn.Panel, decomp: dc.Decomposition, ws: md.WindowSet,
-                  pred: np.ndarray, truth: np.ndarray,
+def regime_errors(p: pn.Panel, ws: md.WindowSet, pred: np.ndarray, truth: np.ndarray,
                   peak_occupancy: float) -> dict[str, float | None]:
-    """MAE and residual MAE over peak and off-peak target steps.
+    """MAE over the peak and the off-peak target steps of `ws`.
 
-    Keys are `peak_mae`, `peak_residual_mae`, `offpeak_mae` and
-    `offpeak_residual_mae`; a regime with no target step maps to None.
+    A target step is peak when the corridor-mean occupancy of `p` exceeds
+    `peak_occupancy` (`evaluation.split_peak`).  Keys are `peak_mae` and
+    `offpeak_mae`; a regime with no target step maps to None.
     """
     peak_steps, _ = ev.split_peak(p, peak_occupancy)
     target_steps = ws.t_index[:, None] + np.arange(1, ws.h + 1)[None, :]
     in_peak = np.isin(target_steps, peak_steps)
-    s_blk = decomp.seasonal[:, target_steps, 0].transpose(1, 0, 2)
-    t_blk = decomp.trend[:, target_steps, 0].transpose(1, 0, 2)
     regime = {}
     for name, sel in (("peak", in_peak), ("offpeak", ~in_peak)):
         sel3 = np.broadcast_to(sel[:, None, :], truth.shape)
-        if sel.any():
-            regime[name + "_mae"] = ev.mae(truth[sel3], pred[sel3])
-            regime[name + "_residual_mae"] = ev.residual_mae(
-                truth[sel3], pred[sel3], s_blk[sel3], t_blk[sel3])
-        else:
-            regime[name + "_mae"] = None
-            regime[name + "_residual_mae"] = None
+        regime[name + "_mae"] = ev.mae(truth[sel3], pred[sel3]) if sel.any() else None
     return regime

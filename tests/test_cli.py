@@ -200,6 +200,16 @@ def test_train_checkpoint_deterministic(trained, tmp_path):
         (t2 / "config_resolved.txt").read_bytes()
 
 
+def report_values(path):
+    """The (metric, horizon, regime) -> value rows of a report CSV."""
+    with open(path) as fh:
+        rows = list(csv.reader(fh))[3:]
+    return {(metric, horizon, regime): float(value) for metric, horizon, regime, value in rows}
+
+
+HORIZON_ROWS = {(metric, str(h), "all") for metric in ("mae", "rmse") for h in range(1, 5)}
+
+
 def test_eval_reports_finite_metrics(trained, tmp_path, capsys):
     out, cfg, cdir, tdir = trained
     report = tmp_path / "report.csv"
@@ -209,10 +219,9 @@ def test_eval_reports_finite_metrics(trained, tmp_path, capsys):
                "--seed", "7", "--config", cfg) == 0
     printed = capsys.readouterr().out
     assert "metric" in printed
-    with open(report) as fh:
-        lines = fh.read().splitlines()
-    rows = [r.split(",") for r in lines[3:] if r]
-    values = {(r[0], r[1], r[2]): float(r[3]) for r in rows}
+    values = report_values(report)
+    # each number once
+    assert set(values) == HORIZON_ROWS | {("mae", "all", "peak"), ("mae", "all", "offpeak")}
     for h in range(1, 5):
         m = values[("mae", str(h), "all")]
         r = values[("rmse", str(h), "all")]
@@ -226,9 +235,14 @@ def test_missing_eval_reports_deltas(trained, tmp_path):
                str(out / "meta.csv"), "--clusters", str(cdir / "clusters.csv"),
                "--model", str(tdir / "checkpoint.txt"), "--report", str(report),
                "--seed", "7", "--config", cfg) == 0
-    text = open(report).read()
-    assert "missing_delta,h1_increase" in text
-    assert "missing_delta,mean_increase" in text
+    values = report_values(report)
+    # each number once: the corrupted run's MAE is only in the mae rows
+    assert set(values) == HORIZON_ROWS | {("missing_delta", "mean_increase", "all")} | {
+        ("missing_delta", f"h{h}_{kind}", "all") for h in range(1, 5)
+        for kind in ("clean", "increase")}
+    for h in range(1, 5):
+        assert values[("missing_delta", f"h{h}_increase", "all")] == \
+            values[("mae", str(h), "all")] - values[("missing_delta", f"h{h}_clean", "all")]
 
 
 def test_missing_eval_memory_stays_bounded(tmp_path):
@@ -280,6 +294,7 @@ BAD_CONFIG_LINES = [
     ("dtw_window_hours=0", "bad.cfg:1: dtw_window_hours must be positive"),
     ("dtw_window_hours=-2", "bad.cfg:1: dtw_window_hours must be positive"),
     ("cluster_m=2", "bad.cfg:1: unknown config key 'cluster_m'"),
+    ("dtw_normalize=true", "bad.cfg:1: unknown config key 'dtw_normalize'"),
     ("neighbor_radius_miles=inf", "bad.cfg:1: neighbor_radius_miles must be finite"),
     ("learning_rate=nan", "bad.cfg:1: learning_rate must be finite"),
     ("dropout=1.5", "bad.cfg:1: dropout must lie in [0, 1)"),
@@ -576,22 +591,58 @@ def test_exit_code_unusable_output(trained, tmp_path, capsys, case):
         assert not (place / "checkpoint.txt").exists()
 
 
-def test_exit_code_unwritable_file_below_out(tmp_path, capsys):
-    # decompose names its files after the sensors, so this one would need a
-    # directory decomp_a below --out
+def write_corridor(tmp_path, sensor_ids, steps):
+    """A data and a metadata CSV: `steps` 15-minute rows per sensor, 0.5 miles apart."""
     start = np.datetime64("2016-01-04T00:00:00", "s")
     rows = [f"{sid},{start + np.timedelta64(15 * i, 'm')},{100 + i % 7}.0,5.0,60.0"
-            for sid in ("a/b", "C") for i in range(96 * 3)]
+            for sid in sensor_ids for i in range(steps)]
     (tmp_path / "data.csv").write_text("sensor_id,timestamp,flow,occupancy,speed\n"
                                        + "\n".join(rows) + "\n")
-    (tmp_path / "meta.csv").write_text("sensor_id,milepost,kind\na/b,0.0,mainline\n"
-                                       "C,0.5,mainline\n")
+    (tmp_path / "meta.csv").write_text("sensor_id,milepost,kind\n" + "".join(
+        f"{sid},{0.5 * k},mainline\n" for k, sid in enumerate(sensor_ids)))
+    return ["--data", str(tmp_path / "data.csv"), "--meta", str(tmp_path / "meta.csv")]
+
+
+def test_exit_code_unwritable_file_below_out(tmp_path, capsys):
+    # a directory where the decomposition of the first sensor, C, should go
+    inputs = write_corridor(tmp_path, ["C", "D"], 96 * 3)
+    (tmp_path / "o" / "decomp_C.csv").mkdir(parents=True)
     capsys.readouterr()
-    assert run("decompose", "--data", str(tmp_path / "data.csv"), "--meta",
-               str(tmp_path / "meta.csv"), "--out", str(tmp_path / "o") + "/") == 2
+    assert run("decompose", *inputs, "--out", str(tmp_path / "o") + "/") == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and f"cannot write --out {tmp_path}/o/decomp_a/b.csv" in err[0]
-    assert not os.listdir(tmp_path / "o")
+    assert len(err) == 1 and f"cannot write --out {tmp_path}/o/decomp_C.csv" in err[0]
+    assert os.listdir(tmp_path / "o") == ["decomp_C.csv"]
+    assert not os.listdir(tmp_path / "o" / "decomp_C.csv")
+
+
+@pytest.mark.parametrize("sensor_id", ["a/b", "x/../../y"])
+def test_exit_code_sensor_id_with_a_path_separator(tmp_path, capsys, sensor_id):
+    # decompose names its files after the sensors, and each must stay inside --out
+    inputs = write_corridor(tmp_path, ["C", sensor_id], 96 * 3)
+    before = sorted(p for p in tmp_path.rglob("*") if not p.name.endswith(".panel.npz"))
+    capsys.readouterr()
+    assert run("decompose", *inputs, "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"sensor id {sensor_id!r} holds a path separator" in err[0]
+    assert sorted(p for p in tmp_path.rglob("*")
+                  if not p.name.endswith(".panel.npz")) == before
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_exit_code_empty_training_span(tmp_path, capsys, command):
+    # one timestamp: a quarter of it is the test span, and no step is left to train on
+    inputs = write_corridor(tmp_path, ["A", "B"], 1)
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,sensor_id,membership\n0,A,1.0\n0,B,1.0\n")
+    capsys.readouterr()
+    assert run(command, *inputs, "--clusters", str(clusters), "--model",
+               str(tmp_path / "checkpoint.txt"), "--out", str(tmp_path / "o"),
+               "--report", str(tmp_path / "report.csv"), "--seed", "1") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "train_fraction 0.75 of a 1-step panel leaves no training step" \
+        in err[0]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "report.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["cluster", "synth", "train", "eval", "missing-eval"])

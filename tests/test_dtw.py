@@ -79,20 +79,6 @@ def test_scaling_monotonicity(rng):
     assert dtw.dtw_distance(0.0 * x, 0.0 * y) == 0.0
 
 
-def test_normalize_constant_dims_zero():
-    x = np.full((5, 2), 3.0)
-    y = np.full((4, 2), -1.0)
-    assert dtw.dtw_distance(x, y, normalize=True) == 0.0
-
-
-def test_normalize_scale_invariant(rng):
-    x = rng.normal(size=8)
-    y = rng.normal(size=8)
-    a = dtw.dtw_distance(x, y, normalize=True)
-    b = dtw.dtw_distance(5.0 * x, y, normalize=True)
-    assert np.isclose(a, b)
-
-
 def test_empty_sequence_rejected():
     with pytest.raises(DataError):
         dtw.dtw_distance([], [1.0])
@@ -181,19 +167,8 @@ def test_table_rejects_negative_and_nan_distances(value):
 # -- batched kernel against the per-window loop --------------------------------------
 
 
-def znorm_loop(x):
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    out = np.zeros_like(x)
-    nz = sd > 0
-    out[:, nz] = (x[:, nz] - mean[nz]) / sd[nz]
-    return out
-
-
-def dtw_loop(x, y, normalize=False):
+def dtw_loop(x, y):
     """The per-cell double loop the batched kernel replaced, kept as its oracle."""
-    if normalize:
-        x, y = znorm_loop(x), znorm_loop(y)
     delta = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
     n, m = delta.shape
     c = np.empty((n, m))
@@ -205,23 +180,25 @@ def dtw_loop(x, y, normalize=False):
     return float(c[n - 1, m - 1])
 
 
-def rolling_loop(residuals, neighbors, window_len, active_mask, normalize):
+def rolling_loop(residuals, neighbors, window_len, active_mask):
     """One `dtw_loop` per (pair, window), averaged per pair, as before batching."""
     starts = dtw.window_starts(residuals.shape[1], window_len, window_len)
     if active_mask.any():
         starts = [s for s, a in zip(starts, active_mask) if a]
     return {(min(i, j), max(i, j)): float(np.mean([
-        dtw_loop(residuals[i, s:s + window_len], residuals[j, s:s + window_len], normalize)
+        dtw_loop(residuals[i, s:s + window_len], residuals[j, s:s + window_len])
         for s in starts])) for i, j in neighbors}
 
 
-@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "znorm"])
+# "raw": the residuals go in as given, the one way the DTW compares them; the
+# id keeps the case names these tests have carried
+@pytest.mark.parametrize("residuals_as", ["raw"])
 @pytest.mark.parametrize("window_len", [2, 7, 8, 9])
 @pytest.mark.parametrize("features", [1, 3])
-def test_rolling_equals_per_window_loop(rng, monkeypatch, normalize, window_len, features):
+def test_rolling_equals_per_window_loop(rng, monkeypatch, residuals_as, window_len, features):
     n_sensors, n_windows = 9, 11
     residuals = rng.normal(size=(n_sensors, window_len * n_windows + 1, features))
-    residuals[4, :, 0] = 0.25  # a constant feature, which z-normalizes to zero
+    residuals[4, :, 0] = 0.25  # a constant feature
     neighbors = [(i, j) for i in range(n_sensors) for j in range(i + 1, n_sensors)
                  if j - i <= 4] + [(8, 2)]
     mask = rng.random(n_windows) < 0.6
@@ -229,8 +206,8 @@ def test_rolling_equals_per_window_loop(rng, monkeypatch, normalize, window_len,
     # five pairs per chunk, so the 27 pairs span six chunks and the last is partial
     monkeypatch.setattr(dtw, "BLOCK_BYTES", 5 * 8 * mask.sum() * window_len ** 2)
     table = dtw.rolling_dtw_matrix(residuals, neighbors, window_len, window_len,
-                                   active_mask=mask, normalize=normalize)
-    assert table.entries == rolling_loop(residuals, neighbors, window_len, mask, normalize)
+                                   active_mask=mask)
+    assert table.entries == rolling_loop(residuals, neighbors, window_len, mask)
 
 
 def test_dtw_distance_equals_loop(rng):
@@ -238,8 +215,7 @@ def test_dtw_distance_equals_loop(rng):
         k = int(rng.integers(1, 4))
         x = rng.normal(size=(int(rng.integers(1, 12)), k))
         y = rng.normal(size=(int(rng.integers(1, 12)), k))
-        for normalize in (False, True):
-            assert dtw.dtw_distance(x, y, normalize) == dtw_loop(x, y, normalize)
+        assert dtw.dtw_distance(x, y) == dtw_loop(x, y)
 
 
 def test_rolling_memory_is_bounded_by_chunks(rng):

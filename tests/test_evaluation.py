@@ -45,31 +45,6 @@ def test_rmse_dominates_mae(rng):
         assert ev.rmse(y, y_hat) >= ev.mae(y, y_hat)
 
 
-def test_residual_mae_identity(rng):
-    y = rng.normal(size=15)
-    s = rng.normal(size=15)
-    t = rng.normal(size=15)
-    assert ev.residual_mae(y, y, s, t) == 0.0
-
-
-def test_residual_mae_equals_plain_mae(rng):
-    y = rng.normal(size=15)
-    y_hat = rng.normal(size=15)
-    s = rng.normal(size=15)
-    t = rng.normal(size=15)
-    assert ev.residual_mae(y, y_hat, s, t) == pytest.approx(ev.mae(y, y_hat))
-
-
-def test_residual_mae_regime_restricted_manual(rng):
-    y = rng.normal(size=10)
-    y_hat = rng.normal(size=10)
-    s = rng.normal(size=10)
-    t = rng.normal(size=10)
-    idx = np.array([0, 2, 3, 7])
-    manual = np.mean([abs((y[i] - s[i] - t[i]) - (y_hat[i] - s[i] - t[i])) for i in idx])
-    assert ev.residual_mae(y[idx], y_hat[idx], s[idx], t[idx]) == pytest.approx(manual)
-
-
 # -- peak split ---------------------------------------------------------------------
 
 
