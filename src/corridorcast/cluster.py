@@ -26,16 +26,15 @@ the boundary.  Sensors never merged become singleton clusters.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dtw import DistanceTable
-from .errors import ConfigError, FormatError, UnknownSensorError
-from .files import open_utf8, publish
-from .panel import SensorKind, SensorMeta, _short_row
+from .errors import DataError, FormatError, UnknownSensorError
+from .files import read_table, write_table
+from .panel import SensorKind, SensorMeta
 
 
 @dataclass
@@ -162,7 +161,7 @@ def attach_ramps(mm: MembershipMatrix, meta) -> MembershipMatrix:
     if not ramps:
         return mm
     if not mainline:
-        raise ConfigError("cannot attach ramps: no mainline sensors")
+        raise DataError("cannot attach ramps: no mainline sensors")
     home: dict[int, int] = {}
     for c, members in enumerate(mm.clusters):
         for u in members:
@@ -183,63 +182,45 @@ CLUSTER_HEADER = ["cluster_id", "sensor_id", "membership"]
 
 
 def clusters_to_csv(mm: MembershipMatrix, sensors: list[SensorMeta], path: str) -> None:
-    with publish(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLUSTER_HEADER)
-        for c, members in enumerate(mm.clusters):
-            for u in members:
-                writer.writerow([c, sensors[u].id, repr(mm.membership(u, c))])
+    write_table(path, CLUSTER_HEADER, ([c, sensors[u].id, mm.membership(u, c)]
+                                       for c, members in enumerate(mm.clusters)
+                                       for u in members))
 
 
 def merge_log_to_csv(mm: MembershipMatrix, path: str) -> None:
-    with publish(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "a", "b", "distance"])
-        for step, a, b, d in mm.merge_log:
-            writer.writerow([step, a, b, repr(d)])
+    write_table(path, ["step", "a", "b", "distance"], mm.merge_log)
 
 
 def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:
     """Rebuild a membership matrix from the exported cluster CSV.
 
-    A file that is not UTF-8 text, a header other than `CLUSTER_HEADER`, a
-    short row, a cluster id that is not a nonnegative integer, a membership
-    that is not a number or a second row for one (cluster, sensor) pair raises
-    `FormatError` (the rows name their line), and so does a file that leaves a
-    cluster id below its largest one without rows or leaves out a sensor.
+    A file that `files.read_table` rejects under `CLUSTER_HEADER`, a cluster
+    id that is not a nonnegative integer, a membership that is not a number
+    or a second row for one (cluster, sensor) pair raises `FormatError` (the
+    rows name their line), and so does a file that leaves a cluster id below
+    its largest one without rows or leaves out a sensor.
     """
     by_id = {s.id: i for i, s in enumerate(sensors)}
     clusters: list[list[int]] = []
     memberships: dict[tuple[int, int], float] = {}
-    with open_utf8(path, "cluster file", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CLUSTER_HEADER:
-            raise FormatError(f"cluster file header must be {','.join(CLUSTER_HEADER)}, "
-                              f"got {','.join(header or [])!r}")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) < len(CLUSTER_HEADER):
-                raise _short_row(row, CLUSTER_HEADER, "cluster file", line)
-            try:
-                c, mu = int(row[0]), float(row[2])
-            except ValueError:
-                raise FormatError(f"cluster file line {line} needs an integer cluster id "
-                                  f"and a numeric membership: {row!r}") from None
-            if c < 0:
-                raise FormatError(f"cluster file line {line} has a negative cluster id: "
-                                  f"{row!r}")
-            if row[1] not in by_id:
-                raise UnknownSensorError(f"cluster file references unknown sensor {row[1]!r}")
-            u = by_id[row[1]]
-            if (u, c) in memberships:
-                raise FormatError(f"cluster file line {line} repeats sensor {row[1]!r} "
-                                  f"in cluster {c}")
-            clusters.extend([] for _ in range(c + 1 - len(clusters)))
-            clusters[c].append(u)
-            memberships[(u, c)] = mu
+    for line, row in read_table(path, "cluster file", CLUSTER_HEADER):
+        try:
+            c, mu = int(row[0]), float(row[2])
+        except ValueError:
+            raise FormatError(f"cluster file line {line} needs an integer cluster id "
+                              f"and a numeric membership: {row!r}") from None
+        if c < 0:
+            raise FormatError(f"cluster file line {line} has a negative cluster id: "
+                              f"{row!r}")
+        if row[1] not in by_id:
+            raise UnknownSensorError(f"cluster file references unknown sensor {row[1]!r}")
+        u = by_id[row[1]]
+        if (u, c) in memberships:
+            raise FormatError(f"cluster file line {line} repeats sensor {row[1]!r} "
+                              f"in cluster {c}")
+        clusters.extend([] for _ in range(c + 1 - len(clusters)))
+        clusters[c].append(u)
+        memberships[(u, c)] = mu
     empty = [c for c, members in enumerate(clusters) if not members]
     if empty:
         raise FormatError(f"cluster file {path} has no rows for cluster id {empty[0]}")

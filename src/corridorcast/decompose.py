@@ -23,13 +23,12 @@ bits of the cycle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .files import publish
+from .files import write_table
 from .panel import Panel
 
 
@@ -148,7 +147,4 @@ def recover_forecast(pred: np.ndarray, anchors) -> np.ndarray:
 def dump_components_csv(path: str, d: Decomposition, sensor_index: int) -> None:
     """Write one sensor's (t, S, T, R) columns of feature 0 for inspection."""
     columns = (c[sensor_index, :, 0].tolist() for c in (d.seasonal, d.trend, d.residual))
-    with publish(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "S", "T", "R"])
-        writer.writerows([i, *map(repr, row)] for i, row in enumerate(zip(*columns)))
+    write_table(path, ["t", "S", "T", "R"], ([i, *row] for i, row in enumerate(zip(*columns))))

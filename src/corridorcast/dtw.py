@@ -25,13 +25,12 @@ whatever the size of the corridor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .files import publish
+from .files import write_table
 
 # Byte budget of one chunk's (pairs, windows, n, m) cost block in
 # `rolling_dtw_matrix`; the chunk holds as many pairs as fit, and at least one.
@@ -108,11 +107,8 @@ class DistanceTable:
         return sorted(self.entries)
 
     def to_csv(self, path: str) -> None:
-        with publish(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "distance"])
-            for (i, j) in self.pairs():
-                writer.writerow([i, j, repr(self.entries[(i, j)])])
+        write_table(path, ["i", "j", "distance"],
+                    ([i, j, self.entries[(i, j)]] for (i, j) in self.pairs()))
 
 
 def window_starts(n_steps: int, window_len: int, stride: int) -> list[int]:

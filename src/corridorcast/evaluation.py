@@ -14,7 +14,6 @@ residuals their shared short-term structure.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, field
@@ -22,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FieldError, require_finite
-from .files import publish
-from .panel import FEATURES, Panel, SensorKind, SensorMeta
+from .files import write_table
+from .panel import DATA_HEADER, FEATURES, META_HEADER, Panel, SensorKind, SensorMeta
 
 
 # -- error metrics ------------------------------------------------------------
@@ -235,21 +234,13 @@ def synth_generate(cfg: SynthConfig, sensors: int, days: int, seed: int) -> Pane
 
 def panel_to_csv(p: Panel, data_path: str, meta_path: str) -> None:
     """Write a panel back out in the ingestion CSV formats."""
-    with publish(meta_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sensor_id", "milepost", "kind"])
-        for s in p.sensors:
-            writer.writerow([s.id, repr(s.position), s.kind.value])
-    with publish(data_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sensor_id", "timestamp", "flow", "occupancy", "speed"])
-        stamps = [str(ts.astype("datetime64[s]")) for ts in p.time_index]
-        observed = p.missing_mask.all(axis=2)
-        for si, s in enumerate(p.sensors):
-            steps = np.flatnonzero(observed[si])
-            # Python floats, which csv writes as their repr
-            writer.writerows([s.id, stamps[ti], *row]
-                             for ti, row in zip(steps.tolist(), p.values[si, steps].tolist()))
+    write_table(meta_path, META_HEADER, ([s.id, s.position, s.kind.value] for s in p.sensors))
+    stamps = [str(ts.astype("datetime64[s]")) for ts in p.time_index]
+    observed = map(np.flatnonzero, p.missing_mask.all(axis=2))
+    write_table(data_path, DATA_HEADER, (
+        [s.id, stamps[ti], *row]
+        for s, steps, values in zip(p.sensors, observed, p.values)
+        for ti, row in zip(steps.tolist(), values[steps].tolist())))
 
 
 # -- reports -------------------------------------------------------------------
@@ -286,17 +277,15 @@ class EvalReport:
         return out
 
     def to_csv(self, path: str) -> None:
-        with publish(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model_id", "seed", "config_hash"])
-            writer.writerow([self.model_id, self.seed, self.config_hash])
-            writer.writerow(["metric", "horizon", "regime", "value"])
-            for metric, horizon, regime, value in self.rows():
-                writer.writerow([metric, horizon, regime, repr(value)])
+        write_table(path, ["model_id", "seed", "config_hash"],
+                    [[self.model_id, self.seed, self.config_hash],
+                     ["metric", "horizon", "regime", "value"], *self.rows()])
 
     def print_table(self, file=None) -> None:
         file = file or sys.stdout
         print(f"model={self.model_id} seed={self.seed} config={self.config_hash}", file=file)
-        print(f"{'metric':<16}{'horizon':<9}{'regime':<9}value", file=file)
-        for metric, horizon, regime, value in self.rows():
-            print(f"{metric:<16}{horizon:<9}{regime:<9}{value:.6g}", file=file)
+        rows = self.rows()
+        width = max([9] + [len(horizon) + 1 for _, horizon, _, _ in rows])
+        print(f"{'metric':<16}{'horizon':<{width}}{'regime':<9}value", file=file)
+        for metric, horizon, regime, value in rows:
+            print(f"{metric:<16}{horizon:<{width}}{regime:<9}{value:.6g}", file=file)

@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray and records how it was produced.
+A ``Tensor`` wraps a floating ndarray and records how it was produced.
 Calling ``backward()`` on a scalar walks the graph in reverse topological
 order and accumulates gradients into every leaf, that is every tensor
 created with ``requires_grad=True``.  Only leaves keep ``.grad``: the walk

@@ -29,7 +29,7 @@ from .errors import (
     FormatError,
     UnknownSensorError,
 )
-from .files import open_utf8
+from .files import check_header, open_utf8, read_table, short_row
 
 FEATURES = ("flow", "occupancy", "speed")
 
@@ -150,30 +150,16 @@ def _parse_timestamp(text: str) -> np.datetime64:
 def load_sensor_meta(meta_path: str) -> list[SensorMeta]:
     metas: list[SensorMeta] = []
     seen: set[str] = set()
-    with open_utf8(meta_path, "metadata file", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != META_HEADER:
-            raise FormatError(f"metadata header must be {','.join(META_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(META_HEADER):
-                raise _short_row(row, META_HEADER, "metadata", reader.line_num)
-            sid, milepost, kind = row[0].strip(), row[1], row[2].strip()
-            if sid in seen:
-                raise FormatError(f"duplicate sensor id {sid!r} in metadata")
-            seen.add(sid)
-            try:
-                metas.append(SensorMeta(sid, float(milepost), SensorKind(kind)))
-            except ValueError as exc:
-                raise FormatError(f"bad metadata row for {sid!r}: {exc}") from None
+    for _, row in read_table(meta_path, "metadata file", META_HEADER):
+        sid, milepost, kind = row[0].strip(), row[1], row[2].strip()
+        if sid in seen:
+            raise FormatError(f"duplicate sensor id {sid!r} in metadata")
+        seen.add(sid)
+        try:
+            metas.append(SensorMeta(sid, float(milepost), SensorKind(kind)))
+        except ValueError as exc:
+            raise FormatError(f"bad metadata row for {sid!r}: {exc}") from None
     return metas
-
-
-def _short_row(row: list[str], header: list[str], what: str, line: int) -> FormatError:
-    return FormatError(f"{what} line {line} has {len(row)} fields, expected "
-                       f"{len(header)} ({','.join(header)}): {row!r}")
 
 
 def _unquote(raw: str) -> str:
@@ -222,9 +208,9 @@ def _raise_first_bad_row(lines: list[str], first_line: int, known: dict[str, int
         fields = line.split(",")
         as_csv = next(csv.reader([line]))
         if len(as_csv) != len(DATA_HEADER):
-            raise _short_row(as_csv, DATA_HEADER, "data", line_no)
+            raise short_row(as_csv, DATA_HEADER, "data", line_no)
         if len(fields) != len(DATA_HEADER):  # a quoted field holds a comma
-            raise _short_row(fields, DATA_HEADER, "data", line_no)
+            raise short_row(fields, DATA_HEADER, "data", line_no)
         try:
             row = [_unquote(f) for f in fields]
         except ValueError:
@@ -271,9 +257,7 @@ def _read_rows(path: str, known: dict[str, int],
     # universal newlines: the reader turns each \r\n and \r into \n
     with open_utf8(path, "data file") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != DATA_HEADER:
-            raise FormatError(f"data header must be {','.join(DATA_HEADER)}")
+        check_header(next(reader, None), "data", DATA_HEADER)
         line_no = reader.line_num + 1  # physical number of the block's first line
         while text := fh.read(BLOCK_CHARS):
             lines = (text + fh.readline()).split("\n")

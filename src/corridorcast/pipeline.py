@@ -247,8 +247,10 @@ def fit(p: pn.Panel, clusters: list[list[int]], train_w: md.WindowSet,
 
     Returns the model, its training history and the DAE pretraining loss
     curves, one per cluster (empty without DAE heads).  `log` receives the
-    pretraining notes.
+    pretraining notes.  No training window raises InsufficientDataError.
     """
+    if not len(train_w):
+        raise InsufficientDataError("no training windows")
     pretrained, curves = None, []
     if f.use_dae:
         blocks = md.cluster_target_blocks(train_w, clusters)
@@ -271,8 +273,10 @@ def score(model: md.Forecaster, p: pn.Panel, scaling: pn.ScalingParams, ws: md.W
     """Forecast `ws` in original units: (pred, truth, MAE and RMSE per horizon).
 
     The truth comes from `p`, so windows of a corrupted copy of `p` are scored
-    against the retained values.
+    against the retained values.  An empty `ws` raises InsufficientDataError.
     """
+    if not len(ws):
+        raise InsufficientDataError("no test windows")
     pred = md.recover_predictions(model.predict(ws), ws, scaling)
     truth = md.horizon_truth(p, ws.t_index, ws.h)
     mae_h = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(ws.h)]

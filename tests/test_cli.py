@@ -645,6 +645,36 @@ def test_exit_code_empty_training_span(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists() and not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command, fraction, message", [
+    ("train", 0.01, "no training windows"),  # DAE heads on, as in TINY_CFG
+    ("eval", 0.999, "no test windows"),
+    ("missing-eval", 0.999, "no test windows"),
+])
+def test_exit_code_empty_window_set(trained, tmp_path, capsys, command, fraction, message):
+    out, _, cdir, tdir = trained
+    cfg = write_cfg(tmp_path, TINY_CFG + f"train_fraction={fraction}\n", name="split.cfg")
+    capsys.readouterr()
+    assert run(command, "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--clusters", str(cdir / "clusters.csv"), "--model",
+               str(tdir / "checkpoint.txt"), "--out", str(tmp_path / "o"),
+               "--report", str(tmp_path / "report.csv"), "--seed", "7",
+               "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {message}"]
+    assert not list(tmp_path.glob("o/*")) and not (tmp_path / "report.csv").exists()
+
+
+def test_exit_code_metadata_without_a_mainline_sensor(synth_dir, tmp_path, capsys):
+    out, cfg = synth_dir
+    meta = out / "meta.csv"
+    meta.write_text(meta.read_text().replace(",mainline", ",on_ramp"))
+    capsys.readouterr()
+    assert run("cluster", "--data", str(out / "data.csv"), "--meta", str(meta),
+               "--out", str(tmp_path / "c"), "--seed", "7", "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: cannot attach ramps: no mainline sensors"]
+
+
 @pytest.mark.parametrize("command", ["cluster", "synth", "train", "eval", "missing-eval"])
 def test_exit_code_negative_seed(trained, tmp_path, capsys, command):
     out, cfg, cdir, tdir = trained

@@ -7,7 +7,7 @@ from corridorcast import cluster as cl
 from corridorcast import evaluation as ev
 from corridorcast import pipeline
 from corridorcast.dtw import DistanceTable
-from corridorcast.errors import ConfigError, FormatError
+from corridorcast.errors import DataError, FormatError
 from corridorcast.panel import SensorKind, SensorMeta
 
 
@@ -201,7 +201,7 @@ def test_attach_ramp_tie_breaks_to_lower_index():
 def test_attach_ramps_requires_mainline():
     meta = metas([0.0], kinds=[SensorKind.ON_RAMP])
     mm = cl.MembershipMatrix({}, [])
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         cl.attach_ramps(mm, meta)
 
 

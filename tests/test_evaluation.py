@@ -266,3 +266,27 @@ def test_report_csv_and_table(tmp_path, capsys):
     report.print_table()
     out = capsys.readouterr().out
     assert "model=model" in out and "peak" in out
+
+
+def test_report_table_sizes_the_horizon_column_from_the_longest_key(capsys):
+    # missing-eval's keys, as the desk chain at seed 7 prints them
+    ev.EvalReport("checkpoint.txt", 7, "cafe", mae_by_horizon=[52.6939],
+                  rmse_by_horizon=[81.8556], missing_deltas={
+                      "h1_clean": 52.4408, "h1_increase": 0.253132,
+                      "mean_increase": 0.398915}).print_table()
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "metric          horizon       regime   value",
+        "mae             1             all      52.6939",
+        "rmse            1             all      81.8556",
+        "missing_delta   h1_clean      all      52.4408",
+        "missing_delta   h1_increase   all      0.253132",
+        "missing_delta   mean_increase all      0.398915"]
+    # eval's keys keep the 9-character column
+    ev.EvalReport("m", 1, "abc", mae_by_horizon=[1.0], rmse_by_horizon=[2.0],
+                  peak_mae=3.0, offpeak_mae=0.5).print_table()
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "metric          horizon  regime   value",
+        "mae             1        all      1",
+        "rmse            1        all      2",
+        "mae             all      peak     3",
+        "mae             all      offpeak  0.5"]

@@ -2,22 +2,28 @@ import ast
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from corridorcast import cluster as cl
 from corridorcast import files
 from corridorcast.errors import FormatError
+from corridorcast.panel import SensorMeta
 
 PACKAGE = Path(files.__file__).parent
 
-# the only functions of the package that may write a file or move one into place
+# the only functions of the package that may write a file or move one into place,
+# and the one that writes CSV
 WRITE_SITES = {("files.py", "publish", "open"): 1, ("files.py", "publish", "os.replace"): 1,
+               ("files.py", "write_table", "csv.writer"): 1,
                ("panel.py", "_write_panel_file", "os.fdopen"): 1,
                ("panel.py", "_write_panel_file", "os.replace"): 1}
 
 
 def _write_sites(tree: ast.AST, module: str):
     """(module, enclosing function, callee) of each write-mode `open` or
-    `os.fdopen` and each `os.replace` or `os.rename` call in `tree`."""
+    `os.fdopen` and each `os.replace`, `os.rename` or `csv.writer` call in
+    `tree`."""
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -29,7 +35,7 @@ def _write_sites(tree: ast.AST, module: str):
                             child.args[1] if len(child.args) > 1 else ast.Constant("r"))
                 reads = isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
                 if (callee in ("open", "os.fdopen") and not reads
-                        or callee in ("os.replace", "os.rename")):
+                        or callee in ("os.replace", "os.rename", "csv.writer")):
                     yield module, function, callee
             yield from visit(child, function)
     return list(visit(tree, None))
@@ -48,6 +54,11 @@ def test_guard_sees_a_write_outside_publish():
     tree = ast.parse("def save(p):\n    with open(p, 'w') as fh:\n        os.replace(p, p)\n"
                      "def load(p):\n    return open(p), open(p, mode='rb')\n")
     assert _write_sites(tree, "m.py") == [("m.py", "save", "open"), ("m.py", "save", "os.replace")]
+
+
+def test_guard_sees_a_csv_writer_outside_write_table():
+    tree = ast.parse("def dump(fh, rows):\n    csv.writer(fh).writerows(rows)\n")
+    assert _write_sites(tree, "m.py") == [("m.py", "dump", "csv.writer")]
 
 
 def test_publish_renames_a_utf8_file_into_place(tmp_path):
@@ -87,3 +98,58 @@ def test_open_utf8_names_the_file_that_does_not_decode(tmp_path):
     with pytest.raises(FormatError, match=f"input {path} is not UTF-8 text"):
         with files.open_utf8(str(path), "input") as fh:
             fh.read()
+
+
+HEADER = ["sensor_id", "value"]
+
+
+def test_write_table_ends_lines_in_crlf_and_quotes_minimally(tmp_path):
+    path = str(tmp_path / "t.csv")
+    files.write_table(path, HEADER, [["A", 1], ['B,"north"', 2]])
+    assert open(path, "rb").read() == b'sensor_id,value\r\nA,1\r\n"B,""north""",2\r\n'
+    assert files.read_table(path, "table", HEADER) == [(2, ["A", "1"]),
+                                                      (3, ['B,"north"', "2"])]
+
+
+def test_write_table_writes_floats_as_their_repr(tmp_path):
+    path = tmp_path / "t.csv"
+    third = 1 / 3
+    files.write_table(str(path), HEADER, [["py", third], ["np", np.float64(third)],
+                                          ["tiny", 1e-20]])
+    assert path.read_text().splitlines()[1:] == [
+        f"py,{third!r}", f"np,{third!r}", "tiny,1e-20"]
+
+
+def test_read_table_skips_blank_rows_and_strips_the_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(" sensor_id , value\n\nA,1\n\n\nB,2,extra\n")
+    assert files.read_table(str(path), "table", HEADER) == [(3, ["A", "1"]),
+                                                           (6, ["B", "2", "extra"])]
+
+
+def test_cluster_file_header_with_spaces_is_accepted(tmp_path):
+    path = tmp_path / "clusters.csv"
+    path.write_text(" cluster_id, sensor_id ,membership \n0,A,1.0\n")
+    mm = cl.clusters_from_csv(str(path), [SensorMeta("A", 0.0)])
+    assert mm.clusters == [[0]] and mm.membership(0, 0) == 1.0
+
+
+@pytest.mark.parametrize("body, message", [
+    ("sensor,value\nA,1\n", "table header must be sensor_id,value, got 'sensor,value'"),
+    ("", "table header must be sensor_id,value, got ''"),
+    ("sensor_id,value\n\nA,1\n\nB\n",
+     "table line 5 has 1 fields, expected 2 (sensor_id,value): ['B']"),
+])
+def test_read_table_names_a_bad_header_and_a_short_row_by_its_line(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text(body)
+    with pytest.raises(FormatError) as caught:
+        files.read_table(str(path), "table", HEADER)
+    assert str(caught.value) == message
+
+
+def test_read_table_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"sensor_id,value\nA\xff,1\n")
+    with pytest.raises(FormatError, match=f"table {path} is not UTF-8 text"):
+        files.read_table(str(path), "table", HEADER)

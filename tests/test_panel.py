@@ -6,6 +6,7 @@ from array import array
 import numpy as np
 import pytest
 
+from corridorcast import files
 from corridorcast import panel as pn
 from corridorcast.errors import (
     DataError,
@@ -102,7 +103,7 @@ def test_short_data_row_rejected(tmp_path):
 
 
 def test_short_metadata_row_rejected(tmp_path):
-    with pytest.raises(FormatError, match="metadata line 3 has 2 fields"):
+    with pytest.raises(FormatError, match="metadata file line 3 has 2 fields"):
         pn.load_csv(*write_fixture(tmp_path, COMPLETE_ROWS,
                                    meta_rows=["A,1.0,mainline", "B,2.0"]))
 
@@ -154,12 +155,13 @@ def load_csv_rows_oracle(path, meta_path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != pn.DATA_HEADER:
-            raise FormatError(f"data header must be {','.join(pn.DATA_HEADER)}")
+            raise FormatError(f"data header must be {','.join(pn.DATA_HEADER)}, "
+                              f"got {','.join(header or [])!r}")
         for row in reader:
             if not row:
                 continue
             if len(row) < len(pn.DATA_HEADER):
-                raise pn._short_row(row, pn.DATA_HEADER, "data", reader.line_num)
+                raise files.short_row(row, pn.DATA_HEADER, "data", reader.line_num)
             si = sensor_of.get(row[0])
             if si is None:
                 sid = row[0].strip()
