@@ -5,7 +5,8 @@ module parses arguments, writes artifacts and maps errors to exit codes, the
 OSErrors in one place by the flag whose path failed; the chain itself and the
 config codec live in `corridorcast.pipeline`.  Every command is a
 deterministic function of its inputs and the seed, and every file goes
-through `files.publish` (UTF-8, temp file + rename).  Exit codes: 0 ok, 2
+through `files.publish` (UTF-8) or, for the checkpoint, `files.publish_arrays`
+(both temp file + rename).  Exit codes: 0 ok, 2
 config error (a bad value, a negative --seed, an unreadable --config, an
 --out or --report that cannot be written), 3 data error (an input that
 cannot be read, a step that does not divide a day), 4 training divergence.
@@ -102,10 +103,10 @@ def cmd_train(args) -> int:
     p = pl.load_panel(args.data, args.meta, cfg.run)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
     train_w, _ = pl.windows(p, cfg.run, cfg.forecaster, pl.fit_scaling(p, cfg.run))
-    os.makedirs(args.out, exist_ok=True)
     notes: list[str] = []
     model, history, curves = pl.fit(p, mm.clusters, train_w, cfg.forecaster, args.seed,
                                     log=notes.append)
+    os.makedirs(args.out, exist_ok=True)
     # the checkpoint goes last, so that a failed write leaves no checkpoint
     # that `eval` would load without its log and config
     history.write_log(os.path.join(args.out, "run.log"), notes, curves)

@@ -1,12 +1,19 @@
-"""Text files as the toolkit reads and writes them: UTF-8, outputs atomically, tables as CSV."""
+"""Files as the toolkit reads and writes them: outputs atomically, text as
+UTF-8, tables as CSV, arrays as an uncompressed archive of `.npy` members."""
 
 from __future__ import annotations
 
 import csv
+import math
 import os
+import zipfile
 from contextlib import contextmanager, suppress
 
+import numpy as np
+
 from .errors import FormatError
+
+_READ_BYTES = 1 << 18  # bytes of one array member copied per read, as `np.load` does
 
 
 @contextmanager
@@ -21,13 +28,11 @@ def open_utf8(path: str, what: str, newline: str | None = None):
 
 
 @contextmanager
-def publish(path: str):
-    """A UTF-8 text file (`newline=""`) at `path + ".tmp"`, renamed onto `path`
-    when the body returns.  No temporary file outlives a failure, the rename's
-    included, and an OSError comes out naming `path`."""
+def _published(path: str, mode: str, **text):
+    """`publish` for a file opened with `mode` and `text`'s arguments."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, mode, **text) as fh:
             yield fh
         os.replace(tmp, path)
     except OSError as exc:
@@ -35,6 +40,72 @@ def publish(path: str):
     finally:
         with suppress(OSError):  # after a rename, or where `tmp` is a directory
             os.remove(tmp)
+
+
+def publish(path: str):
+    """A UTF-8 text file (`newline=""`) at `path + ".tmp"`, renamed onto `path`
+    when the body returns.  No temporary file outlives a failure, the rename's
+    included, and an OSError comes out naming `path`."""
+    return _published(path, "w", encoding="utf-8", newline="")
+
+
+def publish_arrays(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """Publish `arrays` at `path` as an uncompressed zip64 archive holding one
+    `<name>.npy` member (NumPy NEP 1, format 1.0, C order) per array, in the
+    given order.  A C-contiguous array is written from its own buffer, where
+    `np.savez` would copy it.  Every member is dated 1980-01-01, so equal
+    arrays always give equal bytes."""
+    with _published(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name, array in arrays.items():
+            array = np.require(array, requirements="C")
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                member.write(array.reshape(-1).view(np.uint8))
+
+
+def read_arrays(path: str, what: str) -> dict[str, np.ndarray]:
+    """The arrays of the archive at `path`, by name in archive order, as
+    `publish_arrays` writes them.  An archive that does not open, a member's
+    bytes that fail their CRC-32, a compressed or duplicate member, a member
+    that is not `.npy` format 1.0 in C order, a pickled array, or a header
+    that declares other than the bytes its member holds (checked before the
+    array is allocated) raises FormatError naming `what` and the file.  An
+    OSError opening `path` propagates."""
+    arrays: dict[str, np.ndarray] = {}
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as archive:
+                for info in archive.infolist():
+                    name = info.filename.removesuffix(".npy")
+                    if (name == info.filename or name in arrays
+                            or info.compress_type != zipfile.ZIP_STORED):
+                        raise ValueError(f"member {info.filename!r} is not a distinct, "
+                                         "uncompressed .npy file")
+                    with archive.open(info) as member:
+                        arrays[name] = _read_npy(member, info.file_size)
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            reason = " ".join(str(exc).split())  # numpy's messages can span lines
+            raise FormatError(f"{what} {path} is not a readable array archive: "
+                              f"{reason}") from None
+    return arrays
+
+
+def _read_npy(member, size: int) -> np.ndarray:
+    """The array of the `.npy` member `member`, which holds `size` bytes."""
+    if np.lib.format.read_magic(member) != (1, 0):
+        raise ValueError("an array is not in .npy format 1.0")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+    if fortran_order or dtype.hasobject:
+        raise ValueError("an array is in Fortran order or holds Python objects")
+    nbytes, held = math.prod(shape) * dtype.itemsize, size - member.tell()
+    if nbytes != held:
+        raise ValueError(f"an array header declares {nbytes} bytes, but its member holds {held}")
+    array = np.empty(shape, dtype)
+    flat = array.reshape(-1).view(np.uint8)
+    for lo in range(0, nbytes, _READ_BYTES):  # a short read fails the assignment
+        flat[lo:lo + _READ_BYTES] = np.frombuffer(member.read(_READ_BYTES), np.uint8)
+    return array
 
 
 def write_table(path: str, header: list[str], rows) -> None:

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import os
-import tempfile
-import zipfile
 from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -29,7 +26,7 @@ from .errors import (
     FormatError,
     UnknownSensorError,
 )
-from .files import check_header, open_utf8, read_table, short_row
+from .files import check_header, open_utf8, publish_arrays, read_arrays, read_table, short_row
 
 FEATURES = ("flow", "occupancy", "speed")
 
@@ -325,7 +322,10 @@ def load_csv(path: str, meta_path: str) -> Panel:
     arrays = _read_panel_file(panel_file, digest, len(metas))
     if arrays is None:
         arrays = _parse(path, metas, capacity)
-        _write_panel_file(panel_file, digest, *arrays)
+        with suppress(OSError):  # the panel file only saves later parses
+            publish_arrays(panel_file, {"format": np.array(PANEL_FORMAT),
+                                        "digest": np.array(digest),
+                                        **dict(zip(("values", "mask", "time_index"), arrays))})
     values, mask, time_index = arrays
     return Panel(values, time_index, FEATURES, mask, tuple(metas))
 
@@ -369,44 +369,17 @@ def _read_panel_file(path: str, digest: str,
     `digest` and arrays of the panel's dtypes and shapes, else None.  The
     zip's CRC-32 of each array catches truncation and bit rot."""
     try:
-        with np.load(path, allow_pickle=False) as kept:
-            if str(kept["format"]) != PANEL_FORMAT or str(kept["digest"]) != digest:
-                return None
-            values, mask, time_index = kept["values"], kept["mask"], kept["time_index"]
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        kept = read_arrays(path, "panel file")
+        if str(kept["format"]) != PANEL_FORMAT or str(kept["digest"]) != digest:
+            return None
+        values, mask, time_index = kept["values"], kept["mask"], kept["time_index"]
+    except (OSError, KeyError, FormatError):
         return None
     shape = (n_sensors, time_index.size, len(FEATURES))
     if ((values.dtype, mask.dtype, time_index.dtype) != (np.float64, bool, "datetime64[s]")
             or (values.shape, mask.shape, time_index.shape) != (shape, shape, shape[1:2])):
         return None
     return values, mask, time_index
-
-
-def _write_panel_file(path: str, digest: str, values: np.ndarray, mask: np.ndarray,
-                      time_index: np.ndarray) -> None:
-    """Keep a parsed panel in `path` under `digest`: an uncompressed `.npz`
-    archive, written to a unique temporary name, then renamed into place.
-    Each C-contiguous array is written from its own buffer, where `np.savez`
-    would copy it first.  The file only saves later parses, so an OSError is
-    ignored and leaves no temporary file."""
-    arrays = {"format": np.array(PANEL_FORMAT), "digest": np.array(digest),
-              "values": values, "mask": mask, "time_index": time_index}
-    folder, name = os.path.split(path)
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=folder or ".")
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-            for key, array in arrays.items():
-                with archive.open(key + ".npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array_header_1_0(
-                        member, np.lib.format.header_data_from_array_1_0(array))
-                    member.write(array.reshape(-1).view(np.uint8))
-        os.replace(tmp, path)
-    except OSError:
-        with suppress(OSError):
-            os.remove(tmp)
 
 
 def filter_complete(p: Panel, min_fraction: float) -> Panel:

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -198,6 +200,42 @@ def test_train_checkpoint_deterministic(trained, tmp_path):
     assert (tdir / "checkpoint.txt").read_bytes() == (t2 / "checkpoint.txt").read_bytes()
     assert (tdir / "config_resolved.txt").read_bytes() == \
         (t2 / "config_resolved.txt").read_bytes()
+
+
+# the chain of `test_chain_is_byte_reproducible`: six sensors, one epoch
+CHAIN_CFG = TINY_CFG.replace("synth_sensors=4", "synth_sensors=6").replace(
+    "\nepochs=2\n", "\nepochs=1\n")
+
+
+def chain_digests(root, cfg, capsys) -> dict[str, str]:
+    """The sha256 of every file that synth -> cluster -> train -> eval leave
+    under `root`, and of their stdout, with run.log's wall-clock times masked."""
+    data = ["--data", str(root / "synth" / "data.csv"), "--meta", str(root / "synth" / "meta.csv"),
+            "--seed", "7", "--config", cfg]
+    clusters = ["--clusters", str(root / "clusters" / "clusters.csv")]
+    capsys.readouterr()
+    assert run("synth", "--out", str(root / "synth"), "--seed", "7", "--config", cfg) == 0
+    assert run("cluster", *data, "--out", str(root / "clusters")) == 0
+    assert run("train", *data, *clusters, "--out", str(root / "model")) == 0
+    assert run("eval", *data, *clusters, "--model", str(root / "model" / "checkpoint.txt"),
+               "--report", str(root / "report.csv")) == 0
+    blobs = {"stdout": capsys.readouterr().out.encode()}
+    for path in sorted(root.rglob("*")):
+        body = path.read_bytes() if path.is_file() else None
+        if path.name == "run.log":
+            body = re.sub(rb"wall_ms=\S+", b"wall_ms=*", body)
+        if body is not None:
+            blobs[path.relative_to(root).as_posix()] = body
+    return {name: hashlib.sha256(body).hexdigest() for name, body in blobs.items()}
+
+
+def test_chain_is_byte_reproducible(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CHAIN_CFG)
+    first = chain_digests(tmp_path / "first", cfg, capsys)
+    second = chain_digests(tmp_path / "second", cfg, capsys)
+    assert {"model/checkpoint.txt", "model/run.log", "synth/data.csv.panel.npz",
+            "report.csv", "stdout"} <= set(first)
+    assert first == second
 
 
 def report_values(path):
@@ -502,29 +540,34 @@ def test_exit_code_dae_checkpoint_without_dae_heads(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("keep", [0.3, 0.6, 0.999])
-def test_exit_code_truncated_checkpoint(trained, tmp_path, keep):
+def test_exit_code_truncated_checkpoint(trained, tmp_path, capsys, keep):
     out, cfg, cdir, tdir = trained
     whole = (tdir / "checkpoint.txt").read_bytes()
     cut = tmp_path / "cut.txt"
     cut.write_bytes(whole[:int(len(whole) * keep)])
+    capsys.readouterr()
     assert run("eval", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
                "--clusters", str(cdir / "clusters.csv"), "--model", str(cut),
                "--report", str(tmp_path / "report.csv"), "--seed", "7",
                "--config", cfg) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: checkpoint {cut} is not a readable array archive: "
+                   "File is not a zip file"]
 
 
-def test_exit_code_non_utf8_checkpoint(trained, tmp_path, capsys):
+def test_exit_code_v1_text_checkpoint(trained, tmp_path, capsys):
     out, cfg, cdir, tdir = trained
-    header, rest = (tdir / "checkpoint.txt").read_bytes().split(b"\n", 1)
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(header + b"\n\xff\xfe" + rest)
+    old = tmp_path / "old.txt"
+    old.write_text("corridorcast-ckpt-v1\nw 1 2 : 0x1.0000000000000p+0 -0x1.8000000000000p+1\n")
     capsys.readouterr()
     assert run("eval", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
-               "--clusters", str(cdir / "clusters.csv"), "--model", str(bad),
+               "--clusters", str(cdir / "clusters.csv"), "--model", str(old),
                "--report", str(tmp_path / "report.csv"), "--seed", "7",
                "--config", cfg) == 3
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "not UTF-8 text" in err[0]
+    assert err == [f"error: checkpoint {old} is in the retired text format "
+                   "corridorcast-ckpt-v1; re-run train to write corridorcast-ckpt-v2"]
+    assert not (tmp_path / "report.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["data", "meta", "clusters", "model"])
@@ -661,7 +704,7 @@ def test_exit_code_empty_window_set(trained, tmp_path, capsys, command, fraction
                "--config", cfg) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {message}"]
-    assert not list(tmp_path.glob("o/*")) and not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "o").exists() and not (tmp_path / "report.csv").exists()
 
 
 def test_exit_code_metadata_without_a_mainline_sensor(synth_dir, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import ast
+import io
 import os
+import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +16,16 @@ from corridorcast.panel import SensorMeta
 PACKAGE = Path(files.__file__).parent
 
 # the only functions of the package that may write a file or move one into place,
-# and the one that writes CSV
-WRITE_SITES = {("files.py", "publish", "open"): 1, ("files.py", "publish", "os.replace"): 1,
+# the one that writes CSV and the one that writes a zip archive
+WRITE_SITES = {("files.py", "_published", "open"): 1, ("files.py", "_published", "os.replace"): 1,
                ("files.py", "write_table", "csv.writer"): 1,
-               ("panel.py", "_write_panel_file", "os.fdopen"): 1,
-               ("panel.py", "_write_panel_file", "os.replace"): 1}
+               ("files.py", "publish_arrays", "zipfile.ZipFile"): 1}
 
 
 def _write_sites(tree: ast.AST, module: str):
-    """(module, enclosing function, callee) of each write-mode `open` or
-    `os.fdopen` and each `os.replace`, `os.rename` or `csv.writer` call in
-    `tree`."""
+    """(module, enclosing function, callee) of each write-mode `open`,
+    `os.fdopen` or `zipfile.ZipFile` and each `os.replace`, `os.rename` or
+    `csv.writer` call in `tree`."""
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -34,7 +36,7 @@ def _write_sites(tree: ast.AST, module: str):
                 mode = next((k.value for k in child.keywords if k.arg == "mode"),
                             child.args[1] if len(child.args) > 1 else ast.Constant("r"))
                 reads = isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
-                if (callee in ("open", "os.fdopen") and not reads
+                if (callee in ("open", "os.fdopen", "zipfile.ZipFile") and not reads
                         or callee in ("os.replace", "os.rename", "csv.writer")):
                     yield module, function, callee
             yield from visit(child, function)
@@ -52,8 +54,10 @@ def test_only_publish_and_the_panel_file_write_files():
 
 def test_guard_sees_a_write_outside_publish():
     tree = ast.parse("def save(p):\n    with open(p, 'w') as fh:\n        os.replace(p, p)\n"
-                     "def load(p):\n    return open(p), open(p, mode='rb')\n")
-    assert _write_sites(tree, "m.py") == [("m.py", "save", "open"), ("m.py", "save", "os.replace")]
+                     "    zipfile.ZipFile(fh, 'w')\n"
+                     "def load(p):\n    return open(p), open(p, mode='rb'), zipfile.ZipFile(p)\n")
+    assert _write_sites(tree, "m.py") == [("m.py", "save", "open"), ("m.py", "save", "os.replace"),
+                                          ("m.py", "save", "zipfile.ZipFile")]
 
 
 def test_guard_sees_a_csv_writer_outside_write_table():
@@ -153,3 +157,74 @@ def test_read_table_rejects_bytes_that_are_not_utf8(tmp_path):
     path.write_bytes(b"sensor_id,value\nA\xff,1\n")
     with pytest.raises(FormatError, match=f"table {path} is not UTF-8 text"):
         files.read_table(str(path), "table", HEADER)
+
+
+def test_publish_arrays_roundtrips_through_read_arrays_and_np_load(tmp_path):
+    arrays = {"tag": np.array("corridorcast-x"), "values": np.arange(12.0).reshape(3, 4),
+              "mask": np.eye(3, dtype=bool), "empty": np.zeros((2, 0), np.float32),
+              "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+              "time": np.arange(3).astype("datetime64[s]")}
+    path = tmp_path / "a.npz"
+    files.publish_arrays(str(path), arrays)
+    assert os.listdir(tmp_path) == ["a.npz"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    with zipfile.ZipFile(path) as archive:
+        infos = archive.infolist()
+    assert [i.filename for i in infos] == [f"{name}.npy" for name in arrays]
+    assert {(i.compress_type, i.date_time) for i in infos} == {
+        (zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))}
+    read = files.read_arrays(str(path), "archive")
+    with np.load(path, allow_pickle=False) as loaded:
+        for name, array in arrays.items():
+            for got in (read[name], loaded[name]):
+                assert got.dtype == array.dtype and np.array_equal(got, array)
+    assert list(read) == list(arrays)
+
+
+def npy_bytes(shape, payload: bytes) -> bytes:
+    """A `.npy` 1.0 member of float64 `shape` holding `payload` after its header."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue() + payload
+
+
+def write_zip(fh, *members):
+    with warnings.catch_warnings(), zipfile.ZipFile(fh, "w") as archive:
+        warnings.simplefilter("ignore")  # zipfile warns of a duplicate name
+        for name, data in members:
+            archive.writestr(name, data)
+
+
+BAD_ARCHIVES = {
+    "declares-more": (lambda fh: write_zip(fh, ("a.npy", npy_bytes((10**12,), bytes(8)))),
+                      "an array header declares 8000000000000 bytes, but its member holds 8"),
+    "declares-fewer": (lambda fh: write_zip(fh, ("a.npy", npy_bytes((1,), bytes(16)))),
+                       "an array header declares 8 bytes, but its member holds 16"),
+    "pickled": (lambda fh: np.savez(fh, a=np.array([None, 1], dtype=object)),
+                "holds Python objects"),
+    "fortran": (lambda fh: np.savez(fh, a=np.asfortranarray(np.ones((2, 3)))),
+                "in Fortran order"),
+    "compressed": (lambda fh: np.savez_compressed(fh, a=np.ones(3)),
+                   "member 'a.npy' is not a distinct, uncompressed .npy file"),
+    "not-npy": (lambda fh: write_zip(fh, ("a.txt", b"1")),
+                "member 'a.txt' is not a distinct, uncompressed .npy file"),
+    "duplicate": (lambda fh: write_zip(fh, *[("a.npy", npy_bytes((0,), b""))] * 2),
+                  "member 'a.npy' is not a distinct, uncompressed .npy file"),
+    "not-a-zip": (lambda fh: fh.write(b"corridorcast-ckpt-v1\n"), "File is not a zip file"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARCHIVES)
+def test_read_arrays_rejects_a_bad_archive_in_one_line(tmp_path, case):
+    make, reason = BAD_ARCHIVES[case]
+    path = tmp_path / "a.npz"
+    with open(path, "wb") as fh:
+        make(fh)
+    with pytest.raises(FormatError) as caught:
+        files.read_arrays(str(path), "archive")
+    message = str(caught.value)
+    assert message.startswith(f"archive {path} is not a readable array archive: ")
+    assert reason in message and "\n" not in message

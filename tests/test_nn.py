@@ -1,13 +1,15 @@
 import math
+import time
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from corridorcast import files
 from corridorcast import model as md
 from corridorcast import nn
-from corridorcast.nn import Tensor, checkpoint
+from corridorcast.nn import Tensor
 from corridorcast.nn.autograd import ShapeError, _make
 
 from conftest import assert_grads_close, central_difference_grads
@@ -745,20 +747,9 @@ def test_checkpoint_restore_shape_mismatch(tmp_path, rng):
         nn.restore_params(other.parameters(), nn.load_params(path))
 
 
-def one_string_save(path, params):
-    """The writer that built the whole file as one string, kept as the byte oracle."""
-    lines = ["corridorcast-ckpt-v1"]
-    for name, p in params.items():
-        dims = " ".join(str(d) for d in p.data.shape)
-        vals = " ".join(float(v).hex() for v in p.data.reshape(-1))
-        lines.append(f"{name} {p.data.ndim}{' ' + dims if dims else ''} : {vals}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @pytest.fixture(scope="module")
 def desk_params():
-    """A desk forecaster's parameters plus a 0-d and an empty one."""
+    """A desk forecaster's float32 parameters plus a float64 0-d and an empty one."""
     clusters = [list(range(lo, lo + 4)) for lo in range(0, 24, 4)]
     model = md.build_forecaster(clusters, 24, 3, md.ForecasterConfig.desk(), seed=1)
     params = model.parameters()
@@ -767,54 +758,81 @@ def desk_params():
     return params
 
 
-def test_checkpoint_bytes_match_one_string_oracle(tmp_path, desk_params):
-    streamed, oracle = tmp_path / "streamed.txt", tmp_path / "oracle.txt"
-    nn.save_params(str(streamed), desk_params)
-    one_string_save(str(oracle), desk_params)
-    assert streamed.read_bytes() == oracle.read_bytes()
-    loaded = nn.load_params(str(streamed))
+def test_checkpoint_roundtrip_keeps_dtype_shape_and_order(tmp_path, desk_params):
+    path = str(tmp_path / "ckpt.txt")
+    nn.save_params(path, desk_params)
+    loaded = nn.load_params(path)
     assert list(loaded) == list(desk_params)
-    for name, p in desk_params.items():
-        assert loaded[name].shape == p.data.shape and np.array_equal(loaded[name], p.data)
+    with np.load(path, allow_pickle=False) as archive:  # numpy's own .npz reader agrees
+        assert archive.files == ["format", *desk_params]
+        assert str(archive["format"]) == "corridorcast-ckpt-v2"
+        for name, p in desk_params.items():
+            for array in (loaded[name], archive[name]):
+                assert array.dtype == p.data.dtype and array.shape == p.data.shape
+                assert np.array_equal(array, p.data)
 
 
-def test_checkpoint_token_straddling_a_chunk_boundary(tmp_path, rng, monkeypatch):
-    params = {"straddle.weights.x": Tensor(rng.normal(size=(40, 300))),
-              "b": Tensor(rng.normal(size=7))}
+def test_checkpoint_truncated_or_bit_flipped_archive_raises(tmp_path, rng):
     path = tmp_path / "ckpt.txt"
-    nn.save_params(str(path), params)
-    line = path.read_text().splitlines()[1]
-    edge = checkpoint._CHUNK
-    assert len(line) > edge and " " not in line[edge - 1:edge + 1]  # a token spans it
-    assert line.index(" : ") + 3 == 30  # so a 30-character chunk ends with the head
-    for chunk in (checkpoint._CHUNK, 30, 31, 37, 64, 1000):
-        monkeypatch.setattr(checkpoint, "_CHUNK", chunk)
-        loaded = nn.load_params(str(path))
-        for name, p in params.items():
-            assert np.array_equal(loaded[name], p.data), (chunk, name)
-
-
-def test_checkpoint_truncated_final_line_raises(tmp_path, rng):
-    path = tmp_path / "ckpt.txt"
-    nn.save_params(str(path), {"w": Tensor(rng.normal(size=(4, 5)) + 3.0)})
-    text = path.read_text()
-    # cut the last token before its exponent: the rest still parses as a float
-    cut = text[:text.rindex("p")]
-    assert float.fromhex(cut.split()[-1]) != float.fromhex(text.split()[-1])
-    for broken in (cut, text[:-1], text[:text.rindex(" ")]):
-        path.write_text(broken)
-        with pytest.raises(nn.CheckpointError):
+    w = rng.normal(size=(4, 5)) + 3.0
+    nn.save_params(str(path), {"w": Tensor(w)})
+    body = path.read_bytes()
+    flipped = bytearray(body)
+    flipped[body.index(w.tobytes()) + 77] ^= 0x10  # a bit of one value
+    for broken, reason in ((body[:len(body) // 2], "not a zip file"),
+                           (body[:-1], "not a zip file"),
+                           (bytes(flipped), "Bad CRC-32 for file 'w.npy'")):
+        path.write_bytes(broken)
+        with pytest.raises(nn.CheckpointError, match=reason):
             nn.load_params(str(path))
 
 
-def test_checkpoint_failed_save_leaves_no_temp_file(tmp_path, rng):
+@pytest.mark.parametrize("arrays, message", [
+    ({"w": np.ones(3)}, "format member is missing or differs"),
+    ({"format": np.array("corridorcast-panel-v1"), "w": np.ones(3)},
+     "format member is missing or differs"),
+    ({"format": np.array(["corridorcast-ckpt-v2"]), "w": np.ones(3)},
+     "format member is missing or differs"),
+    ({"format": np.array("corridorcast-ckpt-v2"), "w": np.arange(3)},
+     "parameter 'w' is not a floating array: int64"),
+], ids=["no-format", "foreign-format", "format-not-0d", "integer-member"])
+def test_checkpoint_format_and_member_dtypes_are_checked(tmp_path, arrays, message):
+    path = str(tmp_path / "ckpt.txt")
+    files.publish_arrays(path, arrays)
+    with pytest.raises(nn.CheckpointError, match=message):
+        nn.load_params(path)
+
+
+def test_checkpoint_saves_seconds_apart_have_the_same_bytes(tmp_path, rng):
+    # a zip member's date has a 2 s resolution, so the saves are further apart
+    params = nn.Dense(rng, 3, 2).parameters()
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    nn.save_params(str(first), params)
+    time.sleep(2.1)
+    nn.save_params(str(second), params)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_failed_save_leaves_no_temp_file(tmp_path, rng, monkeypatch):
     path = tmp_path / "ckpt.txt"
     good = Tensor(rng.normal(size=3))
     with pytest.raises(nn.CheckpointError):
-        nn.save_params(str(path), {"a": good, "bad name": good})
-    not_floats = type("P", (), {"data": np.arange(3)})()  # float.hex rejects ints
+        nn.save_params(str(path), {"a": good, "format": good})  # the format member's name
+    not_floats = type("P", (), {"data": np.arange(3)})()
     with pytest.raises(TypeError):
         nn.save_params(str(path), {"a": good, "b": not_floats})
+    headers = []
+    real_header = np.lib.format.write_array_header_1_0
+
+    def fail_on_the_second_parameter(member, header):
+        headers.append(header)
+        if len(headers) == 3:
+            raise OSError(28, "No space left on device")
+        real_header(member, header)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fail_on_the_second_parameter)
+    with pytest.raises(OSError) as caught:
+        nn.save_params(str(path), {"a": good, "b": good})
+    assert caught.value.filename == str(path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -838,7 +856,7 @@ def test_checkpoint_float32_roundtrip_is_byte_identical(tmp_path, rng):
     nn.restore_params(other.parameters(), nn.load_params(str(first)))
     nn.save_params(str(second), other.parameters())
     assert first.read_bytes() == second.read_bytes()
-    assert first.read_text().splitlines()[0] == "corridorcast-ckpt-v1"
+    assert str(files.read_arrays(str(first), "checkpoint")["format"]) == "corridorcast-ckpt-v2"
     for name, p in other.parameters().items():
         assert p.data.dtype == np.float32
         assert np.array_equal(p.data, layer.parameters()[name].data)
@@ -859,7 +877,8 @@ def test_checkpoint_float64_into_float32_model_rounds(tmp_path, rng):
 
 
 def test_checkpoint_io_memory_stays_bounded(tmp_path, desk_params):
-    # the one-string writer peaks at 28.5 MiB and whole-line reads at 10.7 MiB
+    # a save writes each array from its own buffer, and a load holds the
+    # parameters (1.8 MiB here) and one read of at most 256 KiB
     path = str(tmp_path / "ckpt.txt")
     peaks = []
     for call in (lambda: nn.save_params(path, desk_params), lambda: nn.load_params(path)):

@@ -485,16 +485,21 @@ def test_damaged_panel_file_is_parsed_and_rewritten(tmp_path, monkeypatch, damag
     assert_same_panel(pn.load_csv(data, meta), parsed)
 
 
-@pytest.mark.parametrize("failing", ["mkstemp", "write_array_header_1_0", "replace"])
+@pytest.mark.parametrize("failing", ["open", "write_array_header_1_0", "replace"])
 def test_failed_panel_file_write_is_ignored(tmp_path, monkeypatch, failing):
     data, meta = corridor_files(tmp_path)
     reference = load_csv_rows_oracle(data, meta)
 
     def fail(*args, **kwargs):
         raise OSError(28, "No space left on device")
-    owner = {"mkstemp": pn.tempfile, "write_array_header_1_0": pn.np.lib.format,
-             "replace": pn.os}[failing]
-    monkeypatch.setattr(owner, failing, fail)
+
+    def open_reads_only(file, mode="r", *args, **kwargs):
+        return (fail if "w" in mode else open)(file, mode, *args, **kwargs)
+    if failing == "open":  # a builtin, so set on the module that calls it
+        monkeypatch.setattr(files, "open", open_reads_only, raising=False)
+    else:
+        monkeypatch.setattr({"write_array_header_1_0": np.lib.format,
+                             "replace": files.os}[failing], failing, fail)
     assert_same_panel(pn.load_csv(data, meta), reference)
     assert sorted(os.listdir(tmp_path)) == ["data.csv", "meta.csv"]
 
