@@ -182,13 +182,13 @@ CLUSTER_HEADER = ["cluster_id", "sensor_id", "membership"]
 
 
 def clusters_to_csv(mm: MembershipMatrix, sensors: list[SensorMeta], path: str) -> None:
-    write_table(path, CLUSTER_HEADER, ([c, sensors[u].id, mm.membership(u, c)]
-                                       for c, members in enumerate(mm.clusters)
-                                       for u in members))
+    write_table(path, CLUSTER_HEADER, (((c,) * len(members), [sensors[u].id for u in members],
+                                        [mm.membership(u, c) for u in members])
+                                       for c, members in enumerate(mm.clusters)))
 
 
 def merge_log_to_csv(mm: MembershipMatrix, path: str) -> None:
-    write_table(path, ["step", "a", "b", "distance"], mm.merge_log)
+    write_table(path, ["step", "a", "b", "distance"], [tuple(zip(*mm.merge_log))])
 
 
 def clusters_from_csv(path: str, sensors: list[SensorMeta]) -> MembershipMatrix:

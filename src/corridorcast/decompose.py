@@ -145,6 +145,7 @@ def recover_forecast(pred: np.ndarray, anchors) -> np.ndarray:
 
 
 def dump_components_csv(path: str, d: Decomposition, sensor_index: int) -> None:
-    """Write one sensor's (t, S, T, R) columns of feature 0 for inspection."""
-    columns = (c[sensor_index, :, 0].tolist() for c in (d.seasonal, d.trend, d.residual))
-    write_table(path, ["t", "S", "T", "R"], ([i, *row] for i, row in enumerate(zip(*columns))))
+    """Write one sensor's (t, S, T, R) columns of feature 0 for inspection, as
+    one block of four columns."""
+    columns = [c[sensor_index, :, 0].tolist() for c in (d.seasonal, d.trend, d.residual)]
+    write_table(path, ["t", "S", "T", "R"], [(range(len(columns[0])), *columns)])

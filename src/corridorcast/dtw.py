@@ -107,8 +107,9 @@ class DistanceTable:
         return sorted(self.entries)
 
     def to_csv(self, path: str) -> None:
-        write_table(path, ["i", "j", "distance"],
-                    ([i, j, self.entries[(i, j)]] for (i, j) in self.pairs()))
+        pairs = self.pairs()
+        write_table(path, ["i", "j", "distance"], [([i for i, _ in pairs], [j for _, j in pairs],
+                                                    [self.entries[ij] for ij in pairs])])
 
 
 def window_starts(n_steps: int, window_len: int, stride: int) -> list[int]:

@@ -233,14 +233,17 @@ def synth_generate(cfg: SynthConfig, sensors: int, days: int, seed: int) -> Pane
 
 
 def panel_to_csv(p: Panel, data_path: str, meta_path: str) -> None:
-    """Write a panel back out in the ingestion CSV formats."""
-    write_table(meta_path, META_HEADER, ([s.id, s.position, s.kind.value] for s in p.sensors))
+    """Write a panel back out in the ingestion CSV formats: the data table as
+    one block per sensor (its id repeated, the stamps of its fully observed
+    steps, and one column per feature), so no row is built as a list."""
+    sensors = p.sensors
+    write_table(meta_path, META_HEADER, [([s.id for s in sensors], [s.position for s in sensors],
+                                          [s.kind.value for s in sensors])])
     stamps = [str(ts.astype("datetime64[s]")) for ts in p.time_index]
     observed = map(np.flatnonzero, p.missing_mask.all(axis=2))
     write_table(data_path, DATA_HEADER, (
-        [s.id, stamps[ti], *row]
-        for s, steps, values in zip(p.sensors, observed, p.values)
-        for ti, row in zip(steps.tolist(), values[steps].tolist())))
+        ((s.id,) * len(steps), [stamps[ti] for ti in steps.tolist()], *values[steps].T.tolist())
+        for s, steps, values in zip(p.sensors, observed, p.values)))
 
 
 # -- reports -------------------------------------------------------------------
@@ -278,8 +281,9 @@ class EvalReport:
 
     def to_csv(self, path: str) -> None:
         write_table(path, ["model_id", "seed", "config_hash"],
-                    [[self.model_id, self.seed, self.config_hash],
-                     ["metric", "horizon", "regime", "value"], *self.rows()])
+                    [([self.model_id], [self.seed], [self.config_hash]),
+                     (["metric"], ["horizon"], ["regime"], ["value"]),
+                     tuple(zip(*self.rows()))])
 
     def print_table(self, file=None) -> None:
         file = file or sys.stdout

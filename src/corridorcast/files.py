@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import zipfile
 from contextlib import contextmanager, suppress
 
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import FormatError
 
 _READ_BYTES = 1 << 18  # bytes of one array member copied per read, as `np.load` does
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # what makes `csv.writer` quote a field
 
 
 @contextmanager
@@ -108,14 +110,55 @@ def _read_npy(member, size: int) -> np.ndarray:
     return array
 
 
-def write_table(path: str, header: list[str], rows) -> None:
-    """Publish `header`, then each of `rows`, as CSV in the `csv` module's default
-    dialect: lines end in `\\r\\n`, a field is quoted only where it holds a
-    comma, a quote or a line break, and a float is written as its repr."""
+def _quoted(field: str) -> str:
+    """`field` quoted, its quotes doubled, as the `csv` module quotes a field."""
+    return '"' + field.replace('"', '""') + '"'
+
+
+def _fields(column, alone: bool):
+    """The fields `csv.writer` writes for the values of `column`, or None for a
+    column whose values are not all `float`, all `int` or all `str` (subclasses,
+    `bool` among them, not counted).  `alone` says whether the column is its
+    row's only field, where an empty string is written as `""`."""
+    kinds = set(map(type, column))
+    if kinds <= {float}:
+        return map(float.__repr__, column)
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    if kinds != {str}:
+        return None
+    distinct = set(column)
+    if not _NEEDS_QUOTES.search("".join(distinct)) and not (alone and "" in distinct):
+        return column
+    fields = {v: _quoted(v) if _NEEDS_QUOTES.search(v) or alone and not v else v
+              for v in distinct}
+    return map(fields.__getitem__, column)
+
+
+def write_table(path: str, header: list[str], blocks) -> None:
+    """Publish `header`, then each of `blocks`, as CSV in the `csv` module's
+    default dialect: lines end in `\\r\\n`, a field is quoted only where it holds
+    a comma, a quote or a line break, and a float is written as its repr.
+
+    A block is a tuple of equal-length columns, and its rows are the columns
+    read across; blocks may differ in width.  A block whose columns each hold
+    only floats, only ints or only strings is encoded a column at a time and
+    written in one piece, so no row is ever built as a list; any other block
+    goes to `csv.writer` row by row.  Both write the same bytes."""
     with publish(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        for block in blocks:
+            lengths = {len(column) for column in block}
+            if len(lengths) > 1:
+                raise ValueError(f"a block's columns differ in length: {sorted(lengths)}")
+            if not any(lengths):
+                continue
+            columns = [_fields(column, len(block) == 1) for column in block]
+            if any(c is None for c in columns):
+                writer.writerows(zip(*block))
+            else:
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def check_header(found: list[str] | None, what: str, header: list[str]) -> None:

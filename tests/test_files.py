@@ -1,4 +1,5 @@
 import ast
+import csv
 import io
 import os
 import warnings
@@ -109,7 +110,7 @@ HEADER = ["sensor_id", "value"]
 
 def test_write_table_ends_lines_in_crlf_and_quotes_minimally(tmp_path):
     path = str(tmp_path / "t.csv")
-    files.write_table(path, HEADER, [["A", 1], ['B,"north"', 2]])
+    files.write_table(path, HEADER, [(["A", 'B,"north"'], [1, 2])])
     assert open(path, "rb").read() == b'sensor_id,value\r\nA,1\r\n"B,""north""",2\r\n'
     assert files.read_table(path, "table", HEADER) == [(2, ["A", "1"]),
                                                       (3, ['B,"north"', "2"])]
@@ -118,10 +119,61 @@ def test_write_table_ends_lines_in_crlf_and_quotes_minimally(tmp_path):
 def test_write_table_writes_floats_as_their_repr(tmp_path):
     path = tmp_path / "t.csv"
     third = 1 / 3
-    files.write_table(str(path), HEADER, [["py", third], ["np", np.float64(third)],
-                                          ["tiny", 1e-20]])
+    files.write_table(str(path), HEADER, [(["py"], [third]), (["np"], [np.float64(third)]),
+                                          (["tiny"], [1e-20])])
     assert path.read_text().splitlines()[1:] == [
         f"py,{third!r}", f"np,{third!r}", "tiny,1e-20"]
+
+
+def csv_oracle(path, header, blocks):
+    """`write_table` as `csv.writer` writes it a row at a time, kept as its oracle."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for block in blocks:
+            writer.writerows(zip(*block))
+
+
+STRINGS = ["plain", "a,b", 'say "hi"', '"', ",", "cr\rx", "lf\nx", "crlf\r\n", "", " lead",
+           "tab\tx", "Süd", "{}"]
+FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-05, float("nan"), float("inf"), float("-inf"),
+          0.1 + 0.2, 1 / 3, 1e22, 123456789.125, -1.5]
+ORACLE_TABLES = {
+    "strings": (["text", "n"], [(STRINGS, list(range(len(STRINGS))))]),
+    "one empty string": (["text"], [([""],)]),
+    "one column of strings": (["text"], [(["", "x", "a,b", ""],)]),
+    "one None": (["text"], [([None],)]),
+    "floats": (["x", "y"], [(FLOATS, FLOATS[::-1])]),
+    # one odd column per block, beside columns that alone would be encoded
+    "numpy, bool and None": (["a", "b"], [
+        ([np.float64(1 / 3), np.float64(1e16), np.float64(-0.0)], ["f", "g", "h"]),
+        ([np.int64(5), np.int64(-2), np.int64(2**40)], [1.5, 2.5, 3.5]),
+        ([True, False, True], [1, 2, 3]), ([None, "x", None], ["n", "o", "p"]),
+        ([1, 2.5, "s"], ["q", "r", "s"])]),
+    "widths": (["model_id", "seed", "config_hash"], [
+        (["m,1"], [7], ["ab12"]), (["metric"], ["horizon"], ["regime"], ["value"]),
+        (["mae", "rmse"], ["1", "all"], ["all", "peak"], [0.25, np.float64(0.5)])]),
+    "many blocks": (["id", "t", "v"], [
+        ((f"S{k},{k % 3}",) * (k % 5), list(range(k % 5)), [k / 7] * (k % 5))
+        for k in range(60)]),
+    "no blocks": (["id"], []),
+    "no columns": (["id"], [()]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_TABLES)
+def test_write_table_bytes_equal_the_csv_writer_oracle(tmp_path, name):
+    header, blocks = ORACLE_TABLES[name]
+    files.write_table(str(tmp_path / "t.csv"), header, blocks)
+    csv_oracle(str(tmp_path / "oracle.csv"), header, blocks)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_write_table_rejects_columns_of_different_lengths(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"differ in length: \[1, 2\]"):
+        files.write_table(str(path), HEADER, [(["A", "B"], [1])])
+    assert not os.listdir(tmp_path)
 
 
 def test_read_table_skips_blank_rows_and_strips_the_header(tmp_path):
