@@ -147,6 +147,8 @@ class SynthConfig:
         require_finite(self)
         if min(self.free_speed, self.wave_speed, self.max_density) <= 0:
             raise ConfigError("physical parameters must be positive")
+        if self.noise_sd < 0:
+            raise FieldError("noise_sd", f"must not be negative, got {self.noise_sd}")
         if len(self.weekday_factors) != 7:
             raise FieldError("weekday_factors", "needs seven entries, Monday to Sunday")
         if not self.step_minutes > 0 or 86400 % (self.step_minutes * 60):

@@ -161,30 +161,30 @@ def write_table(path: str, header: list[str], blocks) -> None:
                 fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def check_header(found: list[str] | None, what: str, header: list[str]) -> None:
-    """FormatError naming `what` unless `found`'s stripped fields are `header`."""
-    if found is None or [f.strip() for f in found] != header:
-        raise FormatError(f"{what} header must be {','.join(header)}, "
-                          f"got {','.join(found or [])!r}")
-
-
 def short_row(row: list[str], header: list[str], what: str, line: int) -> FormatError:
     """The FormatError for a row of `what` at physical line `line` that does not fit `header`."""
     return FormatError(f"{what} line {line} has {len(row)} fields, expected "
                        f"{len(header)} ({','.join(header)}): {row!r}")
 
 
-def read_table(path: str, what: str, header: list[str]) -> list[tuple[int, list[str]]]:
-    """Each row of the UTF-8 CSV table at `path` after its header, with the
-    physical line it ends on.  Blank rows are skipped.  A file that does not
-    decode, a header other than `header` (`check_header`) or a row with fewer
-    fields than `header` raises FormatError naming `what`."""
-    rows = []
+def read_table(path: str, what: str, header: list[str]):
+    """Yield each row of the UTF-8 CSV table at `path` after its header, as
+    `(line, fields)` in file order, `line` being the physical line the row
+    ends on.  Fields follow the `csv` module's default dialect: a quoted
+    field may hold commas, line breaks and doubled quotes.  Blank rows are
+    skipped.  Bytes that do not decode, a header whose stripped fields are
+    not `header`, a row with other than `len(header)` fields, or text the
+    `csv` module cannot read raise FormatError naming `what`."""
     with open_utf8(path, what, newline="") as fh:
         reader = csv.reader(fh)
-        check_header(next(reader, None), what, header)
-        for row in filter(None, reader):
-            if len(row) < len(header):
-                raise short_row(row, header, what, reader.line_num)
-            rows.append((reader.line_num, row))
-    return rows
+        try:
+            found = next(reader, None)
+            if found is None or [f.strip() for f in found] != header:
+                raise FormatError(f"{what} header must be {','.join(header)}, "
+                                  f"got {','.join(found or [])!r}")
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise short_row(row, header, what, reader.line_num)
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise FormatError(f"{what} line {reader.line_num}: {exc}") from None

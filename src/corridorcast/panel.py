@@ -8,35 +8,22 @@ neighborhoods are index-contiguous.
 
 from __future__ import annotations
 
-import csv
 import hashlib
+from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from functools import partial
-from itertools import repeat
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyPanelError,
-    EmptySeriesError,
-    FormatError,
-    UnknownSensorError,
-)
-from .files import check_header, open_utf8, publish_arrays, read_arrays, read_table, short_row
+from .errors import EmptyPanelError, EmptySeriesError, FormatError, UnknownSensorError
+from .files import publish_arrays, read_arrays, read_table
 
 FEATURES = ("flow", "occupancy", "speed")
 
 DATA_HEADER = ["sensor_id", "timestamp", "flow", "occupancy", "speed"]
 META_HEADER = ["sensor_id", "milepost", "kind"]
-
-# Characters of data CSV text parsed per block in `load_csv` (bytes, for ASCII
-# files); each block runs on to the end of its last line.  A block's lines and
-# field strings take 15 to 20 times its text, so 64 KiB keeps them near 1 MiB.
-BLOCK_CHARS = 1 << 16
 
 # `load_csv` keeps each parsed panel in `<data>` + PANEL_SUFFIX, keyed by the
 # SHA-256 of PANEL_FORMAT and both input files; bump the tag when the parse
@@ -138,8 +125,14 @@ class ScalingParams:
 
 
 def _parse_timestamp(text: str) -> np.datetime64:
+    """`text`, an ISO 8601 date and time at a whole second, with no UTC offset."""
     try:
-        return np.datetime64(datetime.fromisoformat(text), "s")
+        stamp = datetime.fromisoformat(text)
+        if stamp.tzinfo is not None:
+            raise ValueError("a UTC offset is not allowed")
+        if stamp.microsecond:
+            raise ValueError("a fraction of a second is not allowed")
+        return np.datetime64(stamp, "s")
     except ValueError as exc:
         raise FormatError(f"bad timestamp {text!r}: {exc}") from None
 
@@ -159,126 +152,17 @@ def load_sensor_meta(meta_path: str) -> list[SensorMeta]:
     return metas
 
 
-def _unquote(raw: str) -> str:
-    """The text of one comma-free field under CSV quoting rules.
-
-    A field may be wrapped in double quotes, with `""` standing for one quote
-    inside.  ValueError if a quote is still open at the end of the field: in
-    the line, that quote would have swallowed the comma after it.
-    """
-    if '"' not in raw:
-        return raw
-    closed = next(csv.reader([raw + ","]))
-    if len(closed) != 2:
-        raise ValueError(f"quote left open in {raw!r}")
-    return closed[0]
-
-
-def _sensor_index(raw: str, known: dict[str, int]) -> int:
-    sid = _unquote(raw).strip()
-    if sid not in known:
-        raise UnknownSensorError(f"data references unknown sensor {sid!r}")
-    return known[sid]
-
-
-def _epoch(raw: str) -> int:
-    return int(_parse_timestamp(_unquote(raw).strip()).astype(np.int64))
-
-
-def _lookup(fields: list[str], parsed: dict[str, int], parse) -> list[int]:
-    """`parsed[f]` for each raw field, parsing (and keeping) each new one once."""
-    try:
-        return list(map(parsed.__getitem__, fields))
-    except KeyError:
-        for raw in set(fields).difference(parsed):
-            parsed[raw] = parse(raw)
-        return list(map(parsed.__getitem__, fields))
-
-
-def _raise_first_bad_row(lines: list[str], first_line: int, known: dict[str, int]) -> None:
-    """Raise the error of the first bad data row among `lines`, a block whose
-    first line is physical line `first_line`; rows are checked one by one, in
-    file order, as the block parse checks them all at once."""
-    for line_no, line in enumerate(lines, first_line):
-        if not line:
-            continue
-        fields = line.split(",")
-        as_csv = next(csv.reader([line]))
-        if len(as_csv) != len(DATA_HEADER):
-            raise short_row(as_csv, DATA_HEADER, "data", line_no)
-        if len(fields) != len(DATA_HEADER):  # a quoted field holds a comma
-            raise short_row(fields, DATA_HEADER, "data", line_no)
-        try:
-            row = [_unquote(f) for f in fields]
-        except ValueError:
-            raise FormatError(f"data line {line_no} ends inside a quoted field: "
-                              f"{line!r}") from None
-        _sensor_index(fields[0], known)
-        _epoch(fields[1])
-        try:
-            float(row[2]), float(row[3]), float(row[4])
-        except ValueError as exc:
-            raise FormatError(f"bad numeric field in row {row!r}: {exc}") from None
-
-
-def _scan(path: str, meta_path: str) -> tuple[int, str]:
-    """One byte pass over the data file `path`: an upper bound on its rows
-    that hold five fields each (its commas over four, since every such row
-    holds four), and the hex SHA-256 of PANEL_FORMAT, the metadata file's
-    bytes and the data file's bytes."""
+def _digest(path: str, meta_path: str) -> str:
+    """The hex SHA-256 of PANEL_FORMAT, the metadata file's bytes and the data
+    file `path`'s bytes, read in pieces."""
     with open(meta_path, "rb") as fh:
         meta = fh.read()
     digest = hashlib.sha256(f"{PANEL_FORMAT}\n{len(meta)}\n".encode())
     digest.update(meta)
-    commas = 0
     with open(path, "rb") as fh:
-        while chunk := fh.read(BLOCK_CHARS):
-            commas += chunk.count(b",")
+        while chunk := fh.read(1 << 16):
             digest.update(chunk)
-    return commas // (len(DATA_HEADER) - 1), digest.hexdigest()
-
-
-def _read_rows(path: str, known: dict[str, int],
-               capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sensor index, epoch seconds and readings of each data row of `path`, in
-    file order, parsed block by block into buffers of `capacity` rows,
-    allocated once.  The last block's strings die on return, before `_parse`
-    builds the panel."""
-    sensors = np.empty(capacity, dtype=np.int64)
-    epochs = np.empty(capacity, dtype=np.int64)
-    observed = np.empty((capacity, len(FEATURES)))
-    sensor_of: dict[str, int] = {}  # raw field -> sensor index
-    epoch_of: dict[str, int] = {}  # raw field -> epoch seconds
-    sensor_index = partial(_sensor_index, known=known)
-    count = 0
-    # universal newlines: the reader turns each \r\n and \r into \n
-    with open_utf8(path, "data file") as fh:
-        reader = csv.reader(fh)
-        check_header(next(reader, None), "data", DATA_HEADER)
-        line_no = reader.line_num + 1  # physical number of the block's first line
-        while text := fh.read(BLOCK_CHARS):
-            lines = (text + fh.readline()).split("\n")
-            rows = list(filter(None, lines))
-            end = count + len(rows)
-            try:
-                # every row holds exactly four commas
-                if set(map(str.count, rows, repeat(","))) - {len(DATA_HEADER) - 1}:
-                    raise ValueError("a row without five fields")
-                flat = ",".join(rows).split(",") if rows else []
-                sensors[count:end] = _lookup(flat[0::5], sensor_of, sensor_index)
-                epochs[count:end] = _lookup(flat[1::5], epoch_of, _epoch)
-                for j in range(len(FEATURES)):
-                    column = flat[2 + j::5]
-                    try:
-                        observed[count:end, j] = column
-                    except ValueError:  # quoted numbers
-                        observed[count:end, j] = [float(_unquote(f)) for f in column]
-            except (ValueError, DataError):
-                _raise_first_bad_row(lines, line_no, known)
-                raise
-            count = end
-            line_no += len(lines) - 1
-    return sensors[:count], epochs[:count], observed[:count]
+    return digest.hexdigest()
 
 
 def load_csv(path: str, meta_path: str) -> Panel:
@@ -290,38 +174,31 @@ def load_csv(path: str, meta_path: str) -> Panel:
     sit on that grid.  Rows absent from the grid become mask=False cells.
     Sensors are ordered by milepost.
 
-    Lines end at `\\n`, `\\r\\n` or `\\r`; blank lines are skipped.  Every other
-    line splits at each comma into exactly five fields, and each field may be
-    wrapped in double quotes (`""` inside stands for one quote), so a quoted
-    field cannot hold a comma or a line break.  Fields are stripped of
-    surrounding whitespace.  A bad file raises the error of its first bad row
-    in file order; a row with the wrong field count, or a quote still open at
-    its end, is named by its physical line.
+    The data file is read by `files.read_table`, so it follows the `csv`
+    module's rules like every other table: lines end at `\\n`, `\\r\\n` or
+    `\\r`, blank lines are skipped, a quoted field may hold commas, line
+    breaks and doubled quotes, and every other row holds exactly five fields.
+    Sensor ids and timestamps are stripped of surrounding whitespace, and a
+    timestamp is ISO 8601 at a whole second with no UTC offset.  A bad file
+    raises the error of its first bad row in file order; a row with the wrong
+    field count is named by its physical line.
 
-    Each file pair is parsed once.  One byte pass over the data counts its
-    commas, four per row, and hashes PANEL_FORMAT and both files' bytes.  If
-    the panel file `path + PANEL_SUFFIX` holds that digest, its values, mask
-    and time index are returned, bit-identical to a parse, and the sensors
-    come from the metadata as always.  Otherwise the file is parsed and the
-    panel file written (temporary name, then rename); a failed write is
-    ignored, and a file that does not parse is never written.  A panel file
-    that is missing, unreadable, truncated or of another format or digest is
-    re-parsed, so it is safe to delete at any time.
-
-    The parse reads blocks of whole lines, about `BLOCK_CHARS` characters
-    each, into row buffers sized once by the comma count.  Each block is split
-    into one flat field list; each distinct sensor id and timestamp string is
-    unquoted and parsed once, through dicts; each numeric column is parsed by
-    one numpy assignment, which calls `float` on every field.  A block that
-    fails any check is scanned again row by row to raise the first bad row's
-    error.
+    Each file pair is parsed once.  One byte pass hashes PANEL_FORMAT and
+    both files' bytes.  If the panel file `path + PANEL_SUFFIX` holds that
+    digest, its values, mask and time index are returned, bit-identical to a
+    parse, and the sensors come from the metadata as always.  Otherwise the
+    file is parsed and the panel file written (temporary name, then rename);
+    a failed write is ignored, and a file that does not parse is never
+    written.  A panel file that is missing, unreadable, truncated or of
+    another format or digest is re-parsed, so it is safe to delete at any
+    time.
     """
     metas = sorted(load_sensor_meta(meta_path), key=lambda m: (m.position, m.id))
-    capacity, digest = _scan(path, meta_path)
+    digest = _digest(path, meta_path)
     panel_file = path + PANEL_SUFFIX
     arrays = _read_panel_file(panel_file, digest, len(metas))
     if arrays is None:
-        arrays = _parse(path, metas, capacity)
+        arrays = _parse(path, metas)
         with suppress(OSError):  # the panel file only saves later parses
             publish_arrays(panel_file, {"format": np.array(PANEL_FORMAT),
                                         "digest": np.array(digest),
@@ -330,11 +207,34 @@ def load_csv(path: str, meta_path: str) -> Panel:
     return Panel(values, time_index, FEATURES, mask, tuple(metas))
 
 
-def _parse(path: str, metas: list[SensorMeta],
-           capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, mask and time index of the data file `path`; see `load_csv`."""
-    sensor_idx, epoch_s, readings = _read_rows(path, {m.id: i for i, m in enumerate(metas)},
-                                               capacity)
+def _parse(path: str, metas: list[SensorMeta]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, mask and time index of the data file `path`; see `load_csv`.
+    Each distinct raw sensor id and timestamp field is parsed once, through
+    dicts.  Each row's sensor index and epoch seconds go to one typed array
+    and its three readings to another, so no row outlives its own iteration."""
+    known = {m.id: i for i, m in enumerate(metas)}
+    sensor_of: dict[str, int] = {}  # raw field -> sensor index
+    epoch_of: dict[str, int] = {}  # raw field -> epoch seconds
+    keys, observed = array("q"), array("d")
+    for _, row in read_table(path, "data", DATA_HEADER):
+        raw_id, raw_time, flow, occupancy, speed = row
+        si = sensor_of.get(raw_id)
+        if si is None:
+            sid = raw_id.strip()
+            if sid not in known:
+                raise UnknownSensorError(f"data references unknown sensor {sid!r}")
+            si = sensor_of[raw_id] = known[sid]
+        ts = epoch_of.get(raw_time)
+        if ts is None:
+            ts = epoch_of[raw_time] = int(_parse_timestamp(raw_time.strip()).astype(np.int64))
+        try:
+            observed.extend((float(flow), float(occupancy), float(speed)))
+        except ValueError as exc:
+            raise FormatError(f"bad numeric field in row {row!r}: {exc}") from None
+        keys.extend((si, ts))
+
+    sensor_idx, epoch_s = np.frombuffer(keys, dtype=np.int64).reshape(-1, 2).T
+    readings = np.frombuffer(observed).reshape(-1, len(FEATURES))
     order = np.argsort(sensor_idx, kind="stable")  # file order within each sensor
     s_sorted, e_sorted = sensor_idx[order], epoch_s[order]
     regress = (s_sorted[1:] == s_sorted[:-1]) & (e_sorted[1:] <= e_sorted[:-1])

@@ -53,9 +53,12 @@ class RunConfig:
         require_finite(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise FieldError("train_fraction", "must lie strictly between 0 and 1")
-        for name in ("completeness_min", "dtw_quantile"):
+        for name in ("completeness_min", "dtw_quantile", "cluster_threshold"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise FieldError(name, f"must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("neighbor_radius_miles", "cluster_max_span_miles"):
+            if getattr(self, name) < 0.0:
+                raise FieldError(name, f"must not be negative, got {getattr(self, name)}")
         if self.dtw_window_hours <= 0.0:
             raise FieldError("dtw_window_hours", f"must be positive, got {self.dtw_window_hours}")
         if self.synth_sensors < 1 or self.synth_days < 1:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import os
 import re
@@ -342,6 +343,10 @@ BAD_CONFIG_LINES = [
     ("synth_weekday_factors=1,1,1,1,1,nan,1", "bad.cfg:1: synth_weekday_factors must be finite"),
     ("synth_step_minutes=7", "bad.cfg:1: synth_step_minutes must divide a day, got 7.0"),
     ("synth_step_minutes=0", "bad.cfg:1: synth_step_minutes must divide a day, got 0.0"),
+    ("synth_noise_sd=-1", "bad.cfg:1: synth_noise_sd must not be negative, got -1.0"),
+    ("neighbor_radius_miles=-1", "bad.cfg:1: neighbor_radius_miles must not be negative"),
+    ("cluster_max_span_miles=-1", "bad.cfg:1: cluster_max_span_miles must not be negative"),
+    ("cluster_threshold=5", "bad.cfg:1: cluster_threshold must lie in [0, 1], got 5.0"),
 ]
 
 
@@ -402,6 +407,25 @@ def test_resolved_config_contains_seed(synth_dir):
     assert "synth_sensors=4" in text
 
 
+def test_panel_to_csv_round_trips_ids_that_need_quoting(tmp_path, capsys):
+    p = ev.synth_generate(ev.SynthConfig(), sensors=4, days=8, seed=7)
+    p.sensors = tuple(dataclasses.replace(s, id=sid)
+                      for s, sid in zip(p.sensors, ["S0", "S,1", 'S"2', "S3"]))
+    p.missing_mask[2, 30:40] = False
+    p.values[~p.missing_mask] = 0.0  # an unobserved cell is not written, and reads as 0
+    data, meta = str(tmp_path / "data.csv"), str(tmp_path / "meta.csv")
+    ev.panel_to_csv(p, data, meta)
+    q = pn.load_csv(data, meta)
+    assert q.values.tobytes() == p.values.tobytes()
+    assert q.missing_mask.tobytes() == p.missing_mask.tobytes()
+    assert q.time_index.tobytes() == p.time_index.tobytes()
+    assert q.sensors == p.sensors
+    cfg = write_cfg(tmp_path)
+    assert run("cluster", "--data", data, "--meta", meta, "--out", str(tmp_path / "c"),
+               "--seed", "7", "--config", cfg) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_exit_code_short_data_row(synth_dir, tmp_path, capsys):
     out, cfg = synth_dir
     data = tmp_path / "short.csv"
@@ -412,18 +436,18 @@ def test_exit_code_short_data_row(synth_dir, tmp_path, capsys):
     assert len(err) == 1 and "has 3 fields" in err[0]
 
 
-@pytest.mark.parametrize("row, fields", [
-    ("S001,2016-01-04T00:00:00,1.0,2.0,3.0,4.0", 6),
-    ('"S001,x",2016-01-04T00:00:00,1.0,2.0,3.0', 6),
+@pytest.mark.parametrize("row, message", [
+    ("S001,2016-01-04T00:00:00,1.0,2.0,3.0,4.0", "has 6 fields, expected 5"),
+    ('"S001,x",2016-01-04T00:00:00,1.0,2.0,3.0', "unknown sensor 'S001,x'"),  # one field
 ], ids=["extra-field", "quoted-comma"])
-def test_exit_code_data_row_with_extra_fields(synth_dir, tmp_path, capsys, row, fields):
+def test_exit_code_data_row_with_extra_fields(synth_dir, tmp_path, capsys, row, message):
     out, cfg = synth_dir
     data = tmp_path / "long.csv"
     data.write_text((out / "data.csv").read_text() + row + "\n")
     assert run("cluster", "--data", str(data), "--meta", str(out / "meta.csv"),
                "--out", str(tmp_path / "c"), "--seed", "7", "--config", cfg) == 3
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and f"has {fields} fields, expected 5" in err[0]
+    assert len(err) == 1 and message in err[0]
 
 
 def test_exit_code_unknown_sensor_in_clusters(synth_dir, tmp_path, monkeypatch):

@@ -66,6 +66,16 @@ def test_guard_sees_a_csv_writer_outside_write_table():
     assert _write_sites(tree, "m.py") == [("m.py", "dump", "csv.writer")]
 
 
+def test_only_read_table_builds_a_csv_reader():
+    sites = [(path.name, function.name)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(function, ast.FunctionDef)
+             for call in ast.walk(function)
+             if isinstance(call, ast.Call) and ast.unparse(call.func) == "csv.reader"]
+    assert sites == [("files.py", "read_table")]
+
+
 def test_publish_renames_a_utf8_file_into_place(tmp_path):
     path = tmp_path / "out.csv"
     path.write_text("old\n")
@@ -112,8 +122,8 @@ def test_write_table_ends_lines_in_crlf_and_quotes_minimally(tmp_path):
     path = str(tmp_path / "t.csv")
     files.write_table(path, HEADER, [(["A", 'B,"north"'], [1, 2])])
     assert open(path, "rb").read() == b'sensor_id,value\r\nA,1\r\n"B,""north""",2\r\n'
-    assert files.read_table(path, "table", HEADER) == [(2, ["A", "1"]),
-                                                      (3, ['B,"north"', "2"])]
+    assert list(files.read_table(path, "table", HEADER)) == [(2, ["A", "1"]),
+                                                            (3, ['B,"north"', "2"])]
 
 
 def test_write_table_writes_floats_as_their_repr(tmp_path):
@@ -178,9 +188,9 @@ def test_write_table_rejects_columns_of_different_lengths(tmp_path):
 
 def test_read_table_skips_blank_rows_and_strips_the_header(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text(" sensor_id , value\n\nA,1\n\n\nB,2,extra\n")
-    assert files.read_table(str(path), "table", HEADER) == [(3, ["A", "1"]),
-                                                           (6, ["B", "2", "extra"])]
+    path.write_text(' sensor_id , value\n\nA,1\n\n\n"B\n,2",2\n')
+    assert list(files.read_table(str(path), "table", HEADER)) == [(3, ["A", "1"]),
+                                                                 (7, ["B\n,2", "2"])]
 
 
 def test_cluster_file_header_with_spaces_is_accepted(tmp_path):
@@ -195,20 +205,31 @@ def test_cluster_file_header_with_spaces_is_accepted(tmp_path):
     ("", "table header must be sensor_id,value, got ''"),
     ("sensor_id,value\n\nA,1\n\nB\n",
      "table line 5 has 1 fields, expected 2 (sensor_id,value): ['B']"),
+    ("sensor_id,value\nA,1\nB,2,\n",
+     "table line 3 has 3 fields, expected 2 (sensor_id,value): ['B', '2', '']"),
 ])
 def test_read_table_names_a_bad_header_and_a_short_row_by_its_line(tmp_path, body, message):
     path = tmp_path / "t.csv"
     path.write_text(body)
     with pytest.raises(FormatError) as caught:
-        files.read_table(str(path), "table", HEADER)
+        list(files.read_table(str(path), "table", HEADER))
     assert str(caught.value) == message
+
+
+def test_read_table_names_a_line_the_csv_module_cannot_read(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("sensor_id,value\nA,1\nB," + "9" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(FormatError) as caught:
+        list(files.read_table(str(path), "table", HEADER))
+    assert str(caught.value) == (f"table line 3: field larger than field limit "
+                                 f"({csv.field_size_limit()})")
 
 
 def test_read_table_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"sensor_id,value\nA\xff,1\n")
     with pytest.raises(FormatError, match=f"table {path} is not UTF-8 text"):
-        files.read_table(str(path), "table", HEADER)
+        list(files.read_table(str(path), "table", HEADER))
 
 
 def test_publish_arrays_roundtrips_through_read_arrays_and_np_load(tmp_path):

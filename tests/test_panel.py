@@ -112,7 +112,10 @@ def test_short_metadata_row_rejected(tmp_path):
     ("A,2016-01-04T00:05:00,nan,1.5,61", "finite"),
     ("A,2016-01-04T00:05:00,11,fast,61", "bad numeric field"),
     ("A,2016-01-04 noon,11,1.5,61", "bad timestamp"),
+    ("A,2016-01-04T01:05:00+01:00,11,1.5,61", "bad timestamp .*: a UTC offset is not allowed"),
+    ("A,2016-01-04T00:05:00.7,11,1.5,61", "bad timestamp .*: a fraction of a second"),
 ])
+@pytest.mark.filterwarnings("error")  # numpy warns when it converts an offset to UTC
 def test_bad_field_rejected(tmp_path, row, message):
     rows = COMPLETE_ROWS[:1] + [row] + COMPLETE_ROWS[2:]
     with pytest.raises(FormatError, match=message):
@@ -140,10 +143,10 @@ def test_off_grid_timestamp_rejected(tmp_path):
 def load_csv_rows_oracle(path, meta_path):
     """The row-by-row loader that `load_csv` replaced, kept as its reference.
 
-    It reads the data file with `csv.reader`: a row may hold more than five
-    fields (the extra ones are dropped) and a quoted field may hold commas
-    and line breaks, which `load_csv` rejects; on every file that `load_csv`
-    accepts the two must agree bit for bit.
+    It reads the data file with `csv.reader`, as `load_csv` does, but a row
+    may hold more than five fields (the extra ones are dropped), which
+    `load_csv` rejects; on every file that `load_csv` accepts the two must
+    agree bit for bit.
     """
     metas = sorted(pn.load_sensor_meta(meta_path), key=lambda m: (m.position, m.id))
     known = {m.id: i for i, m in enumerate(metas)}
@@ -286,28 +289,23 @@ def assert_same_panel(p, q):
     assert p.sensors == q.sensors
 
 
-@pytest.mark.parametrize("block", [1, 7, 40, pn.BLOCK_CHARS])
 @pytest.mark.parametrize("name", sorted(GOOD_BODIES))
-def test_load_csv_equals_row_oracle(tmp_path, monkeypatch, name, block):
-    monkeypatch.setattr(pn, "BLOCK_CHARS", block)
+def test_load_csv_equals_row_oracle(tmp_path, name):
     paths = write_raw(tmp_path, GOOD_BODIES[name])
     assert_same_panel(pn.load_csv(*paths), load_csv_rows_oracle(*paths))
 
 
-def test_load_csv_equals_row_oracle_on_a_synthetic_corridor(tmp_path, monkeypatch):
+def test_load_csv_equals_row_oracle_on_a_synthetic_corridor(tmp_path):
     from corridorcast import evaluation as ev
     data, meta = str(tmp_path / "data.csv"), str(tmp_path / "meta.csv")
     p = ev.synth_generate(ev.SynthConfig(), sensors=5, days=2, seed=3)
     p.missing_mask[1, 10:30] = False
     ev.panel_to_csv(p, data, meta)
     reference = load_csv_rows_oracle(data, meta)
-    for block in (97, 4096, pn.BLOCK_CHARS):
-        monkeypatch.setattr(pn, "BLOCK_CHARS", block)
-        remove_panel_file(data)  # parse at this block size, not read the last one's file
-        assert_same_panel(pn.load_csv(data, meta), reference)
+    assert_same_panel(pn.load_csv(data, meta), reference)
 
 
-# Bad files on which the row loop and the block parse must raise the same
+# Bad files on which the row loop and `load_csv` must raise the same
 # error: class and message, with physical line numbers after blank lines.
 BAD_BODIES = {
     "bad-header": "sensor,timestamp,flow,occupancy,speed\nA,2016-01-04T00:00:00,1,1,1\n",
@@ -331,6 +329,11 @@ BAD_BODIES = {
     "bad-timestamp-first": "\n".join([
         HEADER, "A,2016-01-04T00:00:00,1,1,1", "A,2016-01-04 noon,x,1,1",
         "Z,2016-01-04T00:10:00,1,1,1"]) + "\n",
+    "timestamp-with-utc-offset": "\n".join([
+        HEADER, "A,2016-01-04T00:00:00,1,1,1", "A,2016-01-04T01:15:00+01:00,1,1,1"]) + "\n",
+    "timestamp-in-utc": HEADER + "\nA,2016-01-04T00:00:00Z,1,1,1\n",
+    "timestamp-with-fraction": "\n".join([
+        HEADER, "A,2016-01-04T00:00:00,1,1,1", "A,2016-01-04T00:15:00.7,1,1,1"]) + "\n",
     "quoted-bad-number": HEADER + '\nA,2016-01-04T00:00:00,"1 2",1,1\n',
     "number-quoted-after-space": HEADER + '\nA,2016-01-04T00:00:00, "1",1,1\n',
     "nan": HEADER + "\nA,2016-01-04T00:00:00,nan,1,1\nA,2016-01-04T00:05:00,1,1,1\n",
@@ -345,10 +348,8 @@ BAD_BODIES = {
 }
 
 
-@pytest.mark.parametrize("block", [1, 7, pn.BLOCK_CHARS])
 @pytest.mark.parametrize("name", sorted(BAD_BODIES))
-def test_load_csv_errors_match_row_oracle(tmp_path, monkeypatch, name, block):
-    monkeypatch.setattr(pn, "BLOCK_CHARS", block)
+def test_load_csv_errors_match_row_oracle(tmp_path, name):
     paths = write_raw(tmp_path, BAD_BODIES[name])
     with pytest.raises(DataError) as expected:
         load_csv_rows_oracle(*paths)
@@ -361,7 +362,7 @@ def test_load_csv_errors_match_row_oracle(tmp_path, monkeypatch, name, block):
 @pytest.mark.parametrize("line, fields, shown", [
     ("A,2016-01-04T00:05:00,11,1.5,61,extra", 6, "'extra'"),
     ("A,2016-01-04T00:05:00,11,1.5,61,", 6, "''"),
-    ('"A,B",2016-01-04T00:05:00,11,1.5,61', 6, "'B\"'"),
+    ('"A,B",2016-01-04T00:05:00,11,1.5,61,x', 6, "'A,B'"),
 ])
 def test_rows_with_extra_fields_rejected(tmp_path, line, fields, shown):
     body = "\r\n".join([HEADER, "A,2016-01-04T00:00:00,10,1,60", "", line]) + "\r\n"
@@ -373,10 +374,20 @@ def test_rows_with_extra_fields_rejected(tmp_path, line, fields, shown):
     assert shown in message and "\n" not in message
 
 
-def test_quote_left_open_at_line_end_rejected(tmp_path):
-    body = HEADER + '\nA,2016-01-04T00:00:00,10,1,"60\nA,2016-01-04T00:05:00,11,1,61\n'
-    with pytest.raises(FormatError, match="data line 2 ends inside a quoted field"):
+def test_quoted_comma_stays_in_its_field(tmp_path):
+    body = HEADER + '\n"A,B",2016-01-04T00:05:00,11,1.5,61\n'
+    with pytest.raises(UnknownSensorError, match="unknown sensor 'A,B'"):
         pn.load_csv(*write_raw(tmp_path, body))
+
+
+def test_quote_left_open_at_line_end_rejected(tmp_path):
+    # the open quote runs on to the end of the file, holding the next row
+    body = HEADER + '\nA,2016-01-04T00:00:00,10,1,"60\nA,2016-01-04T00:05:00,11,1,61\n'
+    with pytest.raises(FormatError) as err:
+        pn.load_csv(*write_raw(tmp_path, body))
+    assert str(err.value).startswith("bad numeric field in row ['A', '2016-01-04T00:00:00', "
+                                     "'10', '1', '60\\nA,2016-01-04T00:05:00,11,1,61\\n']")
+    assert "\n" not in str(err.value)
 
 
 def test_load_csv_memory_stays_within_the_row_loop(tmp_path, rng):
@@ -409,7 +420,7 @@ def forbid_parse(monkeypatch):
     """Make any parse of a data file fail the test, so a load must read the panel file."""
     def parse(*args):
         raise AssertionError("load_csv parsed the data file")
-    monkeypatch.setattr(pn, "_read_rows", parse)
+    monkeypatch.setattr(pn, "_parse", parse)
 
 
 def corridor_files(tmp_path):
