@@ -2,6 +2,7 @@ import csv
 import os
 import tracemalloc
 from array import array
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -289,20 +290,38 @@ def assert_same_panel(p, q):
     assert p.sensors == q.sensors
 
 
+def read_in_chunks(monkeypatch, chunk, opened=files.open_utf8):
+    """Make every table read decode its file `chunk` bytes at a time, so read
+    boundaries fall inside fields, quotes, CRLF pairs and UTF-8 sequences;
+    65536 reads each test body at once."""
+
+    @contextmanager
+    def open_utf8(*args, **kwargs):
+        with opened(*args, **kwargs) as fh:
+            fh._CHUNK_SIZE = chunk
+            yield fh
+    monkeypatch.setattr(files, "open_utf8", open_utf8)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 65536])
 @pytest.mark.parametrize("name", sorted(GOOD_BODIES))
-def test_load_csv_equals_row_oracle(tmp_path, name):
+def test_load_csv_equals_row_oracle(tmp_path, monkeypatch, name, chunk):
+    read_in_chunks(monkeypatch, chunk)
     paths = write_raw(tmp_path, GOOD_BODIES[name])
     assert_same_panel(pn.load_csv(*paths), load_csv_rows_oracle(*paths))
 
 
-def test_load_csv_equals_row_oracle_on_a_synthetic_corridor(tmp_path):
+def test_load_csv_equals_row_oracle_on_a_synthetic_corridor(tmp_path, monkeypatch):
     from corridorcast import evaluation as ev
     data, meta = str(tmp_path / "data.csv"), str(tmp_path / "meta.csv")
     p = ev.synth_generate(ev.SynthConfig(), sensors=5, days=2, seed=3)
     p.missing_mask[1, 10:30] = False
     ev.panel_to_csv(p, data, meta)
     reference = load_csv_rows_oracle(data, meta)
-    assert_same_panel(pn.load_csv(data, meta), reference)
+    for chunk in (97, 4096, 65536):
+        read_in_chunks(monkeypatch, chunk)
+        remove_panel_file(data)  # parse in this chunk size, not read the last one's file
+        assert_same_panel(pn.load_csv(data, meta), reference)
 
 
 # Bad files on which the row loop and `load_csv` must raise the same
@@ -348,8 +367,10 @@ BAD_BODIES = {
 }
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 65536])
 @pytest.mark.parametrize("name", sorted(BAD_BODIES))
-def test_load_csv_errors_match_row_oracle(tmp_path, name):
+def test_load_csv_errors_match_row_oracle(tmp_path, monkeypatch, name, chunk):
+    read_in_chunks(monkeypatch, chunk)
     paths = write_raw(tmp_path, BAD_BODIES[name])
     with pytest.raises(DataError) as expected:
         load_csv_rows_oracle(*paths)
