@@ -129,7 +129,7 @@ def cmd_eval(args) -> int:
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
     scaling = pl.fit_scaling(p, cfg.run)
     _, test_w = pl.windows(p, cfg.run, f, scaling)
-    model = pl.load_model(args.model, p, mm.clusters, f, args.seed)
+    model = pl.load_model(args.model, p, mm.clusters, f)
     pred, truth, mae_h, rmse_h = pl.score(model, p, scaling, test_w)
     regime = pl.regime_errors(p, test_w, pred, truth, cfg.run.peak_occupancy)
     return _write_report(ev.EvalReport(
@@ -143,7 +143,7 @@ def cmd_missing_eval(args) -> int:
     f = cfg.forecaster
     p = pl.load_panel(args.data, args.meta, cfg.run)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
-    model = pl.load_model(args.model, p, mm.clusters, f, args.seed)
+    model = pl.load_model(args.model, p, mm.clusters, f)
     scaling = pl.fit_scaling(p, cfg.run)
     # each pass builds, scores and drops its own test windows, so the clean
     # pass is released before the corrupted one starts

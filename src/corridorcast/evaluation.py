@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FieldError, require_finite
 from .files import write_table
-from .panel import DATA_HEADER, FEATURES, META_HEADER, Panel, SensorKind, SensorMeta
+from .panel import (DATA_HEADER, FEATURES, META_HEADER, Panel, SensorKind, SensorMeta,
+                    impute_forward)
 
 
 # -- error metrics ------------------------------------------------------------
@@ -75,8 +76,6 @@ def inject_missing(p: Panel, seed: int) -> tuple[Panel, np.ndarray]:
     see dense input) and the injected mask; callers keep the original panel
     as ground truth.
     """
-    from .panel import impute_forward
-
     step_minutes = p.step_minutes
     week_steps = int(round(7 * 24 * 60 / step_minutes))
     n_weeks = p.n_steps // week_steps
@@ -153,6 +152,11 @@ class SynthConfig:
             raise FieldError("weekday_factors", "needs seven entries, Monday to Sunday")
         if not self.step_minutes > 0 or 86400 % (self.step_minutes * 60):
             raise FieldError("step_minutes", f"must divide a day, got {self.step_minutes}")
+        if not 0.0 <= self.param_jitter < 1.0:
+            raise FieldError("param_jitter", f"must lie in [0, 1), got {self.param_jitter}")
+        for name, low in (("pulses_per_day", 0), ("pulse_duration_steps", 1), ("pulse_reach", 0)):
+            if getattr(self, name) < low:
+                raise FieldError(name, f"must be at least {low}, got {getattr(self, name)}")
 
 
 def fundamental_flow(occupancy, free_speed, wave_speed, max_density):
@@ -266,7 +270,8 @@ class EvalReport:
 
     def __post_init__(self):
         for m_val, r_val in zip(self.mae_by_horizon, self.rmse_by_horizon):
-            if not (r_val >= m_val >= 0):
+            # RMSE >= MAE in exact arithmetic; the two rounded means may differ by ulps
+            if not (m_val >= 0 and r_val >= m_val * (1.0 - 1e-9)):
                 raise ValueError(f"need RMSE >= MAE >= 0, got MAE={m_val}, RMSE={r_val}")
 
     def rows(self) -> list[tuple[str, str, str, float]]:

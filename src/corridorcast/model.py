@@ -79,6 +79,13 @@ class ForecasterConfig:
             raise FieldError("dae_widths", f"must be palindromic, got {self.dae_widths}")
         if not 0.0 <= self.dropout < 1.0:
             raise FieldError("dropout", f"must lie in [0, 1), got {self.dropout}")
+        conv_length = self.window - self.conv_time_kernel + 1
+        if conv_length < 1:
+            raise FieldError("conv_time_kernel", f"must not exceed window {self.window}, "
+                                                 f"got {self.conv_time_kernel}")
+        if conv_length % self.conv_pool:
+            raise FieldError("conv_pool", "must divide window - conv_time_kernel + 1 = "
+                                          f"{conv_length}, got {self.conv_pool}")
 
     @classmethod
     def desk(cls, **overrides) -> "ForecasterConfig":
@@ -286,7 +293,6 @@ class DAEHead(nn.Layer):
     def __init__(self, rng: np.random.Generator, in_dim: int, widths: tuple[int, ...],
                  dropout_rate: float):
         super().__init__()
-        self.in_dim = in_dim
         self.widths = scale_dae_widths(widths, in_dim)
         self.dropout_rate = dropout_rate
         self.dense: list[nn.Dense] = []
@@ -355,19 +361,13 @@ class Forecaster(nn.Layer):
         self.n_sensors = n_sensors
         self.n_features = n_features
         self.config = config
-        self.seed = seed
         cfg = config
         w, h = cfg.window, cfg.horizon
         f1, f2 = cfg.conv_filters
         l1, l2 = cfg.convlstm_filters
         v = cfg.proj_channels
 
-        t1 = w - cfg.conv_time_kernel + 1
-        if t1 <= 0:
-            raise ConfigError("conv time kernel exceeds the input window")
-        if t1 % cfg.conv_pool != 0:
-            raise ConfigError(f"pooled conv length {t1} not divisible by {cfg.conv_pool}")
-        t_pooled = t1 // cfg.conv_pool
+        t_pooled = (w - cfg.conv_time_kernel + 1) // cfg.conv_pool
         conv2_kernel = min(2, t_pooled)
         t2 = t_pooled - conv2_kernel + 1
 

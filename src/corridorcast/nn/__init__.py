@@ -27,7 +27,6 @@ from .layers import (
     Dense,
     Layer,
     MultiKernelConv,
-    multikernel_conv_forward,
     xavier_uniform,
 )
 from .optim import Adam
@@ -51,7 +50,6 @@ __all__ = [
     "matmul",
     "maxpool2d",
     "mean",
-    "multikernel_conv_forward",
     "no_grad",
     "relu",
     "reshape",

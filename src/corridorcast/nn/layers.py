@@ -103,21 +103,8 @@ class MultiKernelConv(Layer):
             self.biases.append(self._param(f"b{ci}", np.zeros(filters)))
 
     def __call__(self, x: Tensor) -> list[Tensor]:
-        return multikernel_conv_forward(x, self.member_lists, self.kernels, self.biases)
-
-
-def multikernel_conv_forward(x: Tensor, member_lists, kernels, biases) -> list[Tensor]:
-    """Per-cluster gather + time-axis convolution; see MultiKernelConv."""
-    outs = []
-    for members, w, b in zip(member_lists, kernels, biases):
-        if len(members) == 0:
-            raise ValueError("cluster with zero members")
-        if w.data.shape[0] != len(members):
-            raise ag.ShapeError(
-                f"kernel sensor axis {w.data.shape[0]} != cluster size {len(members)}")
-        rows = ag.gather_rows(x, members)
-        outs.append(ag.relu(ag.conv2d(rows, w) + b))
-    return outs
+        return [ag.relu(ag.conv2d(ag.gather_rows(x, members), w) + b)
+                for members, w, b in zip(self.member_lists, self.kernels, self.biases)]
 
 
 class ConvLSTMCell(Layer):

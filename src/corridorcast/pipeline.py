@@ -264,10 +264,10 @@ def fit(p: pn.Panel, clusters: list[list[int]], train_w: md.WindowSet,
     return model, history, curves
 
 
-def load_model(path: str, p: pn.Panel, clusters: list[list[int]], f: md.ForecasterConfig,
-               seed: int) -> md.Forecaster:
+def load_model(path: str, p: pn.Panel, clusters: list[list[int]],
+               f: md.ForecasterConfig) -> md.Forecaster:
     """A forecaster for `p` and `clusters` with the parameters of checkpoint `path`."""
-    model = md.build_forecaster(clusters, p.n_sensors, len(p.features), f, seed)
+    model = md.build_forecaster(clusters, p.n_sensors, len(p.features), f, seed=0)
     restore_params(model.parameters(), load_params(path))
     return model
 

@@ -347,6 +347,14 @@ BAD_CONFIG_LINES = [
     ("neighbor_radius_miles=-1", "bad.cfg:1: neighbor_radius_miles must not be negative"),
     ("cluster_max_span_miles=-1", "bad.cfg:1: cluster_max_span_miles must not be negative"),
     ("cluster_threshold=5", "bad.cfg:1: cluster_threshold must lie in [0, 1], got 5.0"),
+    ("conv_pool=3", "bad.cfg:1: conv_pool must divide window - conv_time_kernel + 1 = 4, got 3"),
+    ("conv_time_kernel=7", "bad.cfg:1: conv_time_kernel must not exceed window 6, got 7"),
+    ("synth_param_jitter=-3", "bad.cfg:1: synth_param_jitter must lie in [0, 1), got -3.0"),
+    ("synth_param_jitter=1", "bad.cfg:1: synth_param_jitter must lie in [0, 1), got 1.0"),
+    ("synth_pulses_per_day=-1", "bad.cfg:1: synth_pulses_per_day must be at least 0, got -1.0"),
+    ("synth_pulse_duration_steps=0",
+     "bad.cfg:1: synth_pulse_duration_steps must be at least 1, got 0"),
+    ("synth_pulse_reach=-2", "bad.cfg:1: synth_pulse_reach must be at least 0, got -2"),
 ]
 
 
@@ -361,6 +369,28 @@ def test_exit_code_bad_config(tmp_path, synth_dir, capsys, line, message):
                "--config", bad) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("data", ["present", "missing"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_exit_code_conv_geometry_before_reading_data(synth_dir, tmp_path, capsys, command,
+                                                     data):
+    # the window of 6 and kernel of 3 leave 4 conv steps, which a pool of 3 cannot divide
+    out, cfg = synth_dir
+    assert run("cluster", "--data", str(out / "data.csv"), "--meta", str(out / "meta.csv"),
+               "--out", str(tmp_path / "clusters"), "--seed", "7", "--config", cfg) == 0
+    bad = write_cfg(tmp_path, "conv_pool=3\n", name="bad.cfg")
+    given = out / "data.csv" if data == "present" else tmp_path / "absent.csv"
+    outputs = {"train": ["--out", str(tmp_path / "model")],
+               "eval": ["--model", str(tmp_path / "checkpoint.txt"),
+                        "--report", str(tmp_path / "report.csv")]}[command]
+    capsys.readouterr()
+    assert run(command, "--data", str(given), "--meta", str(out / "meta.csv"),
+               "--clusters", str(tmp_path / "clusters" / "clusters.csv"), *outputs,
+               "--seed", "7", "--config", bad) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "bad.cfg:1: conv_pool" in err[0]
+    assert not (tmp_path / "model").exists() and not (tmp_path / "report.csv").exists()
 
 
 @pytest.mark.parametrize("content, message", [

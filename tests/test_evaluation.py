@@ -271,6 +271,19 @@ def test_synth_adjacent_residuals_more_similar_than_distant():
 def test_report_invariant_enforced():
     with pytest.raises(ValueError):
         ev.EvalReport("m", 1, "abc", mae_by_horizon=[2.0], rmse_by_horizon=[1.0])
+    with pytest.raises(ValueError):
+        ev.EvalReport("m", 1, "abc", mae_by_horizon=[-1.0], rmse_by_horizon=[1.0])
+    with pytest.raises(ValueError):  # clearly below, though by less than one part in 1e6
+        ev.EvalReport("m", 1, "abc", mae_by_horizon=[2.0], rmse_by_horizon=[2.0 - 1e-6])
+
+
+def test_report_accepts_rmse_rounded_below_mae():
+    # 39 equal errors: the rounded RMSE comes out one ulp below the rounded MAE
+    errors = np.full(39, 22.026179605606323)
+    mae, rmse = ev.mae(errors, np.zeros(39)), ev.rmse(errors, np.zeros(39))
+    assert rmse == np.nextafter(mae, 0.0)
+    report = ev.EvalReport("m", 1, "abc", mae_by_horizon=[mae], rmse_by_horizon=[rmse])
+    assert report.rows() == [("mae", "1", "all", mae), ("rmse", "1", "all", rmse)]
 
 
 def test_report_csv_and_table(tmp_path, capsys):

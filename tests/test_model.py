@@ -9,7 +9,8 @@ from corridorcast import model as md
 from corridorcast import nn
 from corridorcast import panel as pn
 from corridorcast import pipeline as pl
-from corridorcast.errors import ConfigError, InsufficientDataError, TrainingDivergence
+from corridorcast.errors import (ConfigError, FieldError, InsufficientDataError,
+                                 TrainingDivergence)
 from corridorcast.nn import restore_params
 
 from test_decompose import stationarize_window
@@ -44,6 +45,18 @@ CLUSTERS4 = [[0, 1], [1, 2, 3]]
 def test_config_rejects_nonpalindromic_dae():
     with pytest.raises(ConfigError):
         tiny_config(dae_widths=(6, 4, 2, 4, 5))
+
+
+@pytest.mark.parametrize("over, field", [
+    (dict(conv_time_kernel=7), "conv_time_kernel"),
+    (dict(conv_pool=3), "conv_pool"),  # 6 - 3 + 1 = 4 conv steps
+    (dict(window=5), "conv_pool"),  # 3 conv steps
+], ids=["kernel-longer-than-window", "pool-4-by-3", "pool-3-by-2"])
+def test_config_rejects_conv_geometry(over, field):
+    with pytest.raises(FieldError) as caught:
+        tiny_config(**over)
+    assert caught.value.field == field
+    assert tiny_config(conv_time_kernel=6, conv_pool=1).conv_time_kernel == 6
 
 
 def test_config_desk_is_smaller_than_reference():

@@ -188,13 +188,24 @@ def test_maxpool_rejects_nondivisible(rng):
 # -- multikernel convolution ----------------------------------------------------
 
 
+def multikernel(members, kernels, biases):
+    """A MultiKernelConv over the clusters `members` whose kernels and biases
+    are set to the given arrays."""
+    _, time_kernel, n_features, filters = kernels[0].shape
+    layer = nn.MultiKernelConv(np.random.default_rng(0), members, time_kernel, n_features,
+                               filters)
+    nn.restore_params(layer.parameters(), {
+        **{f"k{ci}": w for ci, w in enumerate(kernels)},
+        **{f"b{ci}": b for ci, b in enumerate(biases)}})
+    return layer
+
+
 def test_multikernel_full_window_is_dense(rng):
     # one cluster over all sensors, kernel spanning the whole time window:
     # a single output position equal to a dense map of the block
     x = rng.normal(size=(2, 3, 5, 2))
     w = rng.normal(size=(3, 5, 2, 4))
-    outs = nn.multikernel_conv_forward(
-        Tensor(x), [[0, 1, 2]], [Tensor(w)], [Tensor(np.zeros(4))])
+    outs = multikernel([[0, 1, 2]], [w], [np.zeros(4)])(Tensor(x))
     assert len(outs) == 1 and outs[0].data.shape == (2, 1, 1, 4)
     dense = np.maximum(x.reshape(2, -1) @ w.reshape(-1, 4), 0.0)
     assert np.allclose(outs[0].data.reshape(2, 4), dense, atol=1e-12)
@@ -203,40 +214,38 @@ def test_multikernel_full_window_is_dense(rng):
 def test_multikernel_zero_kernels(rng):
     x = rng.normal(size=(2, 4, 6, 3))
     members = [[0, 1], [2, 3]]
-    kernels = [Tensor(np.zeros((2, 3, 3, 2))) for _ in members]
-    biases = [Tensor(np.zeros(2)) for _ in members]
-    outs = nn.multikernel_conv_forward(Tensor(x), members, kernels, biases)
-    assert all(np.all(o.data == 0.0) for o in outs)
+    layer = multikernel(members, [np.zeros((2, 3, 3, 2)) for _ in members],
+                        [np.zeros(2) for _ in members])
+    assert all(np.all(o.data == 0.0) for o in layer(Tensor(x)))
 
 
 def test_multikernel_matches_gather_oracle(rng):
     x = rng.normal(size=(2, 4, 6, 3))
     members = [[0, 1], [1, 2, 3]]
-    kernels = [Tensor(rng.normal(size=(len(m), 3, 3, 2))) for m in members]
-    biases = [Tensor(rng.normal(size=2)) for _ in members]
-    outs = nn.multikernel_conv_forward(Tensor(x), members, kernels, biases)
+    kernels = [rng.normal(size=(len(m), 3, 3, 2)) for m in members]
+    biases = [rng.normal(size=2) for _ in members]
+    outs = multikernel(members, kernels, biases)(Tensor(x))
     for m, w, b, out in zip(members, kernels, biases, outs):
-        expected = np.maximum(conv2d_loop(x[:, m, :, :], w.data) + b.data, 0.0)
+        expected = np.maximum(conv2d_loop(x[:, m, :, :], w) + b, 0.0)
         assert np.allclose(out.data, expected, atol=1e-12)
 
 
 def test_multikernel_never_mixes_clusters(rng):
     x = rng.normal(size=(2, 4, 6, 3))
     members = [[0, 1], [2, 3]]
-    kernels = [Tensor(rng.normal(size=(2, 3, 3, 2))) for _ in members]
-    biases = [Tensor(rng.normal(size=2)) for _ in members]
-    base = nn.multikernel_conv_forward(Tensor(x), members, kernels, biases)
+    layer = multikernel(members, [rng.normal(size=(2, 3, 3, 2)) for _ in members],
+                        [rng.normal(size=2) for _ in members])
+    base = layer(Tensor(x))
     x2 = x.copy()
     x2[:, [2, 3], :, :] = 0.0  # zero cluster 1's sensors
-    mod = nn.multikernel_conv_forward(Tensor(x2), members, kernels, biases)
+    mod = layer(Tensor(x2))
     assert np.array_equal(base[0].data, mod[0].data)
     assert not np.array_equal(base[1].data, mod[1].data)
 
 
 def test_multikernel_rejects_empty_cluster(rng):
     with pytest.raises(ValueError):
-        nn.multikernel_conv_forward(Tensor(rng.normal(size=(1, 2, 4, 1))), [[]],
-                                    [Tensor(np.zeros((0, 2, 1, 1)))], [Tensor(np.zeros(1))])
+        nn.MultiKernelConv(rng, [[0, 1], []], 2, 1, 1)
 
 
 # -- ConvLSTM ---------------------------------------------------------------------
