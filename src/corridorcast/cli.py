@@ -90,7 +90,7 @@ def cmd_cluster(args) -> int:
 def cmd_synth(args) -> int:
     _require(args, "out", "seed")
     cfg = load_config(args.config)
-    p = ev.synth_generate(cfg.synth, cfg.run.synth_sensors, cfg.run.synth_days, args.seed)
+    p = ev.synth_generate(ev.SynthConfig(), cfg.run.synth_sensors, cfg.run.synth_days, args.seed)
     os.makedirs(args.out, exist_ok=True)
     ev.panel_to_csv(p, os.path.join(args.out, "data.csv"), os.path.join(args.out, "meta.csv"))
     _emit_config(args.out, cfg, args.seed)

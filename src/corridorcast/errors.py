@@ -19,13 +19,13 @@ class ConfigError(CorridorcastError):
 class FieldError(ConfigError):
     """A config check that rejects the value of the one field `field`.
 
-    The message is `field` then `problem`, so a config reader can name the
-    key the value was read under, and where, in its place.
+    The message is `field` then `problem`, so a config reader can put where
+    the key was read in front of it.
     """
 
     def __init__(self, field: str, problem: str):
         super().__init__(f"{field} {problem}")
-        self.field, self.problem = field, problem
+        self.field = field
 
 
 class DataError(CorridorcastError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FieldError, require_finite
+from .errors import DataError
 from .files import write_table
 from .panel import (DATA_HEADER, FEATURES, META_HEADER, Panel, SensorKind, SensorMeta,
                     impute_forward)
@@ -121,7 +121,8 @@ def expected_missing_fraction() -> float:
 
 @dataclass
 class SynthConfig:
-    """Physical and demand parameters of the synthetic corridor."""
+    """Physical and demand parameters of the synthetic corridor, set in code;
+    the `synth` command generates from the defaults."""
 
     free_speed: float = 70.0       # mph
     wave_speed: float = 35.0       # mph
@@ -141,22 +142,6 @@ class SynthConfig:
     pulse_reach: int = 12          # how many downstream sensors a pulse visits
     pulse_decay: float = 0.94      # amplitude factor per hop
     propagation_delay_steps: int = 4
-
-    def __post_init__(self):
-        require_finite(self)
-        if min(self.free_speed, self.wave_speed, self.max_density) <= 0:
-            raise ConfigError("physical parameters must be positive")
-        if self.noise_sd < 0:
-            raise FieldError("noise_sd", f"must not be negative, got {self.noise_sd}")
-        if len(self.weekday_factors) != 7:
-            raise FieldError("weekday_factors", "needs seven entries, Monday to Sunday")
-        if not self.step_minutes > 0 or 86400 % (self.step_minutes * 60):
-            raise FieldError("step_minutes", f"must divide a day, got {self.step_minutes}")
-        if not 0.0 <= self.param_jitter < 1.0:
-            raise FieldError("param_jitter", f"must lie in [0, 1), got {self.param_jitter}")
-        for name, low in (("pulses_per_day", 0), ("pulse_duration_steps", 1), ("pulse_reach", 0)):
-            if getattr(self, name) < low:
-                raise FieldError(name, f"must be at least {low}, got {getattr(self, name)}")
 
 
 def fundamental_flow(occupancy, free_speed, wave_speed, max_density):

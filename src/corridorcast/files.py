@@ -116,17 +116,19 @@ def _quoted(field: str) -> str:
 
 
 def _fields(column, alone: bool):
-    """The fields `csv.writer` writes for the values of `column`, or None for a
-    column whose values are not all `float`, all `int` or all `str` (subclasses,
-    `bool` among them, not counted).  `alone` says whether the column is its
-    row's only field, where an empty string is written as `""`."""
+    """The fields `csv.writer` writes for the values of `column`.  A column
+    whose values are not all `float`, all `int` or all `str` (subclasses,
+    `bool` among them, not counted) raises TypeError.  `alone` says whether
+    the column is its row's only field, where an empty string is written as
+    `""`."""
     kinds = set(map(type, column))
     if kinds <= {float}:
         return map(float.__repr__, column)
     if kinds == {int}:
         return map(int.__repr__, column)
     if kinds != {str}:
-        return None
+        raise TypeError("a column's values must be all float, all int or all str, got "
+                        + ", ".join(sorted(k.__name__ for k in kinds)))
     distinct = set(column)
     if not _NEEDS_QUOTES.search("".join(distinct)) and not (alone and "" in distinct):
         return column
@@ -141,23 +143,18 @@ def write_table(path: str, header: list[str], blocks) -> None:
     a comma, a quote or a line break, and a float is written as its repr.
 
     A block is a tuple of equal-length columns, and its rows are the columns
-    read across; blocks may differ in width.  A block whose columns each hold
-    only floats, only ints or only strings is encoded a column at a time and
-    written in one piece, so no row is ever built as a list; any other block
-    goes to `csv.writer` row by row.  Both write the same bytes."""
+    read across; blocks may differ in width.  Each column holds only floats,
+    only ints or only strings (TypeError otherwise, and no file is left); a
+    block is encoded a column at a time and written in one piece, so no row
+    is ever built as a list."""
     with publish(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for block in blocks:
             lengths = {len(column) for column in block}
             if len(lengths) > 1:
                 raise ValueError(f"a block's columns differ in length: {sorted(lengths)}")
-            if not any(lengths):
-                continue
-            columns = [_fields(column, len(block) == 1) for column in block]
-            if any(c is None for c in columns):
-                writer.writerows(zip(*block))
-            else:
+            if any(lengths):
+                columns = [_fields(column, len(block) == 1) for column in block]
                 fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 

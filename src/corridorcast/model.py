@@ -67,14 +67,15 @@ class ForecasterConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if len(self.conv_filters) != 2 or len(self.convlstm_filters) != 2:
-            raise ConfigError("conv_filters and convlstm_filters need two entries each")
-        numbers = (self.window, self.horizon, *self.conv_filters, self.conv_time_kernel,
-                   self.conv_pool, self.proj_channels, *self.convlstm_filters,
-                   self.convlstm_kernel, self.post_units, *self.dae_widths,
-                   self.batch_size, self.epochs, self.pretrain_epochs)
-        if any(v <= 0 for v in numbers) or self.learning_rate <= 0:
-            raise ConfigError("all size and rate settings must be positive")
+        for name in ("conv_filters", "convlstm_filters"):
+            if len(getattr(self, name)) != 2:
+                raise FieldError(name, f"needs two entries, got {getattr(self, name)}")
+        for name in ("window", "horizon", "conv_filters", "conv_time_kernel", "conv_pool",
+                     "proj_channels", "convlstm_filters", "convlstm_kernel", "post_units",
+                     "dae_widths", "batch_size", "epochs", "pretrain_epochs", "learning_rate"):
+            value = getattr(self, name)
+            if any(v <= 0 for v in (value if isinstance(value, tuple) else (value,))):
+                raise FieldError(name, f"must be positive, got {value}")
         if tuple(self.dae_widths) != tuple(reversed(self.dae_widths)):
             raise FieldError("dae_widths", f"must be palindromic, got {self.dae_widths}")
         if not 0.0 <= self.dropout < 1.0:

@@ -8,7 +8,7 @@ artifacts.
 
 The module also holds the run settings (`RunConfig`), the one text codec for
 flat config dataclasses (`encode`, `decode`) and `load_config`, which reads a
-flat key=value file into the run, forecaster and synthetic-corridor settings.
+flat key=value file into the run and forecaster settings.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .nn import load_params, restore_params
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat pipeline settings; forecaster and synth settings ride along.
+    """Flat pipeline settings, and the size of the corridor `synth` generates.
 
     `cluster_threshold` is the membership at which a sensor joins a
     neighbouring cluster's crisp list (see `cluster.fhc`).
@@ -61,19 +61,17 @@ class RunConfig:
                 raise FieldError(name, f"must not be negative, got {getattr(self, name)}")
         if self.dtw_window_hours <= 0.0:
             raise FieldError("dtw_window_hours", f"must be positive, got {self.dtw_window_hours}")
-        if self.synth_sensors < 1 or self.synth_days < 1:
-            raise ConfigError("synth_sensors and synth_days must be at least 1")
+        for name in ("synth_sensors", "synth_days"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"must be at least 1, got {getattr(self, name)}")
 
 
-_SYNTH_PREFIX = "synth_"
-
-
-def encode(cfg, prefix: str = "") -> dict[str, str]:
-    """Each field of a flat dataclass as `prefix + name -> text`; tuples are comma-joined."""
+def encode(cfg) -> dict[str, str]:
+    """Each field of a flat dataclass as `name -> text`; tuples are comma-joined."""
     out = {}
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        out[prefix + f.name] = ",".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
+        out[f.name] = ",".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
     return out
 
 
@@ -87,9 +85,8 @@ def _parse(raw: str, default):
     return type(default)(raw)
 
 
-def decode(base, items: dict[str, str], prefix: str = "",
-           origin: dict[str, str] | None = None):
-    """`base` with each field named in `items` (as `prefix + name`) parsed from text.
+def decode(base, items: dict[str, str], origin: dict[str, str] | None = None):
+    """`base` with each field named in `items` parsed from text.
 
     A value parses by the type of the field's value in `base`; tuple elements
     by the type of its first element, booleans as case-insensitive
@@ -98,7 +95,7 @@ def decode(base, items: dict[str, str], prefix: str = "",
     when given.  The dataclass's own checks then run on the result; one that
     rejects a single field is reported the same way, by key.
     """
-    names = {prefix + f.name: f.name for f in fields(base)}
+    names = {f.name for f in fields(base)}
 
     def where(key: str) -> str:
         return f"{origin[key]}: " if origin and key in origin else ""
@@ -108,14 +105,13 @@ def decode(base, items: dict[str, str], prefix: str = "",
         if key not in names:
             raise ConfigError(f"{where(key)}unknown config key {key!r}")
         try:
-            kwargs[names[key]] = _parse(raw, getattr(base, names[key]))
+            kwargs[key] = _parse(raw, getattr(base, key))
         except ValueError as exc:
             raise ConfigError(f"{where(key)}bad value {raw!r} for {key!r}: {exc}") from None
     try:
         return replace(base, **kwargs)
     except FieldError as exc:
-        key = prefix + exc.field
-        raise ConfigError(f"{where(key)}{key} {exc.problem}") from None
+        raise ConfigError(f"{where(exc.field)}{exc}") from None
 
 
 def config_hash(f: md.ForecasterConfig) -> str:
@@ -128,11 +124,9 @@ def config_hash(f: md.ForecasterConfig) -> str:
 class ResolvedConfig:
     run: RunConfig
     forecaster: md.ForecasterConfig
-    synth: ev.SynthConfig
 
     def to_text(self) -> str:
-        items = {**encode(self.run), **encode(self.forecaster),
-                 **encode(self.synth, _SYNTH_PREFIX)}
+        items = {**encode(self.run), **encode(self.forecaster)}
         return "".join(f"{k}={items[k]}\n" for k in sorted(items))
 
 
@@ -140,11 +134,11 @@ def load_config(path: str | None) -> ResolvedConfig:
     """Parse a flat key=value file over the defaults; unknown keys are rejected.
 
     The forecaster defaults are `ForecasterConfig.desk()`.  A file that
-    cannot be read, an unknown key or a bad value raises ConfigError.
+    cannot be read, an unknown key, a key given twice or a bad value raises
+    ConfigError.
     """
-    sections = ((RunConfig(), ""), (md.ForecasterConfig.desk(), ""),
-                (ev.SynthConfig(), _SYNTH_PREFIX))
-    keys = [set(encode(base, prefix)) for base, prefix in sections]
+    sections = (RunConfig(), md.ForecasterConfig.desk())
+    keys = [set(encode(base)) for base in sections]
     items: list[dict[str, str]] = [{} for _ in sections]
     origin: dict[str, str] = {}
     if path is not None:
@@ -166,10 +160,13 @@ def load_config(path: str | None) -> ResolvedConfig:
             section = next((i for i, known in enumerate(keys) if key in known), None)
             if section is None:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in origin:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} already set "
+                                  f"on {origin[key]}")
             items[section][key] = value.strip()
             origin[key] = f"{path}:{lineno}"
-    return ResolvedConfig(*(decode(base, found, prefix, origin)
-                            for (base, prefix), found in zip(sections, items)))
+    return ResolvedConfig(*(decode(base, found, origin)
+                            for base, found in zip(sections, items)))
 
 
 # -- panel, scaling and decomposition ----------------------------------------------------

@@ -59,14 +59,17 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 @pytest.mark.parametrize("given, resolved", [
     (None, []),
-    ("synth_weekday_factors=1,1,1,1,1,0.5,0.25\nuse_dae=false\ntrain_fraction=0.6\n",
-     ["synth_weekday_factors=1.0,1.0,1.0,1.0,1.0,0.5,0.25", "use_dae=False",
-      "train_fraction=0.6"]),
+    ("dae_widths=8,4,8\nuse_dae=false\ntrain_fraction=0.6\n",
+     ["dae_widths=8,4,8", "use_dae=False", "train_fraction=0.6"]),
 ], ids=["defaults", "overrides"])
 def test_load_config_defaults_roundtrip(tmp_path, given, resolved):
     cfg = cli.load_config(None if given is None else write_cfg(tmp_path, given, "given.cfg"))
     text = cfg.to_text()
     assert set(resolved) <= set(text.splitlines())
+    if given is None:
+        keys = [line.partition("=")[0] for line in text.splitlines()]
+        sections = (cli.pl.RunConfig, md.ForecasterConfig)
+        assert sorted(keys) == sorted(f.name for c in sections for f in dataclasses.fields(c))
     path = tmp_path / "full.cfg"
     path.write_text(text)
     again = cli.load_config(str(path))
@@ -321,11 +324,11 @@ BAD_CONFIG_LINES = [
     ("epochs=2.5", "bad.cfg:1: bad value '2.5' for 'epochs'"),
     ("conv_filters=8,x", "bad.cfg:1: bad value '8,x' for 'conv_filters'"),
     ("train_fraction=abc", "bad.cfg:1: bad value 'abc' for 'train_fraction'"),
-    ("conv_filters=2", "conv_filters and convlstm_filters need two entries"),
-    ("convlstm_filters=2,2,2", "conv_filters and convlstm_filters need two entries"),
-    ("synth_weekday_factors=1,2", "bad.cfg:1: synth_weekday_factors needs seven entries"),
-    ("synth_sensors=-3", "synth_sensors and synth_days must be at least 1"),
-    ("synth_days=0", "synth_sensors and synth_days must be at least 1"),
+    ("conv_filters=2", "bad.cfg:1: conv_filters needs two entries, got (2,)"),
+    ("convlstm_filters=2,2,2", "bad.cfg:1: convlstm_filters needs two entries, got (2, 2, 2)"),
+    ("synth_weekday_factors=1,2", "bad.cfg:1: unknown config key 'synth_weekday_factors'"),
+    ("synth_sensors=-3", "bad.cfg:1: synth_sensors must be at least 1, got -3"),
+    ("synth_days=0", "bad.cfg:1: synth_days must be at least 1, got 0"),
     ("dtw_quantile=2", "bad.cfg:1: dtw_quantile must lie in [0, 1]"),
     ("completeness_min=-0.5", "bad.cfg:1: completeness_min must lie in [0, 1]"),
     ("train_fraction=1.5", "bad.cfg:1: train_fraction must lie strictly between 0 and 1"),
@@ -338,23 +341,27 @@ BAD_CONFIG_LINES = [
     ("learning_rate=nan", "bad.cfg:1: learning_rate must be finite"),
     ("dropout=1.5", "bad.cfg:1: dropout must lie in [0, 1)"),
     ("dae_widths=4,2,3", "bad.cfg:1: dae_widths must be palindromic"),
-    ("synth_noise_sd=nan", "bad.cfg:1: synth_noise_sd must be finite, got nan"),
-    ("synth_free_speed=inf", "bad.cfg:1: synth_free_speed must be finite"),
-    ("synth_weekday_factors=1,1,1,1,1,nan,1", "bad.cfg:1: synth_weekday_factors must be finite"),
-    ("synth_step_minutes=7", "bad.cfg:1: synth_step_minutes must divide a day, got 7.0"),
-    ("synth_step_minutes=0", "bad.cfg:1: synth_step_minutes must divide a day, got 0.0"),
-    ("synth_noise_sd=-1", "bad.cfg:1: synth_noise_sd must not be negative, got -1.0"),
+    ("synth_noise_sd=nan", "bad.cfg:1: unknown config key 'synth_noise_sd'"),
+    ("synth_free_speed=inf", "bad.cfg:1: unknown config key 'synth_free_speed'"),
+    ("synth_weekday_factors=1,1,1,1,1,nan,1",
+     "bad.cfg:1: unknown config key 'synth_weekday_factors'"),
+    ("synth_step_minutes=7", "bad.cfg:1: unknown config key 'synth_step_minutes'"),
+    ("synth_step_minutes=0", "bad.cfg:1: unknown config key 'synth_step_minutes'"),
+    ("synth_noise_sd=-1", "bad.cfg:1: unknown config key 'synth_noise_sd'"),
     ("neighbor_radius_miles=-1", "bad.cfg:1: neighbor_radius_miles must not be negative"),
     ("cluster_max_span_miles=-1", "bad.cfg:1: cluster_max_span_miles must not be negative"),
     ("cluster_threshold=5", "bad.cfg:1: cluster_threshold must lie in [0, 1], got 5.0"),
     ("conv_pool=3", "bad.cfg:1: conv_pool must divide window - conv_time_kernel + 1 = 4, got 3"),
     ("conv_time_kernel=7", "bad.cfg:1: conv_time_kernel must not exceed window 6, got 7"),
-    ("synth_param_jitter=-3", "bad.cfg:1: synth_param_jitter must lie in [0, 1), got -3.0"),
-    ("synth_param_jitter=1", "bad.cfg:1: synth_param_jitter must lie in [0, 1), got 1.0"),
-    ("synth_pulses_per_day=-1", "bad.cfg:1: synth_pulses_per_day must be at least 0, got -1.0"),
+    ("synth_param_jitter=-3", "bad.cfg:1: unknown config key 'synth_param_jitter'"),
+    ("synth_param_jitter=1", "bad.cfg:1: unknown config key 'synth_param_jitter'"),
+    ("synth_pulses_per_day=-1", "bad.cfg:1: unknown config key 'synth_pulses_per_day'"),
     ("synth_pulse_duration_steps=0",
-     "bad.cfg:1: synth_pulse_duration_steps must be at least 1, got 0"),
-    ("synth_pulse_reach=-2", "bad.cfg:1: synth_pulse_reach must be at least 0, got -2"),
+     "bad.cfg:1: unknown config key 'synth_pulse_duration_steps'"),
+    ("synth_pulse_reach=-2", "bad.cfg:1: unknown config key 'synth_pulse_reach'"),
+    ("conv_pool=0", "bad.cfg:1: conv_pool must be positive, got 0"),
+    ("window=0", "bad.cfg:1: window must be positive, got 0"),
+    ("epochs=abc\nepochs=3", "bad.cfg:2: config key 'epochs' already set on"),
 ]
 
 
@@ -418,7 +425,7 @@ def test_exit_code_training_divergence(synth_dir, tmp_path):
     out, _ = synth_dir
     cfg = write_cfg(tmp_path, TINY_CFG.replace("learning_rate=0.003",
                                                "learning_rate=80.0")
-                    .replace("epochs=2", "epochs=8\nuse_dae=false"),
+                    .replace("\nepochs=2\n", "\nepochs=8\nuse_dae=false\n"),
                     name="diverge.cfg")
     cdir = tmp_path / "clusters"
     assert run("cluster", "--data", str(out / "data.csv"), "--meta",

@@ -8,7 +8,7 @@ import pytest
 from corridorcast import decompose as dc
 from corridorcast import dtw
 from corridorcast import evaluation as ev
-from corridorcast.errors import ConfigError, DataError
+from corridorcast.errors import DataError
 
 from test_panel import make_panel
 
@@ -177,11 +177,6 @@ def test_synth_flow_respects_diagram():
     cfg = ev.SynthConfig()
     expected = ev.fundamental_flow(occ, cfg.free_speed, cfg.wave_speed, cfg.max_density)
     assert np.allclose(flow, expected, atol=1e-9)
-
-
-def test_synth_rejects_bad_params():
-    with pytest.raises(ConfigError):
-        ev.SynthConfig(free_speed=-1.0)
 
 
 def panel_rows_oracle(p, data_path):
