@@ -303,12 +303,47 @@ class DAEHead(nn.Layer):
             self.dense.append(self._adopt(f"l{li}", nn.Dense(rng, a, b, activation=act)))
 
     def __call__(self, x: Tensor, training: bool, rng=None) -> Tensor:
-        h = x
+        """The chain of `nn.Dense` calls with `nn.dropout` before each layer but
+        the first, run as one autograd node with the chain's operations in its
+        order, so outputs and gradients are bit-identical to it.
+
+        Masks are drawn from `rng` as `nn.dropout` draws them, only in
+        training mode at a nonzero rate.  Each layer's input and activation
+        are kept; backward is hand-derived: the ReLU mask, ``ins.T @ g``,
+        ``g.sum(axis=0)``, ``g @ w.T``, then times the keep mask.
+        """
+        rate = self.dropout_rate
+        drop = training and rate > 0.0
+        if drop and rng is None:
+            raise ValueError("training-mode dropout needs an rng")
+        h, ins, acts, keeps = x.data, [], [], []
         for li, layer in enumerate(self.dense):
-            if li > 0:
-                h = nn.dropout(h, self.dropout_rate, training, rng=rng)
-            h = layer(h)
-        return h
+            keep = None
+            if li > 0 and drop:
+                keep = (rng.random(h.shape) >= rate).astype(h.dtype) * (1.0 / (1.0 - rate))
+                h = h * keep
+            ins.append(h)
+            h = h @ layer.w.data + layer.b.data
+            if layer.activation == "relu":
+                h = np.maximum(h, 0.0)
+            acts.append(h)
+            keeps.append(keep)
+
+        def backward(g):
+            for li in reversed(range(len(self.dense))):
+                layer = self.dense[li]
+                if layer.activation == "relu":
+                    g = g * (acts[li] > 0.0)
+                layer.w._accumulate(ins[li].T @ g)
+                layer.b._accumulate(g.sum(axis=0))
+                if li == 0 and not x.requires_grad:
+                    return
+                g = g @ layer.w.data.T
+                if keeps[li] is not None:
+                    g = g * keeps[li]
+            x._accumulate(g)
+
+        return nn.autograd._make(h, (x, *self._params.values()), backward)
 
 
 def pretrain_dae(cluster_blocks: list[np.ndarray], config: ForecasterConfig, seed: int,
@@ -333,8 +368,8 @@ def pretrain_dae(cluster_blocks: list[np.ndarray], config: ForecasterConfig, see
             log(f"cluster {j}: dae widths scaled to {head.widths} for dim {dim}")
 
         def batch_loss(idx):
-            recon = head(Tensor(block[idx]), training=True, rng=rng)
-            return nn.mean(nn.square(recon - Tensor(block[idx])))
+            clean = Tensor(block[idx])
+            return nn.mean(nn.square(head(clean, training=True, rng=rng) - clean))
 
         curves.append([loss for loss, _ in minibatch_epochs(
             head, n, config, config.pretrain_epochs, rng, batch_loss)])

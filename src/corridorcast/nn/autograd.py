@@ -108,9 +108,10 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph, freeing it.
 
-        Gradients accumulate into the leaves' ``.grad``.  Each node is popped in
-        reverse topological order; after its closure runs it drops the closure,
-        its parents and, unless it is a leaf, its ``.grad``.  So only leaves
+        Gradients accumulate into the leaves' ``.grad``.  Each node that is not
+        a leaf is popped in reverse topological order; leaves, having no
+        closure to run, are left out of it.  After its closure runs a node
+        drops the closure, its parents and its ``.grad``.  So only leaves
         keep a gradient, and the graph can be walked once: a second
         ``backward()`` through any of its nodes raises ``GraphStateError``.
         """
@@ -134,13 +135,13 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if p.requires_grad and p._backward is not None and id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
+        if self._backward is None:
+            return  # a leaf keeps its gradient
         while topo:
             node = topo.pop()
-            if node._backward is None:
-                continue  # a leaf keeps its gradient
             if node.grad is not None:
                 node._backward(node.grad)
             node._backward, node._parents, node.grad = _FREED, (), None

@@ -13,6 +13,7 @@ from corridorcast.errors import (ConfigError, FieldError, InsufficientDataError,
                                  TrainingDivergence)
 from corridorcast.nn import restore_params
 
+from conftest import assert_grads_close, central_difference_grads
 from test_decompose import stationarize_window
 from test_panel import invert_scale_values, make_panel
 
@@ -400,6 +401,68 @@ def test_dae_prefers_in_distribution(rng):
     mse_in = float(np.mean((head(md.Tensor(sample), False).data - sample) ** 2))
     mse_perm = float(np.mean((head(md.Tensor(permuted), False).data - permuted) ** 2))
     assert mse_in < mse_perm
+
+
+def reference_dae_head(head, x, training, rng):
+    """The layer-by-layer chain that `DAEHead` runs as one autograd node, kept
+    as its exact-parity oracle: `nn.dropout` before each `nn.Dense` but the
+    first."""
+    h = x
+    for li, layer in enumerate(head.dense):
+        if li > 0:
+            h = nn.dropout(h, head.dropout_rate, training, rng=rng)
+        h = layer(h)
+    return h
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("training", [False, True])
+def test_dae_head_matches_layer_by_layer_oracle(rng, training, rate, dtype):
+    head = md.DAEHead(np.random.default_rng(4), 12, (8, 6, 4, 6, 8), rate)
+    head.cast(dtype)
+    data = rng.normal(size=(9, 12)).astype(dtype)
+    target = md.Tensor(rng.normal(size=(9, 12)).astype(dtype))
+    runs = []
+    for call in (head, lambda *a: reference_dae_head(head, *a)):
+        for p in head.parameters().values():
+            p.zero_grad()
+        x = md.Tensor(data.copy(), requires_grad=True)
+        draws = np.random.default_rng(21)
+        out = call(x, training, draws)
+        nn.mean(nn.square(out - target)).backward()
+        runs.append((out.data, x.grad, {k: p.grad for k, p in head.parameters().items()},
+                     draws.bit_generator.state))
+    (out, dx, grads, state), (ref_out, ref_dx, ref_grads, ref_state) = runs
+    assert out.dtype == dx.dtype == dtype
+    assert np.array_equal(out, ref_out) and np.array_equal(dx, ref_dx)
+    for name, g in grads.items():
+        assert g.dtype == dtype and np.array_equal(g, ref_grads[name]), name
+    assert state == ref_state  # the same draws, in the same order
+    drawn = state != np.random.default_rng(21).bit_generator.state
+    assert drawn == (training and rate > 0.0)
+
+
+def test_gradcheck_dae_head_in_training_mode(rng):
+    # a freshly seeded rng per call freezes the dropout masks
+    head = md.DAEHead(np.random.default_rng(5), 6, (5, 4, 5), 0.3)
+    for layer in head.dense:  # off zero: a row dropped to all zeros sits on the kink
+        layer.b.data[:] = rng.normal(size=layer.b.data.shape)
+    x = md.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    target = md.Tensor(rng.normal(size=(4, 6)))
+
+    def loss():
+        out = head(x, training=True, rng=np.random.default_rng(11))
+        return nn.mean(nn.square(out - target))
+
+    leaves = {**head.parameters(), "x": x}
+    numeric = central_difference_grads(lambda: float(loss().data),
+                                       {k: t.data for k, t in leaves.items()})
+    loss().backward()
+    assert_grads_close({k: t.grad for k, t in leaves.items()}, numeric)
+    # the masks were on: training differs from inference
+    assert not np.array_equal(head(x, training=True, rng=np.random.default_rng(11)).data,
+                              head(x, training=False).data)
 
 
 # -- forecaster wiring ------------------------------------------------------------

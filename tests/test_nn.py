@@ -649,6 +649,67 @@ def test_adam_in_place_matches_the_out_of_place_formula(rng):
     assert all(a is p.data for a, p in zip(data, params.values()))
 
 
+def test_adam_rejects_a_missing_gradient(rng):
+    params = {"a": Tensor(rng.normal(size=(3,)), requires_grad=True),
+              "b": Tensor(rng.normal(size=(2, 2)), requires_grad=True)}
+    adam = nn.Adam(params)
+    before = {k: p.data.copy() for k, p in params.items()}
+    nn.total(nn.square(params["a"])).backward()
+    with pytest.raises(nn.GraphStateError, match="'b'"):
+        adam.step()
+    assert adam.step_count == 0
+    assert all(np.array_equal(p.data, before[k]) for k, p in params.items())
+    with pytest.raises(TypeError, match="dtypes"):
+        nn.Adam({"a": params["a"], "c": Tensor(np.zeros(2, np.float32), requires_grad=True)})
+
+
+def test_adam_steps_the_values_restored_after_construction(rng):
+    def stepped(layer, restore):
+        adam = nn.Adam(layer.parameters(), lr=1e-2)
+        if restore is not None:
+            nn.restore_params(layer.parameters(), restore)
+        for k, p in layer.parameters().items():
+            p.grad = grads[k].copy()
+        adam.step()
+        return {k: p.data.copy() for k, p in layer.parameters().items()}
+
+    restored = nn.Dense(np.random.default_rng(1), 4, 3)
+    grads = {k: rng.normal(size=p.data.shape) for k, p in restored.parameters().items()}
+    values = {k: rng.normal(size=g.shape) for k, g in grads.items()}
+    fresh = nn.Dense(np.random.default_rng(2), 4, 3)
+    nn.restore_params(fresh.parameters(), values)
+    expected = stepped(fresh, None)
+    got = stepped(restored, values)  # restore_params copies into Adam's views
+    assert all(np.array_equal(got[k], expected[k]) for k in expected)
+
+
+def test_adam_holds_only_its_moments_between_steps(rng):
+    # the parameters move into one buffer next to m and v; a step's transient
+    # is the gathered gradients and one scratch vector, and holding those two
+    # across steps would add 3.6 MiB here
+    clusters = [list(range(lo, lo + 4)) for lo in range(0, 24, 4)]
+    params = md.build_forecaster(clusters, 24, 3, md.ForecasterConfig.desk(),
+                                 seed=1).parameters()
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.shape).astype(p.data.dtype)
+    size = sum(p.data.nbytes for p in params.values())
+    slack = size // 8  # the views' array objects and the dicts of m and v
+    tracemalloc.start()
+    try:
+        adam = nn.Adam(params)
+        built, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        adam.step()
+        adam.step()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 2**20
+    assert built < 3 * size + slack
+    assert held - built < slack
+    assert peak - built < 2 * size + slack
+
+
 def test_tensor_dtype_rule(rng):
     assert Tensor(np.arange(3)).data.dtype == np.float64
     assert Tensor([1, 2]).data.dtype == np.float64
