@@ -303,12 +303,13 @@ class DAEHead(nn.Layer):
             self.dense.append(self._adopt(f"l{li}", nn.Dense(rng, a, b, activation=act)))
 
     def __call__(self, x: Tensor, training: bool, rng=None) -> Tensor:
-        """The chain of `nn.Dense` calls with `nn.dropout` before each layer but
-        the first, run as one autograd node with the chain's operations in its
-        order, so outputs and gradients are bit-identical to it.
+        """The chain of `nn.Dense` calls with inverted dropout before each layer
+        but the first, run as one autograd node with the chain's operations in
+        its order, so outputs and gradients are bit-identical to it.
 
-        Masks are drawn from `rng` as `nn.dropout` draws them, only in
-        training mode at a nonzero rate.  Each layer's input and activation
+        Only in training mode at a nonzero rate, each layer's input is
+        multiplied by a keep mask drawn from `rng`: ``rng.random(shape) >=
+        rate`` scaled by ``1/(1-rate)``.  Each layer's input and activation
         are kept; backward is hand-derived: the ReLU mask, ``ins.T @ g``,
         ``g.sum(axis=0)``, ``g @ w.T``, then times the keep mask.
         """
@@ -491,8 +492,7 @@ class Forecaster(nn.Layer):
         trend_grid = nn.reshape(self.trend_proj(trend_flat), (b, w, s, v, 1))
         block = nn.concat([grid, trend_grid], axis=4)
 
-        hs1, _, _ = self.lstm1(block, sequence=True)
-        _, h2, _ = self.lstm2(hs1)
+        h2 = self.lstm2(self.lstm1(block, sequence=True))
 
         post = self.post(nn.reshape(h2, (b, -1)))
         seasonal_flow = nn.reshape(Tensor(batch["seasonal"][:, :, :, 0]), (b, -1))

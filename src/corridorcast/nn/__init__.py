@@ -7,7 +7,6 @@ from .autograd import (
     Tensor,
     concat,
     conv2d,
-    dropout,
     gather_rows,
     matmul,
     maxpool2d,
@@ -44,7 +43,6 @@ __all__ = [
     "Tensor",
     "concat",
     "conv2d",
-    "dropout",
     "gather_rows",
     "load_params",
     "matmul",

@@ -12,13 +12,13 @@ operations record no graph at all, which is how inference runs.
 
 Only the operations the forecaster needs are implemented: elementwise
 arithmetic, matmul, the usual activations, 2-D convolution (valid/same
-padding), block max-pooling, inverted dropout, reshape, concatenation and
-integer gathers along the sensor axis.  Every convolution is one banded-row
-matmul (``_Band``) at stride 1: the kernel is expanded once per call into a
+padding), block max-pooling, reshape, concatenation and integer gathers
+along the sensor axis.  Every convolution is one banded-row matmul
+(``_Band``) at stride 1: the kernel is expanded once per call into a
 (kh*W*C, Wo*Cout) band holding the column padding, and each output row
 multiplies its kh input rows, laid side by side, by the band.  The
-ConvLSTM recurrence is one node of its own (``layers.convlstm_sequence``)
-built on the same band as ``conv2d``.
+ConvLSTM recurrence is one node of its own (``layers.ConvLSTMCell``) built
+on the same band as ``conv2d``.
 
 A ``Tensor`` keeps the floating dtype of the array it wraps; ints, bools,
 lists and Python scalars become float64.  A constant operand of a binary
@@ -497,30 +497,5 @@ def maxpool2d(x: Tensor, window) -> Tensor:
               .transpose(0, 1, 3, 2, 4, 5)
               .reshape(B, H, W, C))
         x._accumulate(dx)
-
-    return _make(out_data, (x,), backward)
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None,
-            mask: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
-
-    Inference mode is the identity.  A fixed `mask` can be supplied so
-    gradient checks can freeze the randomness.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if mask is None:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng or an explicit mask")
-        mask = rng.random(x.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    keep = mask.astype(x.data.dtype) * scale
-    out_data = x.data * keep
-
-    def backward(g):
-        x._accumulate(g * keep)
 
     return _make(out_data, (x,), backward)

@@ -107,6 +107,13 @@ class MultiKernelConv(Layer):
                 for members, w, b in zip(self.member_lists, self.kernels, self.biases)]
 
 
+# Windows per banded-row matmul in the forward recurrence: the kh shifted
+# input rows of a whole batch (1.7 MiB for the desk layer 2 at 64 windows)
+# shrink to those of one block.  GEMM rows do not touch each other's sums,
+# so outputs do not change.
+_ROW_BLOCK = 16
+
+
 class ConvLSTMCell(Layer):
     """Convolutional LSTM cell with Hadamard peephole connections.
 
@@ -122,8 +129,8 @@ class ConvLSTMCell(Layer):
 
     where * is convolution and . the elementwise product.  The spatial grid
     (rows, cols) is fixed at construction because the peephole weights are
-    full spatial maps.  Calling the cell runs it over a whole sequence as one
-    autograd node (`convlstm_sequence`); `step` is the one-step case.
+    full spatial maps.  Calling the cell runs it over a whole window from a
+    zero state as one autograd node.
     """
 
     GATES = ("i", "f", "c", "o")
@@ -144,18 +151,27 @@ class ConvLSTMCell(Layer):
         for gate in ("i", "f", "o"):
             self._param(f"wc{gate}", np.zeros(self.spatial + (filters,)))
 
-    def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        shape = (batch,) + self.spatial + (self.filters,)
-        dtype = self._params["bi"].data.dtype
-        return Tensor(np.zeros(shape, dtype)), Tensor(np.zeros(shape, dtype))
+    def __call__(self, x: Tensor, sequence: bool = False) -> Tensor:
+        """Run over the time axis of `x` (B, T, rows, cols, Cin) from h = c = 0.
 
-    def __call__(self, x: Tensor, h0: Tensor | None = None, c0: Tensor | None = None,
-                 sequence: bool = False) -> tuple[Tensor | None, Tensor, Tensor]:
-        """Run over the time axis of `x` (batch, T, rows, cols, in_channels).
+        Returns the hidden sequence (B, T, rows, cols, n) when `sequence` is
+        set, else the final h (B, rows, cols, n), as one autograd node whose
+        backward is hand-derived BPTT.
 
-        The state starts at `h0`, `c0` (zeros when omitted).  Returns the
-        hidden sequence (batch, T, rows, cols, filters) when `sequence` is set,
-        else None, and the final h and c (batch, rows, cols, filters).
+        The per-gate kernels are stacked once into one (kh, kw, Cin+n, 4, n)
+        kernel with the gates i, f, c, o on its fourth axis and expanded into
+        one band (`autograd._Band`) whose output columns run (gate, column,
+        filter).  Each step copies the kh shifted rows of the row-padded,
+        channel-stacked [x_t, h_{t-1}] as contiguous cols*(Cin+n) runs and
+        multiplies them by the band, in blocks of `_ROW_BLOCK` windows; each
+        gate is then a slice with runs of cols*n.
+
+        For backward each step keeps only its padded [x, h] input, the
+        activated gates, c and tanh(c); backward rebuilds the rows, adds
+        `rows.T @ dz` into one band gradient that is folded onto the kernel
+        once, and scatters `dz @ band.T` back with kh row adds.  Under
+        `no_grad` nothing per step is kept.  Every buffer takes the dtype of
+        `x` and the kernel.
         """
         if x.data.ndim != 5 or x.data.shape[2:4] != self.spatial:
             raise ag.ShapeError(f"input {x.data.shape} does not run over cell grid "
@@ -163,165 +179,111 @@ class ConvLSTMCell(Layer):
         if x.data.shape[4] != self.in_channels:
             raise ag.ShapeError(f"channel mismatch: input {x.data.shape[4]}, "
                                 f"cell {self.in_channels}")
-        state = (x.data.shape[0],) + self.spatial + (self.filters,)
-        if any(s is not None and s.data.shape != state for s in (h0, c0)):
-            raise ag.ShapeError("state shapes inconsistent with the cell grid")
-        return convlstm_sequence(x, self._params, h0, c0, sequence)
+        B, T, H, W, cin = x.data.shape
+        n = self.filters
+        params = self._params
+        gates = self.GATES
+        p = {name: t.data for name, t in params.items()}
+        kernel = np.concatenate([np.stack([p[f"wx{g}"] for g in gates], axis=3),
+                                 np.stack([p[f"wh{g}"] for g in gates], axis=3)], axis=2)
+        kh, kw = kernel.shape[:2]
+        dtype = np.result_type(x.data, kernel)
+        (top, bottom), cols = ag._same_pads(kh, kw)
+        band = ag._Band(kernel, W, cols=cols)
+        rows = slice(top, top + H)
+        parents = (x, *params.values())
+        record = ag._grad_enabled and any(t.requires_grad for t in parents)
 
-    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        """One step from the given state: the new (h, c)."""
-        _, h, c = self(ag.reshape(x, (x.data.shape[0], 1) + x.data.shape[1:]), h_prev, c_prev)
-        return h, c
+        # per-step buffers for backward when recording, otherwise one reused
+        # slot (two for c, which a step reads and writes)
+        slots = T if record else 1
+        xh = np.zeros((slots, B, H + top + bottom, W, cin + n), dtype)
+        act = np.empty((slots, 4, B, H, W, n), dtype)  # i, f, tanh candidate g, o
+        tcs = np.empty((slots, B, H, W, n), dtype)
+        cs = np.empty((T + 1 if record else 2, B, H, W, n), dtype)
+        cs[0] = 0.0
+        hs = np.empty((B, T, H, W, n), dtype) if sequence else None
+        z = np.empty((B, H, 4, W, n), dtype)  # gate pre-activations, rewritten each step
+        block_rows = np.empty((min(B, _ROW_BLOCK), H, kh, W, cin + n), dtype)
+        h = None
+        for t in range(T):
+            buf = xh[t % slots]
+            buf[:, rows, :, :cin] = x.data[:, t]
+            if h is not None:
+                buf[:, rows, :, cin:] = h
+            for lo in range(0, B, _ROW_BLOCK):
+                piece = buf[lo:lo + _ROW_BLOCK]
+                np.matmul(band.rows(piece, out=block_rows[:len(piece)]), band.matrix,
+                          out=z[lo:lo + _ROW_BLOCK].reshape(len(piece) * H, -1))
+            i, f, g, o = act[t % slots]
+            c_prev, c = cs[t % len(cs)], cs[(t + 1) % len(cs)]
+            np.add(z[:, :, 0], p["wci"] * c_prev, out=i)
+            i += p["bi"]
+            ag._sigmoid(i, i)
+            np.add(z[:, :, 1], p["wcf"] * c_prev, out=f)
+            f += p["bf"]
+            ag._sigmoid(f, f)
+            np.add(z[:, :, 2], p["bc"], out=g)
+            np.tanh(g, out=g)
+            np.multiply(f, c_prev, out=c)
+            c += i * g
+            np.add(z[:, :, 3], p["wco"] * c, out=o)
+            o += p["bo"]
+            ag._sigmoid(o, o)
+            tc = np.tanh(c, out=tcs[t % slots])
+            h = np.multiply(o, tc, out=None if hs is None else hs[:, t])
+        out = h if hs is None else hs
+        if not record:
+            return Tensor(out)
 
-
-# Windows per banded-row matmul in the forward recurrence: the kh shifted
-# input rows of a whole batch (1.7 MiB for the desk layer 2 at 64 windows)
-# shrink to those of one block.  GEMM rows do not touch each other's sums,
-# so outputs do not change.
-_ROW_BLOCK = 16
-
-
-def convlstm_sequence(x: Tensor, params: dict[str, Tensor], h0: Tensor | None = None,
-                      c0: Tensor | None = None, sequence: bool = False
-                      ) -> tuple[Tensor | None, Tensor, Tensor]:
-    """The ConvLSTMCell recurrence over the time axis of `x`, as one autograd node.
-
-    `x` is (B, T, rows, cols, Cin) and `params` the cell's parameters.  The
-    per-gate kernels are stacked once into one (kh, kw, Cin+n, 4, n) kernel
-    with the gates i, f, c, o on its fourth axis and expanded into one band
-    (`autograd._Band`) whose output columns run (gate, column, filter).  Each
-    step copies the kh shifted rows of the row-padded, channel-stacked
-    [x_t, h_{t-1}] as contiguous cols*(Cin+n) runs and multiplies them by the
-    band, in blocks of `_ROW_BLOCK` windows; each gate is then a slice with
-    runs of cols*n.  Returns the hidden sequence (B, T, rows, cols, n) if
-    `sequence` is set (else None) and the final h and c.  Each output is a
-    thin child of the one node that runs the recurrence; backward is
-    hand-derived BPTT.
-
-    For backward each step keeps only its padded [x, h] input, the activated
-    gates, c and tanh(c); backward rebuilds the rows, adds `rows.T @ dz` into
-    one band gradient that is folded onto the kernel once, and scatters
-    `dz @ band.T` back with kh row adds.  Under `no_grad` nothing per step is
-    kept.  Every buffer takes the dtype of `x` and the kernel.
-    """
-    B, T, H, W, cin = x.data.shape
-    kh, kw, _, n = params["wxi"].data.shape
-    gates = ConvLSTMCell.GATES
-    p = {name: t.data for name, t in params.items()}
-    kernel = np.concatenate([np.stack([p[f"wx{g}"] for g in gates], axis=3),
-                             np.stack([p[f"wh{g}"] for g in gates], axis=3)], axis=2)
-    dtype = np.result_type(x.data, kernel)
-    (top, bottom), cols = ag._same_pads(kh, kw)
-    band = ag._Band(kernel, W, cols=cols)
-    rows = slice(top, top + H)
-    parents = (x, *(s for s in (h0, c0) if s is not None), *params.values())
-    record = ag._grad_enabled and any(t.requires_grad for t in parents)
-
-    # per-step buffers for backward when recording, otherwise one reused slot
-    # (two for c, which a step reads and writes)
-    slots = T if record else 1
-    xh = np.zeros((slots, B, H + top + bottom, W, cin + n), dtype)
-    act = np.empty((slots, 4, B, H, W, n), dtype)  # i, f, tanh candidate g, o
-    tcs = np.empty((slots, B, H, W, n), dtype)
-    cs = np.empty((T + 1 if record else 2, B, H, W, n), dtype)
-    cs[0] = 0.0 if c0 is None else c0.data
-    hs = np.empty((B, T, H, W, n), dtype) if sequence else None
-    z = np.empty((B, H, 4, W, n), dtype)  # gate pre-activations, rewritten each step
-    block_rows = np.empty((min(B, _ROW_BLOCK), H, kh, W, cin + n), dtype)
-    h = None
-    if h0 is not None:
-        xh[0, :, rows, :, cin:] = h0.data
-    for t in range(T):
-        buf = xh[t % slots]
-        buf[:, rows, :, :cin] = x.data[:, t]
-        if h is not None:
-            buf[:, rows, :, cin:] = h
-        for lo in range(0, B, _ROW_BLOCK):
-            piece = buf[lo:lo + _ROW_BLOCK]
-            np.matmul(band.rows(piece, out=block_rows[:len(piece)]), band.matrix,
-                      out=z[lo:lo + _ROW_BLOCK].reshape(len(piece) * H, -1))
-        i, f, g, o = act[t % slots]
-        c_prev, c = cs[t % len(cs)], cs[(t + 1) % len(cs)]
-        np.add(z[:, :, 0], p["wci"] * c_prev, out=i)
-        i += p["bi"]
-        ag._sigmoid(i, i)
-        np.add(z[:, :, 1], p["wcf"] * c_prev, out=f)
-        f += p["bf"]
-        ag._sigmoid(f, f)
-        np.add(z[:, :, 2], p["bc"], out=g)
-        np.tanh(g, out=g)
-        np.multiply(f, c_prev, out=c)
-        c += i * g
-        np.add(z[:, :, 3], p["wco"] * c, out=o)
-        o += p["bo"]
-        ag._sigmoid(o, o)
-        tc = np.tanh(c, out=tcs[t % slots])
-        h = np.multiply(o, tc, out=None if hs is None else hs[:, t])
-    c = cs[T % len(cs)]
-    if not record:
-        return (None if hs is None else Tensor(hs)), Tensor(h), Tensor(c)
-
-    out_grads: dict[str, np.ndarray] = {}  # filled by the output nodes' backward
-
-    def backward(_):
-        ghs = out_grads.get("hs")
-        dband = np.zeros_like(band.matrix)
-        db = np.zeros(4 * W * n, dtype)
-        dpeep = {gate: np.zeros((H, W, n), dtype) for gate in ("i", "f", "o")}
-        dx = np.empty_like(x.data) if x.requires_grad else None
-        dh = np.zeros((B, H, W, n), dtype) + out_grads.get("h", 0.0)
-        dc = np.zeros((B, H, W, n), dtype) + out_grads.get("c", 0.0)
-        dz = np.empty((B, H, 4, W, n), dtype)  # the band's output layout
-        dzf = dz.reshape(B * H, -1)
-        dai, daf, dag, dao = (dz[:, :, k] for k in range(4))
-        batch_rows = np.empty((B, H, kh, W, cin + n), dtype)
-        for t in reversed(range(T)):
-            i, f, g, o = act[t]
-            c_prev, c, tc = cs[t], cs[t + 1], tcs[t]
-            if ghs is not None:
-                dh += ghs[:, t]
-            np.multiply(dh, tc, out=dao)
-            dao *= o * (1.0 - o)
-            dc += dh * o * (1.0 - tc * tc) + dao * p["wco"]
-            np.multiply(dc, g, out=dai)
-            dai *= i * (1.0 - i)
-            np.multiply(dc, c_prev, out=daf)
-            daf *= f * (1.0 - f)
-            np.multiply(dc, i, out=dag)
-            dag *= 1.0 - g * g
-            dpeep["i"] += (dai * c_prev).sum(axis=0)
-            dpeep["f"] += (daf * c_prev).sum(axis=0)
-            dpeep["o"] += (dao * c).sum(axis=0)
-            db += dzf.sum(axis=0)
-            dc = dc * f + dai * p["wci"] + daf * p["wcf"]
-            dband += band.rows(xh[t], out=batch_rows).T @ dzf
-            dxh = band.scatter(dzf @ band.matrix.T, xh.shape[1:])[:, rows]
+        def backward(grad):
+            dband = np.zeros_like(band.matrix)
+            db = np.zeros(4 * W * n, dtype)
+            dpeep = {gate: np.zeros((H, W, n), dtype) for gate in ("i", "f", "o")}
+            dx = np.empty_like(x.data) if x.requires_grad else None
+            dh = np.zeros((B, H, W, n), dtype)
+            if not sequence:
+                dh += grad
+            dc = np.zeros((B, H, W, n), dtype)
+            dz = np.empty((B, H, 4, W, n), dtype)  # the band's output layout
+            dzf = dz.reshape(B * H, -1)
+            dai, daf, dag, dao = (dz[:, :, k] for k in range(4))
+            batch_rows = np.empty((B, H, kh, W, cin + n), dtype)
+            for t in reversed(range(T)):
+                i, f, g, o = act[t]
+                c_prev, c, tc = cs[t], cs[t + 1], tcs[t]
+                if sequence:
+                    dh += grad[:, t]
+                np.multiply(dh, tc, out=dao)
+                dao *= o * (1.0 - o)
+                dc += dh * o * (1.0 - tc * tc) + dao * p["wco"]
+                np.multiply(dc, g, out=dai)
+                dai *= i * (1.0 - i)
+                np.multiply(dc, c_prev, out=daf)
+                daf *= f * (1.0 - f)
+                np.multiply(dc, i, out=dag)
+                dag *= 1.0 - g * g
+                dpeep["i"] += (dai * c_prev).sum(axis=0)
+                dpeep["f"] += (daf * c_prev).sum(axis=0)
+                dpeep["o"] += (dao * c).sum(axis=0)
+                db += dzf.sum(axis=0)
+                dc = dc * f + dai * p["wci"] + daf * p["wcf"]
+                dband += band.rows(xh[t], out=batch_rows).T @ dzf
+                dxh = band.scatter(dzf @ band.matrix.T, xh.shape[1:])[:, rows]
+                if dx is not None:
+                    dx[:, t] = dxh[..., :cin]
+                dh = dxh[..., cin:]
             if dx is not None:
-                dx[:, t] = dxh[..., :cin]
-            dh = dxh[..., cin:]
-        if dx is not None:
-            x._accumulate(dx)
-        for state, grad in ((h0, dh), (c0, dc)):
-            if state is not None and state.requires_grad:
-                state._accumulate(grad)
-        dW = band.fold(dband)
-        db = db.reshape(4, W, n).sum(axis=1)
-        grads = {f"wc{gate}": d for gate, d in dpeep.items()}
-        for k, gate in enumerate(gates):
-            grads[f"wx{gate}"] = dW[:, :, :cin, k]
-            grads[f"wh{gate}"] = dW[:, :, cin:, k]
-            grads[f"b{gate}"] = db[k]
-        for name, t in params.items():
-            if t.requires_grad:
-                t._accumulate(grads[name])
+                x._accumulate(dx)
+            dW = band.fold(dband)
+            db = db.reshape(4, W, n).sum(axis=1)
+            grads = {f"wc{gate}": d for gate, d in dpeep.items()}
+            for k, gate in enumerate(gates):
+                grads[f"wx{gate}"] = dW[:, :, :cin, k]
+                grads[f"wh{gate}"] = dW[:, :, cin:, k]
+                grads[f"b{gate}"] = db[k]
+            for name, t in params.items():
+                if t.requires_grad:
+                    t._accumulate(grads[name])
 
-    node = ag._make(np.empty(0, dtype), parents, backward)
-
-    def output(data: np.ndarray, key: str) -> Tensor:
-        def collect(g):
-            out_grads[key] = g
-            if node.grad is None:  # so that the recurrence's backward runs
-                node.grad = np.empty(0, dtype)
-        return ag._make(data, (node,), collect)
-
-    return (None if hs is None else output(hs, "hs")), output(h, "h"), output(c, "c")
+        return ag._make(out, parents, backward)

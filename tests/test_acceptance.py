@@ -2,13 +2,14 @@
 
 The criteria checked today are c01-c06 and c11: DTW against a brute-force
 oracle and its identities, decomposition reconstruction, the clustering
-trace, gradient checks of every layer and of the composed forecaster, the
-ConvLSTM zero-parameter identity and the missing-data generator's
-statistics.  The end-to-end criteria c07-c10 (overfit probe, baseline
-ordering, peak-regime gain, DAE robustness) do not exist yet; ROADMAP.md
-item 2 describes them.  Everything is deterministic given the seeds baked
-in below.  Run with `pytest tests/test_acceptance.py -s` to see one line
-per criterion.
+trace, gradient checks of every layer (the ConvLSTM cell in both output
+modes, a DAE head in training mode) and of the composed forecaster, the
+ConvLSTM zero-parameter identity with a closed form for a window run from a
+nonzero candidate bias, and the missing-data generator's statistics.  The
+end-to-end criteria c07-c10 (overfit probe, baseline ordering, peak-regime
+gain, DAE robustness) do not exist yet; ROADMAP.md item 2 describes them.
+Everything is deterministic given the seeds baked in below.  Run with
+`pytest tests/test_acceptance.py -s` to see one line per criterion.
 """
 
 import time
@@ -145,21 +146,26 @@ def test_c05_gradient_checks_all_layers_and_composed():
     _checked(lambda: nn.mean(nn.square(nn.concat(
         [nn.reshape(o, (2, -1)) for o in mk(xm)], axis=1))), mk.parameters(), {"xm": xm})
 
+    # the cell over three steps, so steps 2 and 3 run from a nonzero state,
+    # with every parameter random (peepholes included), in both output modes
     cell = nn.ConvLSTMCell(rng, (2, 2), 1, 2, kernel=3)
-    xl = Tensor(rng.normal(size=(2, 2, 2, 1)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
-    c0 = Tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
+    for p in cell.parameters().values():
+        p.data = 0.5 * rng.normal(size=p.data.shape)
+    xl = Tensor(rng.normal(size=(2, 3, 2, 2, 1)), requires_grad=True)
+    for sequence in (True, False):
+        _checked(lambda: nn.mean(nn.square(cell(xl, sequence=sequence))),
+                 cell.parameters(), {"xl": xl})
 
-    def lstm_loss():
-        h1, c1 = cell.step(xl, h0, c0)
-        return nn.mean(nn.square(h1) + nn.square(c1))
-
-    _checked(lstm_loss, cell.parameters(), {"xl": xl, "h0": h0, "c0": c0})
-
+    # a DAE head in training mode: a freshly seeded rng per call freezes the
+    # dropout masks, and biases off zero keep ReLU pre-activations off the kink
+    dae = md.DAEHead(rng, 5, (4, 3, 4), 0.3)
+    for layer in dae.dense:
+        layer.b.data = rng.normal(size=layer.b.data.shape)
     xd = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    mask = np.random.default_rng(1).random((4, 5)) >= 0.3
-    _checked(lambda: nn.mean(nn.square(nn.dropout(xd, 0.3, True, mask=mask))),
-             {}, {"xd": xd})
+    _checked(lambda: nn.mean(nn.square(dae(xd, True, np.random.default_rng(1)))),
+             dae.parameters(), {"xd": xd})
+    assert not np.array_equal(dae(xd, True, np.random.default_rng(1)).data,
+                              dae(xd, False).data)  # the masks were on
 
     # composed cluster-conv + ConvLSTM + DAE graph, inference mode
     cfg = md.ForecasterConfig(window=6, horizon=2, conv_filters=(2, 2),
@@ -193,15 +199,16 @@ def test_c06_convlstm_zero_parameter_identity():
     cell = nn.ConvLSTMCell(rng, (3, 2), 2, 2, kernel=3)
     for p in cell.parameters().values():
         p.data[...] = 0.0
-    h0, c0 = cell.zero_state(2)
-    x = Tensor(rng.normal(size=(2, 3, 2, 2)))
-    h1, c1 = cell.step(x, h0, c0)
-    assert np.all(h1.data == 0.0) and np.all(c1.data == 0.0)
-    # and with a nonzero previous cell state h stays analytic: o * tanh(c)
-    c_prev = Tensor(np.full((2, 3, 2, 2), 0.5))
-    h2, c2 = cell.step(x, h0, c_prev)
-    assert np.allclose(c2.data, 0.25)  # f=sigma(0)=0.5 times c_prev
-    assert np.allclose(h2.data, 0.5 * np.tanh(0.25))
+    x = Tensor(rng.normal(size=(2, 3, 3, 2, 2)))
+    assert np.all(cell(x, sequence=True).data == 0.0)
+    # with only bc = b nonzero every gate is sigma(0) = 1/2 and the candidate
+    # tanh(b), so c_t = (1 - 2^-t) tanh(b) and h stays analytic: o * tanh(c)
+    b = 0.8
+    cell.parameters()["bc"].data[...] = b
+    hs = cell(x, sequence=True).data
+    steps = np.arange(1, 4).reshape(1, 3, 1, 1, 1)
+    expected = 0.5 * np.tanh((1.0 - 2.0 ** -steps) * np.tanh(b))
+    assert np.abs(hs - expected).max() <= 1e-15
 
 
 # -- criterion 11: missing-data generator statistics --------------------------------------

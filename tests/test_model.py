@@ -405,12 +405,16 @@ def test_dae_prefers_in_distribution(rng):
 
 def reference_dae_head(head, x, training, rng):
     """The layer-by-layer chain that `DAEHead` runs as one autograd node, kept
-    as its exact-parity oracle: `nn.dropout` before each `nn.Dense` but the
-    first."""
+    as its exact-parity oracle: inverted dropout, a product with a drawn keep
+    mask whose backward is `g * keep`, before each `nn.Dense` but the first,
+    only in training mode at a nonzero rate."""
+    rate = head.dropout_rate
     h = x
     for li, layer in enumerate(head.dense):
-        if li > 0:
-            h = nn.dropout(h, head.dropout_rate, training, rng=rng)
+        if li > 0 and training and rate > 0.0:
+            dtype = h.data.dtype
+            keep = (rng.random(h.data.shape) >= rate).astype(dtype) * (1.0 / (1.0 - rate))
+            h = h * md.Tensor(keep)
         h = layer(h)
     return h
 

@@ -256,83 +256,91 @@ def make_cell(rng, spatial=(3, 2), cin=2, filters=2, kernel=3):
 
 
 def test_convlstm_zero_parameters_zero_output(rng):
+    # every gate is sigmoid(0) = 0.5 and the candidate tanh(0) = 0, so c and
+    # h stay exactly 0 over the whole window
     cell = make_cell(rng)
     for p in cell.parameters().values():
         p.data[...] = 0.0
-    h0, c0 = cell.zero_state(2)
-    x = Tensor(rng.normal(size=(2, 3, 2, 2)))
-    h1, c1 = cell.step(x, h0, c0)
-    assert np.all(h1.data == 0.0)
-    assert np.all(c1.data == 0.0)
+    x = Tensor(rng.normal(size=(2, 3, 3, 2, 2)))
+    assert np.all(cell(x, sequence=True).data == 0.0)
+    assert np.all(cell(x).data == 0.0)
 
 
 def test_convlstm_forget_bias_saturation(rng):
-    # with a huge forget bias the cell state keeps its previous value plus
-    # the input-gated candidate
+    # with a huge forget bias the second step's cell state keeps the first
+    # step's plus the input-gated candidate; a huge output bias makes
+    # h = tanh(c), so c can be read through h
     cell = make_cell(rng)
     cell.parameters()["bf"].data[...] = 20.0
-    h_prev = Tensor(rng.normal(size=(2, 3, 2, 2)) * 0.1)
-    c_prev = Tensor(rng.normal(size=(2, 3, 2, 2)) * 0.1)
-    x = Tensor(rng.normal(size=(2, 3, 2, 2)) * 0.1)
-    _, c1 = cell.step(x, h_prev, c_prev)
-    p = cell._params
-    pre_i = (conv2d_loop(np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0))), p["wxi"].data)
-             + conv2d_loop(np.pad(h_prev.data, ((0, 0), (1, 1), (1, 1), (0, 0))),
-                           p["whi"].data)
-             + p["wci"].data * c_prev.data + p["bi"].data)
-    pre_c = (conv2d_loop(np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0))), p["wxc"].data)
-             + conv2d_loop(np.pad(h_prev.data, ((0, 0), (1, 1), (1, 1), (0, 0))),
-                           p["whc"].data)
-             + p["bc"].data)
-    expected = c_prev.data + (1.0 / (1.0 + np.exp(-pre_i))) * np.tanh(pre_c)
-    assert np.allclose(c1.data, expected, atol=1e-6)
+    cell.parameters()["bo"].data[...] = 20.0
+    x = rng.normal(size=(2, 2, 3, 2, 2)) * 0.1
+    h2 = cell(Tensor(x))
+    p = {k: t.data for k, t in cell.parameters().items()}
+    pad = ((0, 0), (1, 1), (1, 1), (0, 0))
+
+    def pre(gate, x_t, h_prev):
+        return (conv2d_loop(np.pad(x_t, pad), p[f"wx{gate}"])
+                + conv2d_loop(np.pad(h_prev, pad), p[f"wh{gate}"]))
+
+    def sig(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    c, h = np.zeros((2, 3, 2, 2)), np.zeros((2, 3, 2, 2))
+    for t in range(2):
+        c = c + (sig(pre("i", x[:, t], h) + p["wci"] * c + p["bi"])
+                 * np.tanh(pre("c", x[:, t], h) + p["bc"]))
+        h = np.tanh(c)
+    assert np.abs(c).max() > 0.01
+    assert np.allclose(h2.data, h, atol=1e-6)
 
 
 def test_convlstm_scalar_oracle(rng):
-    # 1x1 spatial grid with 1x1 kernels degenerates to a scalar peephole LSTM
+    # 1x1 spatial grid with 1x1 kernels degenerates to a scalar peephole LSTM;
+    # from step 2 on the state it reads is nonzero
     cell = nn.ConvLSTMCell(rng, (1, 1), 1, 1, kernel=1)
     params = {name: rng.normal() for name in
               ("wxi", "whi", "wci", "bi", "wxf", "whf", "wcf", "bf",
                "wxc", "whc", "bc", "wxo", "who", "wco", "bo")}
     for name, val in params.items():
         cell._params[name].data[...] = val
-    x, h, c = 0.7, -0.4, 0.9
-    h1, c1 = cell.step(Tensor(np.full((1, 1, 1, 1), x)),
-                       Tensor(np.full((1, 1, 1, 1), h)),
-                       Tensor(np.full((1, 1, 1, 1), c)))
-    h_ref, c_ref = scalar_peephole_lstm(x, h, c, params)
-    assert abs(h1.data.item() - h_ref) < 1e-12
-    assert abs(c1.data.item() - c_ref) < 1e-12
+    xs = (0.7, -0.4, 0.9)
+    hs = cell(Tensor(np.reshape(xs, (1, 3, 1, 1, 1))), sequence=True)
+    h, c = 0.0, 0.0
+    for t, x in enumerate(xs):
+        h, c = scalar_peephole_lstm(x, h, c, params)
+        assert abs(hs.data[0, t].item() - h) < 1e-12
+    assert c != 0.0
 
 
 def test_convlstm_fused_gates_match_per_gate_convolutions(rng):
     # the stacked kernel must keep the i, f, c, o gate order on its output
-    # axis and the x-then-h order on its input axis
+    # axis and the x-then-h order on its input axis; three steps, so the
+    # hidden and cell states are nonzero from step 2
     cell = make_cell(rng, spatial=(4, 3), cin=3, filters=4, kernel=3)
     for p in cell.parameters().values():
         p.data[...] = rng.normal(size=p.data.shape) * 0.5
-    x = rng.normal(size=(2, 4, 3, 3))
-    h_prev = rng.normal(size=(2, 4, 3, 4))
-    c_prev = rng.normal(size=(2, 4, 3, 4))
-    h1, c1 = cell.step(Tensor(x), Tensor(h_prev), Tensor(c_prev))
+    x = rng.normal(size=(2, 3, 4, 3, 3))
+    hs = cell(Tensor(x), sequence=True)
 
     p = {k: t.data for k, t in cell.parameters().items()}
     pad = ((0, 0), (1, 1), (1, 1), (0, 0))
-    xp, hp = np.pad(x, pad), np.pad(h_prev, pad)
-
-    def pre(g):
-        return conv2d_loop(xp, p[f"wx{g}"]) + conv2d_loop(hp, p[f"wh{g}"])
 
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    i = sig(pre("i") + p["wci"] * c_prev + p["bi"])
-    f = sig(pre("f") + p["wcf"] * c_prev + p["bf"])
-    c_ref = f * c_prev + i * np.tanh(pre("c") + p["bc"])
-    o = sig(pre("o") + p["wco"] * c_ref + p["bo"])
-    h_ref = o * np.tanh(c_ref)
-    assert np.allclose(c1.data, c_ref, rtol=0, atol=1e-12)
-    assert np.allclose(h1.data, h_ref, rtol=0, atol=1e-12)
+    h, c = np.zeros((2, 4, 3, 4)), np.zeros((2, 4, 3, 4))
+    for t in range(3):
+        xp, hp = np.pad(x[:, t], pad), np.pad(h, pad)
+
+        def pre(g):
+            return conv2d_loop(xp, p[f"wx{g}"]) + conv2d_loop(hp, p[f"wh{g}"])
+
+        i = sig(pre("i") + p["wci"] * c + p["bi"])
+        f = sig(pre("f") + p["wcf"] * c + p["bf"])
+        c = f * c + i * np.tanh(pre("c") + p["bc"])
+        o = sig(pre("o") + p["wco"] * c + p["bo"])
+        h = o * np.tanh(c)
+        assert np.allclose(hs.data[:, t], h, rtol=0, atol=1e-12)
 
 
 def test_convlstm_sequence_matches_per_step_oracle(rng):
@@ -349,8 +357,8 @@ def test_convlstm_sequence_matches_per_step_oracle_other_kernels(rng, kernel):
 
 def check_sequence_against_per_step_oracle(rng, kernel):
     # two stacked cells on the desk grid (24 sensors x 4 channels) over a
-    # 6-step window, as in the forecaster; every parameter random, so the
-    # peepholes and biases are nonzero
+    # 6-step window, wired as in the forecaster; every parameter random, so
+    # the peepholes and biases are nonzero
     b, steps, grid = 3, 6, (24, 4)
     cells = [make_cell(rng, spatial=grid, cin=2, filters=4, kernel=kernel),
              make_cell(rng, spatial=grid, cin=4, filters=8, kernel=kernel)]
@@ -358,27 +366,23 @@ def check_sequence_against_per_step_oracle(rng, kernel):
         for p in cell.parameters().values():
             p.data = 0.5 * rng.normal(size=p.data.shape)
     x = Tensor(rng.normal(size=(b, steps) + grid + (2,)), requires_grad=True)
-    h0 = Tensor(0.5 * rng.normal(size=(b,) + grid + (4,)), requires_grad=True)
-    c0 = Tensor(0.5 * rng.normal(size=(b,) + grid + (4,)), requires_grad=True)
-    weights = [rng.normal(size=(b, steps) + grid + (4,)), rng.normal(size=(b,) + grid + (8,)),
-               rng.normal(size=(b,) + grid + (8,))]
+    weights = [rng.normal(size=(b, steps) + grid + (4,)), rng.normal(size=(b,) + grid + (8,))]
 
     def fused():
-        hs1, _, _ = cells[0](x, h0, c0, sequence=True)
-        _, h2, c2 = cells[1](hs1)
-        return hs1, h2, c2
+        hs1 = cells[0](x, sequence=True)
+        return hs1, cells[1](hs1)
 
     def oracle():
-        h1, c1 = h0, c0
-        h2, c2 = cells[1].zero_state(b)
+        h1 = c1 = Tensor(np.zeros((b,) + grid + (4,)))
+        h2 = c2 = Tensor(np.zeros((b,) + grid + (8,)))
         seq = []
         for t in range(steps):
             h1, c1 = reference_convlstm_step(cells[0], _take_step(x, t), h1, c1)
             h2, c2 = reference_convlstm_step(cells[1], h1, h2, c2)
             seq.append(nn.reshape(h1, (b, 1) + grid + (4,)))
-        return nn.concat(seq, axis=1), h2, c2
+        return nn.concat(seq, axis=1), h2
 
-    leaves = {"x": x, "h0": h0, "c0": c0}
+    leaves = {"x": x}
     for k, cell in enumerate(cells):
         leaves.update({f"{k}.{name}": p for name, p in cell.parameters().items()})
     results = []
@@ -387,40 +391,49 @@ def check_sequence_against_per_step_oracle(rng, kernel):
             t.zero_grad()
         outs = run()
         terms = [nn.total(o * Tensor(wt)) for o, wt in zip(outs, weights)]
-        (terms[0] + terms[1] + terms[2]).backward()
+        (terms[0] + terms[1]).backward()
         results.append(([o.data for o in outs], {k: t.grad for k, t in leaves.items()}))
     (fused_out, fused_grads), (oracle_out, oracle_grads) = results
     for got, want in zip(fused_out, oracle_out):
         assert np.array_equal(got, want)
-    assert len(fused_grads) == 3 + 2 * 15
+    assert len(fused_grads) == 1 + 2 * 15
     for name, want in oracle_grads.items():
         np.testing.assert_allclose(fused_grads[name], want, rtol=0, atol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_convlstm_final_h_is_the_sequence_last_step(rng, dtype):
+    # on the desk grid with every parameter random: the final-h call is the
+    # last step of the sequence call, in its outputs and in the gradients of a
+    # loss that reads only that step
+    cell = make_cell(rng, spatial=(24, 4), cin=2, filters=4)
+    for p in cell.parameters().values():
+        p.data = 0.5 * rng.normal(size=p.data.shape)
+    cell.cast(dtype)
+    data = rng.normal(size=(3, 6, 24, 4, 2)).astype(dtype)
+    weight = Tensor(rng.normal(size=(3, 24, 4, 4)).astype(dtype))
+    runs = []
+    for sequence in (False, True):
+        for p in cell.parameters().values():
+            p.zero_grad()
+        x = Tensor(data.copy(), requires_grad=True)
+        out = cell(x, sequence=sequence)
+        h = _take_step(out, 5) if sequence else out
+        nn.total(h * weight).backward()
+        runs.append((h.data, x.grad, {k: p.grad for k, p in cell.parameters().items()}))
+    (h, dx, grads), (h_seq, dx_seq, grads_seq) = runs
+    assert h.dtype == dx.dtype == dtype
+    assert np.array_equal(h, h_seq) and np.array_equal(dx, dx_seq)
+    assert np.any(dx[:, 0] != 0.0)  # the gradient reaches the first step
+    for name, g in grads.items():
+        assert g.dtype == dtype and np.array_equal(g, grads_seq[name]), name
+
+
 def test_convlstm_shape_mismatch(rng):
     cell = make_cell(rng)
-    h0, c0 = cell.zero_state(1)
-    with pytest.raises(ShapeError):
-        cell.step(Tensor(np.zeros((1, 4, 2, 2))), h0, c0)
-
-
-# -- dropout ---------------------------------------------------------------------
-
-
-def test_dropout_rate_zero_is_identity(rng):
-    x = Tensor(rng.normal(size=(3, 4)))
-    assert nn.dropout(x, 0.0, training=True, rng=rng) is x
-
-
-def test_dropout_inference_is_identity(rng):
-    x = Tensor(rng.normal(size=(3, 4)))
-    assert nn.dropout(x, 0.5, training=False) is x
-
-
-def test_dropout_preserves_mean(rng):
-    x = Tensor(np.ones(100_000))
-    out = nn.dropout(x, 0.2, training=True, rng=np.random.default_rng(7))
-    assert abs(out.data.mean() - 1.0) < 0.01
+    for shape in ((1, 2, 4, 2, 2), (1, 2, 3, 2, 3), (1, 3, 2, 2)):
+        with pytest.raises(ShapeError):
+            cell(Tensor(np.zeros(shape)))
 
 
 # -- gradient checks ----------------------------------------------------------------
@@ -489,40 +502,17 @@ def test_gradcheck_multikernel(rng):
 
 
 def test_gradcheck_convlstm_step(rng):
+    # the final h after two steps: the second runs from the nonzero state
+    # of the first
     cell = make_cell(rng, spatial=(2, 2), cin=1, filters=2, kernel=3)
-    x = Tensor(rng.normal(size=(2, 2, 2, 1)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
-    c0 = Tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
-
-    def run():
-        h1, c1 = cell.step(x, h0, c0)
-        return nn.mean(nn.square(h1) + nn.square(c1))
-
-    arrays = {"x": x.data, "h0": h0.data, "c0": c0.data}
-    arrays.update({k: p.data for k, p in cell.parameters().items()})
-    numeric = central_difference_grads(lambda: float(run().data), arrays)
-    for t in (x, h0, c0, *cell.parameters().values()):
-        t.zero_grad()
-    run().backward()
-    analytic = {"x": x.grad, "h0": h0.grad, "c0": c0.grad}
-    analytic.update({k: p.grad for k, p in cell.parameters().items()})
-    assert_grads_close(analytic, numeric)
-
-
-def test_gradcheck_convlstm_sequence(rng):
-    cell = make_cell(rng, spatial=(3, 2), cin=2, filters=2, kernel=3)
     for p in cell.parameters().values():
         p.data = 0.5 * rng.normal(size=p.data.shape)
-    x = Tensor(rng.normal(size=(2, 3, 3, 2, 2)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-    c0 = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 2, 2, 2, 1)), requires_grad=True)
 
     def run():
-        hs, h, c = cell(x, h0, c0, sequence=True)
-        return nn.mean(nn.square(hs)) + nn.mean(nn.square(h) + nn.square(c))
+        return nn.mean(nn.square(cell(x)))
 
-    leaves = {"x": x, "h0": h0, "c0": c0, **cell.parameters()}
-    assert len(leaves) == 3 + 15
+    leaves = {"x": x, **cell.parameters()}
     numeric = central_difference_grads(lambda: float(run().data),
                                        {k: t.data for k, t in leaves.items()})
     for t in leaves.values():
@@ -531,18 +521,23 @@ def test_gradcheck_convlstm_sequence(rng):
     assert_grads_close({k: t.grad for k, t in leaves.items()}, numeric)
 
 
-def test_gradcheck_dropout_frozen_mask(rng):
-    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    mask = np.random.default_rng(3).random((4, 5)) >= 0.3
+def test_gradcheck_convlstm_sequence(rng):
+    cell = make_cell(rng, spatial=(3, 2), cin=2, filters=2, kernel=3)
+    for p in cell.parameters().values():
+        p.data = 0.5 * rng.normal(size=p.data.shape)
+    x = Tensor(rng.normal(size=(2, 3, 3, 2, 2)), requires_grad=True)
 
-    def f():
-        return float(nn.mean(nn.square(
-            nn.dropout(x, 0.3, training=True, mask=mask))).data)
+    def run():
+        return nn.mean(nn.square(cell(x, sequence=True)))
 
-    numeric = central_difference_grads(f, {"x": x.data})
-    x.zero_grad()
-    nn.mean(nn.square(nn.dropout(x, 0.3, training=True, mask=mask))).backward()
-    assert_grads_close({"x": x.grad}, numeric)
+    leaves = {"x": x, **cell.parameters()}
+    assert len(leaves) == 1 + 15
+    numeric = central_difference_grads(lambda: float(run().data),
+                                       {k: t.data for k, t in leaves.items()})
+    for t in leaves.values():
+        t.zero_grad()
+    run().backward()
+    assert_grads_close({k: t.grad for k, t in leaves.items()}, numeric)
 
 
 def test_gradcheck_gather_and_concat(rng):
@@ -740,20 +735,19 @@ def test_backward_requires_scalar(rng):
 
 def test_no_grad_records_no_graph_and_restores_the_flag(rng):
     cell = nn.ConvLSTMCell(rng, (3, 2), 2, 3)
-    x = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
-    h0, c0 = cell.zero_state(2)
-    with_graph, _ = cell.step(x, h0, c0)
+    x = Tensor(rng.normal(size=(2, 2, 3, 2, 2)), requires_grad=True)
+    with_graph = cell(x, sequence=True)
     with nn.no_grad():
-        h, c = cell.step(x, h0, c0)
-    for out in (h, c):
+        hs, h = cell(x, sequence=True), cell(x)
+    for out in (hs, h):
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
-    assert np.array_equal(h.data, with_graph.data)
+    assert np.array_equal(hs.data, with_graph.data)
 
     with pytest.raises(KeyError):
         with nn.no_grad():
             raise KeyError("inside")
-    again, _ = cell.step(x, h0, c0)
+    again = cell(x)
     assert again.requires_grad and again._parents
 
 

@@ -20,6 +20,7 @@ ABSENT = {
     "corridorcast.decompose.stationarize_window",
     "corridorcast.cluster.ClusterState.candidates",
     "corridorcast.evaluation.residual_mae",
+    "corridorcast.nn.layers.ConvLSTMCell.step",
 }
 
 
