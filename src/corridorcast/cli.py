@@ -9,7 +9,8 @@ through `files.publish` (UTF-8) or, for the checkpoint, `files.publish_arrays`
 (both temp file + rename).  Exit codes: 0 ok, 2
 config error (a bad value, a negative --seed, an unreadable --config, an
 --out or --report that cannot be written), 3 data error (an input that
-cannot be read, a step that does not divide a day), 4 training divergence.
+cannot be read, a step that does not divide a day, a data step of a whole
+day), 4 training divergence.
 
 The run log (run.log: one line per epoch with wall-clock times, then notes
 and the DAE pretraining curves) is diagnostic output, not an artifact:

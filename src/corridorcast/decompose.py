@@ -84,8 +84,9 @@ def _phase_means(detrended: np.ndarray, period: int) -> np.ndarray:
 
 def _decompose_block(values: np.ndarray, period: int) -> Decomposition:
     """Decompose every (sensor, feature) series of a (sensors, steps, features) block."""
-    if period < 2:
-        raise ValueError(f"period must be >= 2, got {period}")
+    if period < 2:  # a daily period of one step: data at a whole-day step
+        raise InsufficientDataError(f"decomposition needs at least 2 steps per period, got "
+                                    f"{period}: the data step must be shorter than a day")
     n, t, k = values.shape
     if t < 2 * period:
         raise InsufficientDataError(f"series length {t} < 2*period = {2 * period}")
@@ -117,31 +118,19 @@ def decompose_panel(p: Panel, period: int) -> Decomposition:
 
 
 def daily_period(step_minutes: float) -> int:
-    """Steps per day for the panel's sampling interval."""
-    period = 1440.0 / step_minutes
-    if abs(period - round(period)) > 1e-9:
-        raise ValueError(f"step of {step_minutes} minutes does not divide a day")
-    return int(round(period))
+    """Steps per day for the panel's sampling interval, which `Panel` has
+    checked to divide a day."""
+    return int(round(1440.0 / step_minutes))
 
 
-def recover_forecast(pred: np.ndarray, anchors) -> np.ndarray:
+def recover_forecast(pred: np.ndarray, anchors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Undo stationarization: add the anchor seasonal + trend back onto a forecast.
 
-    The anchors hold one value per forecast row; the forecast's last axis is
-    the horizon.
+    `anchors` is the (seasonal, trend) pair of one value per forecast row, so
+    each has the forecast's shape without its last axis, the horizon.
     """
     anchor_s, anchor_t = anchors
-    anchor_s = np.asarray(anchor_s, dtype=np.float64)
-    anchor_t = np.asarray(anchor_t, dtype=np.float64)
-    if anchor_s.shape != anchor_t.shape:
-        raise ValueError(f"anchor shapes disagree: {anchor_s.shape} vs {anchor_t.shape}")
-    base = np.expand_dims(anchor_s + anchor_t, axis=-1)
-    try:
-        return pred + base
-    except ValueError:
-        raise ValueError(
-            f"anchors of shape {anchor_s.shape} do not broadcast onto forecast "
-            f"{pred.shape}") from None
+    return pred + np.expand_dims(anchor_s + anchor_t, axis=-1)
 
 
 def dump_components_csv(path: str, d: Decomposition, sensor_index: int) -> None:

@@ -113,10 +113,7 @@ class DistanceTable:
 
 
 def window_starts(n_steps: int, window_len: int, stride: int) -> list[int]:
-    if window_len < 1:
-        raise ValueError(f"window length must be at least 1, got {window_len}")
-    if window_len > n_steps:
-        raise ValueError(f"window of {window_len} steps exceeds series length {n_steps}")
+    """Start of every whole window of `window_len` (1 to `n_steps`) steps, `stride` apart."""
     return list(range(0, n_steps - window_len + 1, stride))
 
 
@@ -139,26 +136,16 @@ def rolling_dtw_matrix(residuals: np.ndarray, neighbors, window_len: int, stride
                        active_mask: np.ndarray | None = None) -> DistanceTable:
     """Average window DTW distance for every neighboring sensor pair.
 
-    `residuals` is (sensors, steps) or (sensors, steps, features).  Inactive
-    windows are skipped; if the mask disables every window, all windows are
-    used instead.
+    `residuals` is (sensors, steps, features), and each pair indexes two of
+    its sensors.  `active_mask` holds one flag per window of `window_starts`
+    over the same steps, window and stride.  Inactive windows are skipped; if
+    the mask disables every window, all windows are used instead.
     """
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.ndim == 2:
-        residuals = residuals[:, :, None]
     starts = window_starts(residuals.shape[1], window_len, stride)
-    if active_mask is not None:
-        active_mask = np.asarray(active_mask, dtype=bool)
-        if len(active_mask) != len(starts):
-            raise ValueError(f"mask covers {len(active_mask)} windows, expected {len(starts)}")
-        if active_mask.any():
-            starts = [s for s, a in zip(starts, active_mask) if a]
+    if active_mask is not None and active_mask.any():
+        starts = [s for s, a in zip(starts, active_mask) if a]
     table = DistanceTable(window_count=len(starts))
-    n = residuals.shape[0]
     neighbors = list(neighbors)
-    for i, j in neighbors:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"neighbor pair ({i},{j}) out of range for {n} sensors")
     if not neighbors:
         return table
     pairs = np.array(neighbors, dtype=np.intp)

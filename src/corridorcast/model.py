@@ -149,16 +149,16 @@ class WindowSet:
         """Model inputs of the windows at `idx` (an index or slice into the set).
 
         Residual and trend windows are (B, sensors, w, features), the seasonal
-        window (B, sensors, w+h, features); seasonal and trend are shifted by
-        their own value at the anchor step (input step w-1), residuals pass
-        through.
+        window of feature 0, the forecast one, is (B, sensors, w+h); seasonal
+        and trend are shifted by their own value at the anchor step (input
+        step w-1), residuals pass through.
         """
         w, h = self.w, self.h
         steps = self.t_index[idx][:, None] + np.arange(1 - w, h + 1)  # (B, w+h)
 
         def gather(block: np.ndarray, span: int) -> np.ndarray:
-            return np.ascontiguousarray(
-                block[:, steps[:, :span], :].transpose(1, 0, 2, 3))  # (B, n, span, k)
+            # (n, steps[, k]) -> (B, n, span[, k])
+            return np.ascontiguousarray(np.moveaxis(block[:, steps[:, :span]], 0, 1))
 
         def shifted(block: np.ndarray, span: int) -> np.ndarray:
             win = gather(block, span)
@@ -167,7 +167,7 @@ class WindowSet:
 
         d = self.decomp
         return {"residual": gather(d.residual, w), "trend": shifted(d.trend, w),
-                "seasonal": shifted(d.seasonal, w + h)}
+                "seasonal": shifted(d.seasonal[:, :, 0], w + h)}
 
 
 def make_windows(panel: Panel, decomp: Decomposition, w: int, h: int) -> WindowSet:
@@ -442,32 +442,15 @@ class Forecaster(nn.Layer):
             total = sum(len(m) * h for m in self.clusters)
             self.fct = self._adopt("fct", nn.Dense(rng, total, n_sensors * h))
         self.cast(PRECISION)
-        if self.use_dae and pretrained_dae is not None:
-            self.load_dae_weights(pretrained_dae)
+        for head, weights in zip(self.dae_heads, pretrained_dae or ()):
+            nn.restore_params(head.parameters(), weights)
 
     @property
     def dtype(self) -> np.dtype:
         """The parameters' dtype, in which `forward` runs."""
         return self.head.w.data.dtype
 
-    def load_dae_weights(self, pretrained: list[dict[str, np.ndarray]]) -> None:
-        if len(pretrained) != len(self.dae_heads):
-            raise ConfigError(f"{len(pretrained)} pretrained DAEs for "
-                              f"{len(self.dae_heads)} heads")
-        for head, weights in zip(self.dae_heads, pretrained):
-            nn.restore_params(head.parameters(), weights)
-
     # -- forward -----------------------------------------------------------------
-
-    def _check_batch(self, batch: dict[str, np.ndarray]) -> None:
-        cfg = self.config
-        s, w, h, k = self.n_sensors, cfg.window, cfg.horizon, self.n_features
-        if batch["residual"].shape[1:] != (s, w, k):
-            raise ConfigError(f"residual input must be (B,{s},{w},{k})")
-        if batch["trend"].shape[1:] != (s, w, k):
-            raise ConfigError(f"trend input must be (B,{s},{w},{k})")
-        if batch["seasonal"].shape[1:] != (s, w + h, k):
-            raise ConfigError(f"seasonal input must be (B,{s},{w + h},{k})")
 
     def _cluster_maps(self, residual: np.ndarray) -> list[Tensor]:
         """Each cluster's kernel, pooled, then its second convolution."""
@@ -477,7 +460,6 @@ class Forecaster(nn.Layer):
 
     def forward(self, batch: dict[str, np.ndarray], training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        self._check_batch(batch)
         batch = {k: a.astype(self.dtype, copy=False) for k, a in batch.items()}
         cfg = self.config
         s, w, h = self.n_sensors, cfg.window, cfg.horizon
@@ -495,7 +477,7 @@ class Forecaster(nn.Layer):
         h2 = self.lstm2(self.lstm1(block, sequence=True))
 
         post = self.post(nn.reshape(h2, (b, -1)))
-        seasonal_flow = nn.reshape(Tensor(batch["seasonal"][:, :, :, 0]), (b, -1))
+        seasonal_flow = nn.reshape(Tensor(batch["seasonal"]), (b, -1))
         joined = nn.concat([post, seasonal_flow], axis=1)
         y_bar = nn.reshape(self.head(joined), (b, s, h))
         if not self.use_dae:
@@ -597,7 +579,8 @@ DIVERGENCE_PATIENCE = 5
 
 def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig,
           seed: int) -> TrainHistory:
-    """Minimize forecast MSE with ADAM over stride-1 window batches.
+    """Minimize forecast MSE with ADAM over stride-1 window batches of the
+    nonempty `windows` (`pipeline.fit` checks).
 
     The last `VAL_FRACTION` of the training windows is held out for the
     validation curve, the one `predict` pass of each epoch.  Training aborts
@@ -608,8 +591,6 @@ def train(model: Forecaster, windows: WindowSet, config: ForecasterConfig,
     step, so a first epoch that blows up cannot inflate it.
     """
     n = len(windows)
-    if n == 0:
-        raise InsufficientDataError("no training windows")
     n_val = int(n * VAL_FRACTION)
     train_set = windows.subset(np.arange(n - n_val)) if n_val else windows
     val_set = windows.subset(np.arange(n - n_val, n)) if n_val else None

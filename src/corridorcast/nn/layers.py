@@ -84,14 +84,13 @@ class MultiKernelConv(Layer):
     rows are gathered and correlated with a kernel spanning the whole member
     axis, so features never mix across clusters; the kernel moves along the
     time axis alone, and ReLU follows.  Returns one (batch, 1, T', filters)
-    map per cluster.
+    map per cluster.  Every member list must be nonempty, which `Forecaster`
+    checks.
     """
 
     def __init__(self, rng: np.random.Generator, member_lists: list[list[int]],
                  time_kernel: int, n_features: int, filters: int):
         super().__init__()
-        if any(len(m) == 0 for m in member_lists):
-            raise ValueError("cluster with zero members")
         self.member_lists = [list(m) for m in member_lists]
         self.kernels: list[Tensor] = []
         self.biases: list[Tensor] = []

@@ -285,8 +285,6 @@ def _read_panel_file(path: str, digest: str,
 def filter_complete(p: Panel, min_fraction: float) -> Panel:
     """Keep exactly the sensors whose observed fraction exceeds `min_fraction`;
     a panel that keeps them all is returned as it is, not copied."""
-    if not 0.0 <= min_fraction <= 1.0:
-        raise ValueError(f"min_fraction must lie in [0, 1], got {min_fraction}")
     keep = np.flatnonzero(p.observed_fraction() > min_fraction)
     if keep.size == 0:
         raise EmptyPanelError(f"no sensor exceeds completeness {min_fraction}")
@@ -297,10 +295,9 @@ def filter_complete(p: Panel, min_fraction: float) -> Panel:
 
 
 def fit_scale(p: Panel, train_range: tuple[int, int]) -> ScalingParams:
-    """Min/max per (sensor, feature) over observed cells of steps [start, stop)."""
+    """Min/max per (sensor, feature) over observed cells of steps [start, stop),
+    a nonempty span of the panel."""
     start, stop = train_range
-    if not 0 <= start < stop <= p.n_steps:
-        raise ValueError(f"train range {train_range} is empty or out of bounds")
     vals = p.values[:, start:stop, :]
     mask = p.missing_mask[:, start:stop, :]
     # unobserved cells read as +inf for the min and -inf for the max, so

@@ -88,22 +88,19 @@ def _parse(raw: str, default):
 def decode(base, items: dict[str, str], origin: dict[str, str] | None = None):
     """`base` with each field named in `items` parsed from text.
 
-    A value parses by the type of the field's value in `base`; tuple elements
-    by the type of its first element, booleans as case-insensitive
-    true/false/0/1.  A key that names no field or a value that does not parse
-    raises ConfigError naming the key, after `origin[key]` (where it was read)
-    when given.  The dataclass's own checks then run on the result; one that
-    rejects a single field is reported the same way, by key.
+    Every key of `items` names a field of `base` (`load_config` rejects any
+    other).  A value parses by the type of the field's value in `base`; tuple
+    elements by the type of its first element, booleans as case-insensitive
+    true/false/0/1.  A value that does not parse raises ConfigError naming
+    the key, after `origin[key]` (where it was read) when given.  The
+    dataclass's own checks then run on the result; one that rejects a single
+    field is reported the same way, by key.
     """
-    names = {f.name for f in fields(base)}
-
     def where(key: str) -> str:
         return f"{origin[key]}: " if origin and key in origin else ""
 
     kwargs = {}
     for key, raw in items.items():
-        if key not in names:
-            raise ConfigError(f"{where(key)}unknown config key {key!r}")
         try:
             kwargs[key] = _parse(raw, getattr(base, key))
         except ValueError as exc:

@@ -181,7 +181,7 @@ def test_c05_gradient_checks_all_layers_and_composed():
         p.data = 0.4 * rng.normal(size=p.data.shape)
     batch = {"residual": rng.normal(size=(2, 3, 6, 2)),
              "trend": rng.normal(size=(2, 3, 6, 2)),
-             "seasonal": rng.normal(size=(2, 3, 8, 2))}
+             "seasonal": rng.normal(size=(2, 3, 8))}
     target = rng.normal(size=(2, 3, 2))
 
     def model_loss():

@@ -695,10 +695,11 @@ def test_exit_code_unusable_output(trained, tmp_path, capsys, case):
         assert not (place / "checkpoint.txt").exists()
 
 
-def write_corridor(tmp_path, sensor_ids, steps):
-    """A data and a metadata CSV: `steps` 15-minute rows per sensor, 0.5 miles apart."""
+def write_corridor(tmp_path, sensor_ids, steps, minutes=15):
+    """A data and a metadata CSV: `steps` rows per sensor `minutes` apart, the
+    sensors 0.5 miles apart."""
     start = np.datetime64("2016-01-04T00:00:00", "s")
-    rows = [f"{sid},{start + np.timedelta64(15 * i, 'm')},{100 + i % 7}.0,5.0,60.0"
+    rows = [f"{sid},{start + np.timedelta64(minutes * i, 'm')},{100 + i % 7}.0,5.0,60.0"
             for sid in sensor_ids for i in range(steps)]
     (tmp_path / "data.csv").write_text("sensor_id,timestamp,flow,occupancy,speed\n"
                                        + "\n".join(rows) + "\n")
@@ -807,6 +808,22 @@ def test_exit_code_step_that_does_not_divide_a_day(tmp_path, capsys, command):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "a step of 7 minutes does not divide a day" in err[0]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "cluster", "train", "eval"])
+def test_exit_code_step_of_a_whole_day(tmp_path, capsys, command):
+    # one row per day divides a day, but leaves no daily cycle to decompose
+    inputs = write_corridor(tmp_path, ["A", "B"], 28, minutes=1440)
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,sensor_id,membership\n0,A,1.0\n0,B,1.0\n")
+    capsys.readouterr()
+    assert run(command, *inputs, "--clusters", str(clusters), "--model",
+               str(tmp_path / "checkpoint.txt"), "--out", str(tmp_path / "o"),
+               "--report", str(tmp_path / "report.csv"), "--seed", "1") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: decomposition needs at least 2 steps per period, got 1: "
+                   "the data step must be shorter than a day"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "report.csv").exists()
 
 
 def test_non_ascii_sensor_id_under_an_ascii_locale(synth_dir, tmp_path):

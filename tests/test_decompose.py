@@ -154,8 +154,6 @@ def test_decompose_panel_memory(rng):
 def test_daily_period():
     assert dc.daily_period(5.0) == 288
     assert dc.daily_period(15.0) == 96
-    with pytest.raises(ValueError):
-        dc.daily_period(7.0)
 
 
 def test_stationarize_anchor_becomes_zero(rng):

@@ -93,20 +93,20 @@ def test_feature_mismatch_rejected(rng):
 
 
 def test_rolling_identical_series_zero(rng):
-    r = rng.normal(size=(1, 40))
+    r = rng.normal(size=(1, 40, 1))
     residuals = np.vstack([r, r])
     table = dtw.rolling_dtw_matrix(residuals, [(0, 1)], window_len=8, stride=8)
     assert table.get(0, 1) == 0.0
 
 
 def test_rolling_single_window_equals_direct(rng):
-    residuals = rng.normal(size=(2, 10))
+    residuals = rng.normal(size=(2, 10, 1))
     table = dtw.rolling_dtw_matrix(residuals, [(0, 1)], window_len=10, stride=10)
     assert np.isclose(table.get(0, 1), dtw.dtw_distance(residuals[0], residuals[1]))
 
 
 def test_rolling_mean_of_window_distances(rng):
-    residuals = rng.normal(size=(2, 24))
+    residuals = rng.normal(size=(2, 24, 1))
     per_window = [dtw_bruteforce(residuals[0, s:s + 8], residuals[1, s:s + 8])
                   for s in (0, 8, 16)]
     table = dtw.rolling_dtw_matrix(residuals, [(0, 1)], window_len=8, stride=8)
@@ -114,7 +114,7 @@ def test_rolling_mean_of_window_distances(rng):
 
 
 def test_rolling_active_mask_selects_windows(rng):
-    residuals = rng.normal(size=(2, 24))
+    residuals = rng.normal(size=(2, 24, 1))
     mask = np.array([False, True, False])
     table = dtw.rolling_dtw_matrix(residuals, [(0, 1)], 8, 8, active_mask=mask)
     only = dtw.dtw_distance(residuals[0, 8:16], residuals[1, 8:16])
@@ -123,7 +123,7 @@ def test_rolling_active_mask_selects_windows(rng):
 
 
 def test_rolling_all_inactive_falls_back_to_all(rng):
-    residuals = rng.normal(size=(2, 24))
+    residuals = rng.normal(size=(2, 24, 1))
     none = dtw.rolling_dtw_matrix(residuals, [(0, 1)], 8, 8,
                                   active_mask=np.zeros(3, dtype=bool))
     all_w = dtw.rolling_dtw_matrix(residuals, [(0, 1)], 8, 8)

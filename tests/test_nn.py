@@ -243,11 +243,6 @@ def test_multikernel_never_mixes_clusters(rng):
     assert not np.array_equal(base[1].data, mod[1].data)
 
 
-def test_multikernel_rejects_empty_cluster(rng):
-    with pytest.raises(ValueError):
-        nn.MultiKernelConv(rng, [[0, 1], []], 2, 1, 1)
-
-
 # -- ConvLSTM ---------------------------------------------------------------------
 
 
