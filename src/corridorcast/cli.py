@@ -2,15 +2,16 @@
 
 Subcommands: decompose, cluster, synth, train, eval, missing-eval.  This
 module parses arguments, writes artifacts and maps errors to exit codes, the
-OSErrors in one place by the flag whose path failed; the chain itself and the
-config codec live in `corridorcast.pipeline`.  Every command is a
-deterministic function of its inputs and the seed, and every file goes
-through `files.publish` (UTF-8) or, for the checkpoint, `files.publish_arrays`
-(both temp file + rename).  Exit codes: 0 ok, 2
-config error (a bad value, a negative --seed, an unreadable --config, an
---out or --report that cannot be written), 3 data error (an input that
-cannot be read, a step that does not divide a day, a data step of a whole
-day), 4 training divergence.
+OSErrors in one place by the flag whose path failed.  The chain, the report
+rows of `eval` and `missing-eval` and the config codec live in
+`corridorcast.pipeline`: a command loads its inputs, calls the chain and
+writes what it returns.  Every command is a deterministic function of its
+inputs and the seed, and every file goes through `files.publish` (UTF-8) or,
+for the checkpoint, `files.publish_arrays` (both temp file + rename).  Exit
+codes: 0 ok, 2 config error (a bad value, a negative --seed, an unreadable
+--config, an --out or --report that cannot be written), 3 data error (an
+input that cannot be read, a step that does not divide a day, a data step of
+a whole day), 4 training divergence.
 
 The run log (run.log: one line per epoch with wall-clock times, then notes
 and the DAE pretraining curves) is diagnostic output, not an artifact:
@@ -22,8 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
 
 from . import cluster as cl
 from . import decompose as dc
@@ -116,8 +115,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _write_report(report: ev.EvalReport, path: str) -> int:
-    report.to_csv(path)
+def _write_report(args, f, rows: list[pl.Row]) -> int:
+    report = ev.EvalReport(os.path.basename(args.model), args.seed, pl.config_hash(f), rows)
+    report.to_csv(args.report)
     report.print_table()
     return EXIT_OK
 
@@ -131,11 +131,7 @@ def cmd_eval(args) -> int:
     scaling = pl.fit_scaling(p, cfg.run)
     _, test_w = pl.windows(p, cfg.run, f, scaling)
     model = pl.load_model(args.model, p, mm.clusters, f)
-    pred, truth, mae_h, rmse_h = pl.score(model, p, scaling, test_w)
-    regime = pl.regime_errors(p, test_w, pred, truth, cfg.run.peak_occupancy)
-    return _write_report(ev.EvalReport(
-        model_id=os.path.basename(args.model), seed=args.seed, config_hash=pl.config_hash(f),
-        mae_by_horizon=mae_h, rmse_by_horizon=rmse_h, **regime), args.report)
+    return _write_report(args, f, pl.evaluate(model, p, scaling, test_w, cfg.run.peak_occupancy))
 
 
 def cmd_missing_eval(args) -> int:
@@ -145,23 +141,8 @@ def cmd_missing_eval(args) -> int:
     p = pl.load_panel(args.data, args.meta, cfg.run)
     mm = cl.clusters_from_csv(args.clusters, list(p.sensors))
     model = pl.load_model(args.model, p, mm.clusters, f)
-    scaling = pl.fit_scaling(p, cfg.run)
-    # each pass builds, scores and drops its own test windows, so the clean
-    # pass is released before the corrupted one starts
-    _, _, mae_clean, _ = pl.score(model, p, scaling, pl.windows(p, cfg.run, f, scaling)[1])
-    corrupted, _ = ev.inject_missing(p, args.seed)
-    _, _, mae_missing, rmse_missing = pl.score(
-        model, p, scaling, pl.windows(corrupted, cfg.run, f, scaling)[1])
-    deltas = {}
-    for j in range(f.horizon):
-        deltas[f"h{j + 1}_clean"] = mae_clean[j]
-        deltas[f"h{j + 1}_increase"] = mae_missing[j] - mae_clean[j]
-    deltas["mean_increase"] = float(np.mean([deltas[f"h{j + 1}_increase"]
-                                             for j in range(f.horizon)]))
-    return _write_report(ev.EvalReport(
-        model_id=os.path.basename(args.model), seed=args.seed, config_hash=pl.config_hash(f),
-        mae_by_horizon=mae_missing, rmse_by_horizon=rmse_missing, missing_deltas=deltas),
-        args.report)
+    return _write_report(args, f, pl.evaluate_missing(
+        model, p, cfg.run, f, pl.fit_scaling(p, cfg.run), args.seed))
 
 
 # -- entry point ---------------------------------------------------------------------

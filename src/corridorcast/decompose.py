@@ -123,14 +123,13 @@ def daily_period(step_minutes: float) -> int:
     return int(round(1440.0 / step_minutes))
 
 
-def recover_forecast(pred: np.ndarray, anchors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Undo stationarization: add the anchor seasonal + trend back onto a forecast.
+def recover_forecast(pred: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Undo stationarization: add the anchor back onto a forecast.
 
-    `anchors` is the (seasonal, trend) pair of one value per forecast row, so
-    each has the forecast's shape without its last axis, the horizon.
+    `anchor` is the seasonal + trend at the anchor step of each forecast row:
+    the forecast's shape without its last axis, the horizon.
     """
-    anchor_s, anchor_t = anchors
-    return pred + np.expand_dims(anchor_s + anchor_t, axis=-1)
+    return pred + np.expand_dims(anchor, axis=-1)
 
 
 def dump_components_csv(path: str, d: Decomposition, sensor_index: int) -> None:

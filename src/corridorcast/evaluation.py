@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,46 +242,24 @@ def panel_to_csv(p: Panel, data_path: str, meta_path: str) -> None:
 
 @dataclass
 class EvalReport:
-    """Error summary for one model on one dataset."""
+    """One model's report on one dataset: the header, then the
+    `(metric, horizon, regime, value)` rows in the order they are written."""
 
     model_id: str
     seed: int
     config_hash: str
-    mae_by_horizon: list[float]
-    rmse_by_horizon: list[float]
-    peak_mae: float | None = None
-    offpeak_mae: float | None = None
-    missing_deltas: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for m_val, r_val in zip(self.mae_by_horizon, self.rmse_by_horizon):
-            # RMSE >= MAE in exact arithmetic; the two rounded means may differ by ulps
-            if not (m_val >= 0 and r_val >= m_val * (1.0 - 1e-9)):
-                raise ValueError(f"need RMSE >= MAE >= 0, got MAE={m_val}, RMSE={r_val}")
-
-    def rows(self) -> list[tuple[str, str, str, float]]:
-        out = []
-        for h, (m_val, r_val) in enumerate(zip(self.mae_by_horizon, self.rmse_by_horizon), 1):
-            out.append(("mae", str(h), "all", m_val))
-            out.append(("rmse", str(h), "all", r_val))
-        for regime, val in (("peak", self.peak_mae), ("offpeak", self.offpeak_mae)):
-            if val is not None:
-                out.append(("mae", "all", regime, val))
-        for key, val in sorted(self.missing_deltas.items()):
-            out.append(("missing_delta", key, "all", val))
-        return out
+    rows: list[tuple[str, str, str, float]]
 
     def to_csv(self, path: str) -> None:
         write_table(path, ["model_id", "seed", "config_hash"],
                     [([self.model_id], [self.seed], [self.config_hash]),
                      (["metric"], ["horizon"], ["regime"], ["value"]),
-                     tuple(zip(*self.rows()))])
+                     tuple(zip(*self.rows))])
 
     def print_table(self, file=None) -> None:
         file = file or sys.stdout
         print(f"model={self.model_id} seed={self.seed} config={self.config_hash}", file=file)
-        rows = self.rows()
-        width = max([9] + [len(horizon) + 1 for _, horizon, _, _ in rows])
+        width = max([9] + [len(horizon) + 1 for _, horizon, _, _ in self.rows])
         print(f"{'metric':<16}{'horizon':<{width}}{'regime':<9}value", file=file)
-        for metric, horizon, regime, value in rows:
+        for metric, horizon, regime, value in self.rows:
             print(f"{metric:<16}{horizon:<{width}}{regime:<9}{value:.6g}", file=file)

@@ -12,7 +12,7 @@ clusters receive a combined forecast).
 
 Inputs are stationarized: seasonal and trend windows have their value at
 the last input step subtracted, residuals pass through, and forecasts are
-recovered by adding the anchors back before inverting the scaling.
+recovered by adding the anchor back before inverting the scaling.
 
 The networks train and predict in `PRECISION` (float32): weights are drawn
 in float64 and cast once, and each batch is cast to the parameters' dtype
@@ -104,13 +104,13 @@ class WindowSet:
     """Stride-1 (w input + h horizon) windows of a decomposed, scaled panel.
 
     The set is an index over the decomposition's (sensor, step, feature)
-    blocks: it holds a reference to them, a copy of the scaled series of
-    feature 0, the one the model forecasts, and the anchor step of each window (`t_index`, the last input
-    step).  `subset` indexes only the anchors.  The per-window arrays
-    `anchor_seasonal` and `anchor_trend` (N, sensors) and `target_scaled` and
-    `target_st` (N, sensors, h) are gathered on first use, so only a set that
-    is scored or trained on builds them; `batch_dict` gathers the
-    stationarized input windows of the requested anchors and nothing else.
+    blocks: it holds a reference to them, a copy of the scaled feature 0 (the
+    one the model forecasts) and each window's anchor step (`t_index`, its
+    last input step); `subset` indexes only those.  The per-window `anchor`
+    (N, sensors), the seasonal + trend of feature 0 at the anchor step, and
+    `target_st` (N, sensors, h), the horizon values less the anchor, are
+    gathered on first use, so only a set that is scored or trained on builds
+    them; `batch_dict` gathers the stationarized inputs of the requested windows.
     """
 
     def __init__(self, decomp: Decomposition, series: np.ndarray, w: int, h: int,
@@ -129,21 +129,16 @@ class WindowSet:
                          self.t_index[np.asarray(idx)])
 
     @functools.cached_property
-    def anchor_seasonal(self) -> np.ndarray:
-        return np.ascontiguousarray(self.decomp.seasonal[:, self.t_index, 0].T)
-
-    @functools.cached_property
-    def anchor_trend(self) -> np.ndarray:
-        return np.ascontiguousarray(self.decomp.trend[:, self.t_index, 0].T)
-
-    @functools.cached_property
-    def target_scaled(self) -> np.ndarray:
-        horizon = self.t_index[:, None] + np.arange(1, self.h + 1)
-        return np.ascontiguousarray(self.series[:, horizon].transpose(1, 0, 2))
+    def anchor(self) -> np.ndarray:
+        d, t = self.decomp, self.t_index
+        return np.ascontiguousarray((d.seasonal[:, t, 0] + d.trend[:, t, 0]).T)
 
     @functools.cached_property
     def target_st(self) -> np.ndarray:
-        return self.target_scaled - (self.anchor_seasonal + self.anchor_trend)[:, :, None]
+        horizon = self.t_index[:, None] + np.arange(1, self.h + 1)
+        target = np.ascontiguousarray(self.series[:, horizon].transpose(1, 0, 2))
+        target -= self.anchor[:, :, None]
+        return target
 
     def batch_dict(self, idx=slice(None)) -> dict[str, np.ndarray]:
         """Model inputs of the windows at `idx` (an index or slice into the set).
@@ -197,7 +192,7 @@ def split_by_time(windows: WindowSet, boundary_step: int, horizon: int
 def recover_predictions(pred_st: np.ndarray, windows: WindowSet,
                         scaling: ScalingParams) -> np.ndarray:
     """Stationarized scaled forecasts of feature 0 -> original units (N, sensors, horizon)."""
-    scaled = recover_forecast(pred_st, (windows.anchor_seasonal, windows.anchor_trend))
+    scaled = recover_forecast(pred_st, windows.anchor)
     lo = scaling.lo[:, 0][None, :, None]
     hi = scaling.hi[:, 0][None, :, None]
     degen = scaling.degenerate[:, 0][None, :, None]

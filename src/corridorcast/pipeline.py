@@ -1,10 +1,10 @@
 """The forecasting chain, written once for the command line and the demos.
 
 load -> filter -> impute; boundary -> scale -> decompose; DTW -> FHC -> ramps;
-windows -> split; DAE pretraining -> forecaster -> training; score -> regime
-split.  Every function takes a panel and config objects, never parsed
-command-line arguments, so the CLI only parses arguments and writes
-artifacts.
+windows -> split; DAE pretraining -> forecaster -> training; score ->
+report rows (`evaluate`, `evaluate_missing`).  Every function takes a panel
+and config objects, never parsed command-line arguments, so the CLI only
+parses arguments and writes artifacts.
 
 The module also holds the run settings (`RunConfig`), the one text codec for
 flat config dataclasses (`encode`, `decode`) and `load_config`, which reads a
@@ -267,33 +267,56 @@ def load_model(path: str, p: pn.Panel, clusters: list[list[int]],
 
 
 def score(model: md.Forecaster, p: pn.Panel, scaling: pn.ScalingParams, ws: md.WindowSet):
-    """Forecast `ws` in original units: (pred, truth, MAE and RMSE per horizon).
-
+    """Forecast `ws` in original units: (pred, truth), each (N, sensors, horizon).
     The truth comes from `p`, so windows of a corrupted copy of `p` are scored
-    against the retained values.  An empty `ws` raises InsufficientDataError.
-    """
+    against the retained values.  An empty `ws` raises InsufficientDataError."""
     if not len(ws):
         raise InsufficientDataError("no test windows")
     pred = md.recover_predictions(model.predict(ws), ws, scaling)
-    truth = md.horizon_truth(p, ws.t_index, ws.h)
-    mae_h = [ev.mae(truth[:, :, j], pred[:, :, j]) for j in range(ws.h)]
-    rmse_h = [ev.rmse(truth[:, :, j], pred[:, :, j]) for j in range(ws.h)]
-    return pred, truth, mae_h, rmse_h
+    return pred, md.horizon_truth(p, ws.t_index, ws.h)
 
 
-def regime_errors(p: pn.Panel, ws: md.WindowSet, pred: np.ndarray, truth: np.ndarray,
-                  peak_occupancy: float) -> dict[str, float | None]:
-    """MAE over the peak and the off-peak target steps of `ws`.
+Row = tuple[str, str, str, float]  # (metric, horizon, regime, value) of a report
 
-    A target step is peak when the corridor-mean occupancy of `p` exceeds
-    `peak_occupancy` (`evaluation.split_peak`).  Keys are `peak_mae` and
-    `offpeak_mae`; a regime with no target step maps to None.
-    """
-    peak_steps, _ = ev.split_peak(p, peak_occupancy)
-    target_steps = ws.t_index[:, None] + np.arange(1, ws.h + 1)[None, :]
-    in_peak = np.isin(target_steps, peak_steps)
-    regime = {}
-    for name, sel in (("peak", in_peak), ("offpeak", ~in_peak)):
-        sel3 = np.broadcast_to(sel[:, None, :], truth.shape)
-        regime[name + "_mae"] = ev.mae(truth[sel3], pred[sel3]) if sel.any() else None
-    return regime
+
+def _horizon_rows(pred: np.ndarray, truth: np.ndarray) -> list[Row]:
+    """The `mae` and `rmse` rows of each horizon in turn, regime `all`."""
+    return [(name, str(j + 1), "all", metric(truth[:, :, j], pred[:, :, j]))
+            for j in range(truth.shape[2])
+            for name, metric in (("mae", ev.mae), ("rmse", ev.rmse))]
+
+
+def evaluate(model: md.Forecaster, p: pn.Panel, scaling: pn.ScalingParams,
+             ws: md.WindowSet, peak_occupancy: float) -> list[Row]:
+    """The `eval` rows of `ws`: each horizon's MAE and RMSE, then the MAE over
+    the peak and the off-peak target steps (`evaluation.split_peak` of `p` at
+    `peak_occupancy`); a regime with no target step has no row."""
+    pred, truth = score(model, p, scaling, ws)
+    rows = _horizon_rows(pred, truth)
+    peak_steps = ev.split_peak(p, peak_occupancy)[0]
+    in_peak = np.isin(ws.t_index[:, None] + np.arange(1, ws.h + 1), peak_steps)
+    for regime, sel in (("peak", in_peak), ("offpeak", ~in_peak)):
+        if sel.any():
+            sel3 = np.broadcast_to(sel[:, None, :], truth.shape)
+            rows.append(("mae", "all", regime, ev.mae(truth[sel3], pred[sel3])))
+    return rows
+
+
+def evaluate_missing(model: md.Forecaster, p: pn.Panel, run: RunConfig, f: md.ForecasterConfig,
+                     scaling: pn.ScalingParams, seed: int) -> list[Row]:
+    """The `missing-eval` rows: each horizon's MAE and RMSE on the test span of
+    `evaluation.inject_missing(p, seed)`, scored against `p`, then, in horizon
+    order, `missing_delta` rows `h<j>_clean` (the MAE on `p` itself) and
+    `h<j>_increase` (corrupted minus clean), then `mean_increase`."""
+    # each pass builds, scores and drops its own test windows, so the clean
+    # pass is released before the corrupted one starts
+    clean = [mae for *_, mae in
+             _horizon_rows(*score(model, p, scaling, windows(p, run, f, scaling)[1]))[::2]]
+    corrupted, _ = ev.inject_missing(p, seed)
+    rows = _horizon_rows(*score(model, p, scaling, windows(corrupted, run, f, scaling)[1]))
+    increases = [row[3] - mae for row, mae in zip(rows[::2], clean)]
+    for j, (mae, increase) in enumerate(zip(clean, increases), 1):
+        rows += [("missing_delta", f"h{j}_clean", "all", mae),
+                 ("missing_delta", f"h{j}_increase", "all", increase)]
+    rows.append(("missing_delta", "mean_increase", "all", float(np.mean(increases))))
+    return rows

@@ -287,6 +287,28 @@ def test_missing_eval_reports_deltas(trained, tmp_path):
             values[("mae", str(h), "all")] - values[("missing_delta", f"h{h}_clean", "all")]
 
 
+def test_missing_eval_reports_deltas_in_horizon_order(tmp_path):
+    # at 10 horizons a string sort of the keys would put h10_clean before h1_clean
+    cfg = write_cfg(tmp_path, TINY_CFG + "horizon=10\n")
+    data = tmp_path / "data"
+    assert run("synth", "--out", str(data), "--seed", "7", "--config", cfg) == 0
+    clusters = tmp_path / "clusters.csv"
+    clusters.write_text("cluster_id,sensor_id,membership\n" +
+                        "".join(f"0,S{i:03d},1.0\n" for i in range(4)))
+    model = md.build_forecaster([[0, 1, 2, 3]], 4, 3, cli.load_config(cfg).forecaster, seed=7)
+    nn.save_params(str(tmp_path / "checkpoint.txt"), model.parameters())
+    report = tmp_path / "missing.csv"
+    assert run("missing-eval", "--data", str(data / "data.csv"), "--meta",
+               str(data / "meta.csv"), "--clusters", str(clusters), "--model",
+               str(tmp_path / "checkpoint.txt"), "--report", str(report),
+               "--seed", "7", "--config", cfg) == 0
+    with open(report) as fh:
+        keys = [(metric, horizon) for metric, horizon, _, _ in list(csv.reader(fh))[3:]]
+    assert keys == [(metric, str(h)) for h in range(1, 11) for metric in ("mae", "rmse")] + [
+        ("missing_delta", f"h{h}_{kind}") for h in range(1, 11)
+        for kind in ("clean", "increase")] + [("missing_delta", "mean_increase")]
+
+
 def test_missing_eval_memory_stays_bounded(tmp_path):
     # a 24-sensor, 28-day corridor and an untrained desk checkpoint: 43.2 MiB
     # while both passes built every window's arrays and stayed alive together

@@ -182,25 +182,25 @@ def test_stationarize_recover_roundtrip(rng):
     truth = s_win + t_win + r_win
     s_in, t_in, r_in, anchors = stationarize_window(s_win, t_win, r_win, 5)
     stationarized_truth = truth - np.expand_dims(anchors[0] + anchors[1], -1)
-    back = dc.recover_forecast(stationarized_truth, anchors)
+    back = dc.recover_forecast(stationarized_truth, anchors[0] + anchors[1])
     assert np.max(np.abs(back - truth)) < 1e-12
 
 
 def test_recover_zero_prediction(rng):
-    anchors = (rng.normal(size=3), rng.normal(size=3))
-    out = dc.recover_forecast(np.zeros((3, 4)), anchors)
-    assert np.allclose(out, (anchors[0] + anchors[1])[:, None])
+    anchor = rng.normal(size=3)
+    out = dc.recover_forecast(np.zeros((3, 4)), anchor)
+    assert np.array_equal(out, np.repeat(anchor[:, None], 4, axis=1))
 
 
 def test_recover_zero_anchors_is_identity(rng):
     pred = rng.normal(size=(3, 4))
-    out = dc.recover_forecast(pred, (np.zeros(3), np.zeros(3)))
+    out = dc.recover_forecast(pred, np.zeros(3))
     assert np.array_equal(out, pred)
 
 
 def test_recover_shape_mismatch(rng):
     with pytest.raises(ValueError):
-        dc.recover_forecast(np.zeros((3, 4)), (np.zeros(2), np.zeros(2)))
+        dc.recover_forecast(np.zeros((3, 4)), np.zeros(2))
 
 
 def test_dump_components_csv(tmp_path, rng):

@@ -8,8 +8,11 @@ import pytest
 from corridorcast import decompose as dc
 from corridorcast import dtw
 from corridorcast import evaluation as ev
+from corridorcast import model as md
+from corridorcast import pipeline as pl
 from corridorcast.errors import DataError
 
+from test_model import CLUSTERS4, tiny_config
 from test_panel import make_panel
 
 
@@ -263,33 +266,35 @@ def test_synth_adjacent_residuals_more_similar_than_distant():
 # -- reports -------------------------------------------------------------------------
 
 
-def test_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        ev.EvalReport("m", 1, "abc", mae_by_horizon=[2.0], rmse_by_horizon=[1.0])
-    with pytest.raises(ValueError):
-        ev.EvalReport("m", 1, "abc", mae_by_horizon=[-1.0], rmse_by_horizon=[1.0])
-    with pytest.raises(ValueError):  # clearly below, though by less than one part in 1e6
-        ev.EvalReport("m", 1, "abc", mae_by_horizon=[2.0], rmse_by_horizon=[2.0 - 1e-6])
+def test_rmse_at_least_mae(rng):
+    # RMSE >= MAE >= 0 in exact arithmetic; the two rounded means may differ by ulps
+    for size in rng.integers(1, 200, size=300):
+        y = rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e3])
+        # half the cases hold (nearly) equal errors, where the two means meet
+        y_hat = y + rng.normal() if rng.random() < 0.5 else rng.normal(size=size)
+        mae, rmse = ev.mae(y, y_hat), ev.rmse(y, y_hat)
+        assert mae >= 0 and rmse >= mae * (1.0 - 1e-9), (mae, rmse)
 
 
-def test_report_accepts_rmse_rounded_below_mae():
+def test_rmse_may_round_one_ulp_below_mae():
     # 39 equal errors: the rounded RMSE comes out one ulp below the rounded MAE
     errors = np.full(39, 22.026179605606323)
     mae, rmse = ev.mae(errors, np.zeros(39)), ev.rmse(errors, np.zeros(39))
     assert rmse == np.nextafter(mae, 0.0)
-    report = ev.EvalReport("m", 1, "abc", mae_by_horizon=[mae], rmse_by_horizon=[rmse])
-    assert report.rows() == [("mae", "1", "all", mae), ("rmse", "1", "all", rmse)]
+    assert rmse >= mae * (1.0 - 1e-9)
 
 
 def test_report_csv_and_table(tmp_path, capsys):
-    report = ev.EvalReport("model", 7, "cafe", mae_by_horizon=[1.0, 1.5],
-                           rmse_by_horizon=[1.2, 2.0], peak_mae=2.0, offpeak_mae=0.5,
-                           missing_deltas={"h1_increase": 0.25})
+    report = ev.EvalReport("model", 7, "cafe", [
+        ("mae", "1", "all", 1.0), ("rmse", "1", "all", 1.2), ("mae", "all", "peak", 2.0),
+        ("missing_delta", "h1_increase", "all", 0.25)])
     path = str(tmp_path / "report.csv")
     report.to_csv(path)
-    text = open(path).read()
-    assert "mae,1,all,1.0" in text
-    assert "missing_delta,h1_increase,all,0.25" in text
+    with open(path, newline="") as fh:
+        assert fh.read() == ("model_id,seed,config_hash\r\nmodel,7,cafe\r\n"
+                             "metric,horizon,regime,value\r\nmae,1,all,1.0\r\n"
+                             "rmse,1,all,1.2\r\nmae,all,peak,2.0\r\n"
+                             "missing_delta,h1_increase,all,0.25\r\n")
     report.print_table()
     out = capsys.readouterr().out
     assert "model=model" in out and "peak" in out
@@ -297,10 +302,11 @@ def test_report_csv_and_table(tmp_path, capsys):
 
 def test_report_table_sizes_the_horizon_column_from_the_longest_key(capsys):
     # missing-eval's keys, as the desk chain at seed 7 prints them
-    ev.EvalReport("checkpoint.txt", 7, "cafe", mae_by_horizon=[52.6939],
-                  rmse_by_horizon=[81.8556], missing_deltas={
-                      "h1_clean": 52.4408, "h1_increase": 0.253132,
-                      "mean_increase": 0.398915}).print_table()
+    ev.EvalReport("checkpoint.txt", 7, "cafe", [
+        ("mae", "1", "all", 52.6939), ("rmse", "1", "all", 81.8556),
+        ("missing_delta", "h1_clean", "all", 52.4408),
+        ("missing_delta", "h1_increase", "all", 0.253132),
+        ("missing_delta", "mean_increase", "all", 0.398915)]).print_table()
     assert capsys.readouterr().out.splitlines()[1:] == [
         "metric          horizon       regime   value",
         "mae             1             all      52.6939",
@@ -309,11 +315,69 @@ def test_report_table_sizes_the_horizon_column_from_the_longest_key(capsys):
         "missing_delta   h1_increase   all      0.253132",
         "missing_delta   mean_increase all      0.398915"]
     # eval's keys keep the 9-character column
-    ev.EvalReport("m", 1, "abc", mae_by_horizon=[1.0], rmse_by_horizon=[2.0],
-                  peak_mae=3.0, offpeak_mae=0.5).print_table()
+    ev.EvalReport("m", 1, "abc", [("mae", "1", "all", 1.0), ("rmse", "1", "all", 2.0),
+                                  ("mae", "all", "peak", 3.0),
+                                  ("mae", "all", "offpeak", 0.5)]).print_table()
     assert capsys.readouterr().out.splitlines()[1:] == [
         "metric          horizon  regime   value",
         "mae             1        all      1",
         "rmse            1        all      2",
         "mae             all      peak     3",
         "mae             all      offpeak  0.5"]
+
+
+# -- report rows ---------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def untrained():
+    """A 4-sensor, 8-day corridor, its scaling and an untrained forecaster."""
+    run, f = pl.RunConfig(), tiny_config(horizon=3)
+    p = ev.synth_generate(ev.SynthConfig(), 4, 8, seed=5)
+    model = md.build_forecaster(CLUSTERS4, p.n_sensors, len(p.features), f, seed=4)
+    return run, f, p, pl.fit_scaling(p, run), model
+
+
+def by_horizon(pred, truth):
+    """The per-horizon rows, built from the metrics one horizon at a time."""
+    rows = []
+    for j in range(truth.shape[2]):
+        rows.append(("mae", str(j + 1), "all", ev.mae(truth[:, :, j], pred[:, :, j])))
+        rows.append(("rmse", str(j + 1), "all", ev.rmse(truth[:, :, j], pred[:, :, j])))
+    return rows
+
+
+@pytest.mark.parametrize("peak_occupancy, regimes", [
+    (8.0, ["peak", "offpeak"]), (1e9, ["offpeak"]), (-1.0, ["peak"])],
+    ids=["both-regimes", "no-peak-step", "no-offpeak-step"])
+def test_evaluate_rows_are_the_metrics_by_hand(untrained, peak_occupancy, regimes):
+    run, f, p, scaling, model = untrained
+    _, test_w = pl.windows(p, run, f, scaling)
+    pred, truth = pl.score(model, p, scaling, test_w)
+    expected = by_horizon(pred, truth)
+    for regime, steps in zip(("peak", "offpeak"), ev.split_peak(p, peak_occupancy)):
+        # the (window, horizon) pairs whose target step is in the regime
+        sel = np.zeros(truth.shape, dtype=bool)
+        for i, anchor in enumerate(test_w.t_index):
+            for j in range(f.horizon):
+                sel[i, :, j] = anchor + j + 1 in steps
+        if sel.any():  # a regime with no target step has no row
+            expected.append(("mae", "all", regime, ev.mae(truth[sel], pred[sel])))
+    assert [regime for _, horizon, regime, _ in expected if horizon == "all"] == regimes
+    assert pl.evaluate(model, p, scaling, test_w, peak_occupancy) == expected
+
+
+def test_evaluate_missing_rows_are_the_metrics_by_hand(untrained):
+    run, f, p, scaling, model = untrained
+    pred, truth = pl.score(model, p, scaling, pl.windows(p, run, f, scaling)[1])
+    corrupted, _ = ev.inject_missing(p, 9)
+    expected = by_horizon(*pl.score(model, p, scaling, pl.windows(corrupted, run, f, scaling)[1]))
+    increases = []
+    for j in range(f.horizon):
+        clean = ev.mae(truth[:, :, j], pred[:, :, j])
+        increases.append(expected[2 * j][3] - clean)
+        expected.append(("missing_delta", f"h{j + 1}_clean", "all", clean))
+        expected.append(("missing_delta", f"h{j + 1}_increase", "all", increases[j]))
+    expected.append(("missing_delta", "mean_increase", "all", float(np.mean(increases))))
+    assert all(increases)  # the outages move every horizon's error
+    assert pl.evaluate_missing(model, p, run, f, scaling, 9) == expected

@@ -115,9 +115,8 @@ def test_window_too_short(rng):
 def test_window_anchor_recovers_truth(rng):
     p, boundary, scaling, scaled, decomp = scaled_decomposed(rng)
     ws = md.make_windows(scaled, decomp, w=6, h=4)
-    base = ws.anchor_seasonal + ws.anchor_trend
-    rebuilt = ws.target_st + base[:, :, None]
-    assert np.max(np.abs(rebuilt - ws.target_scaled)) < 1e-12
+    rebuilt = ws.target_st + ws.anchor[:, :, None]
+    assert np.max(np.abs(rebuilt - md.horizon_truth(scaled, ws.t_index, 4))) < 1e-12
 
 
 def test_window_stationarized_channels(rng):
@@ -167,20 +166,18 @@ def reference_make_windows(panel, decomp, w, h):
     seasonal_in, trend_in, residual_in, (anchor_s, anchor_t) = stationarize_window(
         s_win, t_win, r_win, anchor_index=w - 1, time_axis=2)
     target_scaled = spans(panel.values, w + h)[:, :, w:, 0]
-    anchor_s = anchor_s[:, :, 0]
-    anchor_t = anchor_t[:, :, 0]
-    target_st = target_scaled - (anchor_s + anchor_t)[:, :, None]
+    anchor = anchor_s[:, :, 0] + anchor_t[:, :, 0]
+    target_st = target_scaled - anchor[:, :, None]
     return {"residual": residual_in[:, :, :w, :], "trend": trend_in[:, :, :w, :],
-            "seasonal": seasonal_in[..., 0], "target_st": target_st,
-            "target_scaled": target_scaled, "anchor_seasonal": anchor_s,
-            "anchor_trend": anchor_t, "t_index": np.arange(w - 1, w - 1 + count)}
+            "seasonal": seasonal_in[..., 0], "target_st": target_st, "anchor": anchor,
+            "t_index": np.arange(w - 1, w - 1 + count)}
 
 
 def assert_matches_reference(ws, ref, rows, rng):
     """`ws` must equal the reference windows `rows`, inputs gathered in any order."""
-    for name in ("t_index", "anchor_seasonal", "anchor_trend", "target_scaled",
-                 "target_st"):
+    for name in ("t_index", "anchor", "target_st"):
         assert np.array_equal(getattr(ws, name), ref[name][rows]), name
+        assert getattr(ws, name).flags.c_contiguous, name
     for idx in (rng.integers(0, len(ws), size=17), np.arange(len(ws))):
         batch = ws.batch_dict(idx)
         for name in ("residual", "trend", "seasonal"):
@@ -770,7 +767,8 @@ def test_eval_consistency_between_code_paths(rng):
     model = md.build_forecaster(CLUSTERS4, 4, 3, cfg, seed=6)
     pred_st = model.predict(ws)
     via_helper = md.recover_predictions(pred_st, ws, scaling)
-    scaled_pred = dc.recover_forecast(pred_st, (ws.anchor_seasonal, ws.anchor_trend))
+    anchor = decomp.seasonal[:, ws.t_index, 0].T + decomp.trend[:, ws.t_index, 0].T
+    scaled_pred = dc.recover_forecast(pred_st, anchor)
     via_primitives = np.stack([
         invert_scale_values(scaled_pred[:, :, j].T, scaling, feature=0).T
         for j in range(cfg.horizon)], axis=2)

@@ -47,7 +47,7 @@ def leak() -> float:
 
     def forecast(panel):
         _, test_w = pl.windows(panel, run, f, scaling)
-        pred, _, _, _ = pl.score(model, panel, scaling, test_w)
+        pred, _ = pl.score(model, panel, scaling, test_w)
         return pred[np.flatnonzero(test_w.t_index == t)[0]]
 
     return float(np.max(np.abs(forecast(future) - forecast(p))))
